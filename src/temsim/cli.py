@@ -141,6 +141,9 @@ def cmd_converge(run: RunConfig) -> tuple[str, int]:
         raise ConfigError("experiment.step_ladder", "required for converge")
     if exp.reference_delta is None:
         raise ConfigError("experiment.reference_delta", "required for converge")
+    if run.num_paths < 2:
+        raise ConfigError("simulation.num_paths",
+                          "converge needs at least 2 paths for a standard error")
     try:
         report = strong_error(
             run.spec, run.policy, list(exp.step_ladder), exp.reference_delta,

@@ -9,6 +9,7 @@ substreams, so results are independent of batch boundaries.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import rng
 from .model import ModelSpec
 from .noise import block_sums
-from .regime import sample_chain_paths_batch
+from .regime import BLOCK_STEPS, sample_chain_paths_batch
 from .truncation import TruncationPolicy, truncation_band
 
 
@@ -89,7 +90,7 @@ class CoefficientTables:
 
     def drift(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
         power = np.sign(x) * np.abs(x) ** self.rho
-        out = -self.a0[ridx] + self.a1[ridx] * x - self.a2[ridx] * power
+        out = self.a1[ridx] * x - self.a0[ridx] - self.a2[ridx] * power
         if self.include_inverse:
             out = out + self.a_m1[ridx] / x
         return out
@@ -101,10 +102,27 @@ class CoefficientTables:
         return out
 
     def diffusion(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0.0, np.maximum(x, 0.0) ** self.theta, 0.0)
+        return np.where(x > _ZERO, np.maximum(x, _ZERO) ** self.theta, _ZERO)
 
     def jump(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
-        return np.where(x > 0.0, self.a3[ridx] * x, 0.0)
+        return np.where(x > _ZERO, self.a3[ridx] * x, _ZERO)
+
+    def gather(self, ridx: np.ndarray) -> "CoefficientTables":
+        """Tables whose row j holds the coefficients of regime indices ``ridx[j]``.
+
+        Passing a row number as ``ridx`` to the result reads a contiguous
+        row, made once here, instead of gathering on every call.
+        """
+        rows = copy.copy(self)
+        for name in ("a_m1", "a0", "a1", "a2", "a3"):
+            setattr(rows, name, list(getattr(self, name)[ridx]))
+        return rows
+
+
+# 0-d zero: the same comparisons and fills as the literal 0.0, with cheaper
+# ufunc calls (a Python float operand costs a conversion on every call)
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 def draw_batch_noise(
@@ -143,6 +161,47 @@ def initial_values(spec: ModelSpec, grid: Grid) -> np.ndarray:
     return np.array([spec.initial_segment.eval(float(t)) for t in ts])
 
 
+def _march(spec, grid, tables, brownian, poisson, regimes, step) -> np.ndarray:
+    """Block loop shared by the TEM and BEM schemes: the method of steps.
+
+    The delay spans M steps, so the delayed values of the next ``B <= M``
+    steps are nodes already computed. Each block evaluates the volatility
+    on the (P, B) delayed slice once, gathers the regime coefficients once,
+    and copies its noise into contiguous (B, P) scratch. Then
+    ``step(x, rows, j, phi, d_b, d_n, node)`` maps the length-P state ``x``
+    at ``node`` (step j of the block, coefficients ``rows``) to the next
+    one. The block is written back into the (P, M+K+1) result with one
+    transposed copy.
+    """
+    m, k = grid.tau_steps, grid.num_steps
+    num_paths = brownian.shape[0]
+    _check_shapes(brownian, poisson, regimes, num_paths, k)
+
+    values = np.empty((num_paths, m + k + 1))
+    values[:, : m + 1] = initial_values(spec, grid)[None, :]
+    size = max(1, min(m, BLOCK_STEPS))
+    d_b = np.empty((size, num_paths))
+    # Poisson counts as floats: the same products, without a mixed-type call
+    d_n = np.empty((size, num_paths))
+    x = values[:, m].copy()
+    # overflow to inf is caught by the callers' finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, k, size):
+            stop = min(start + size, k)
+            phi = spec.volatility.evaluate_many(
+                values[:, start:stop], regimes[:, start:stop])
+            phi = np.ascontiguousarray(phi.T)
+            rows = tables.gather(np.ascontiguousarray(regimes[:, start:stop].T) - 1)
+            np.copyto(d_b[: stop - start], brownian[:, start:stop].T)
+            np.copyto(d_n[: stop - start], poisson[:, start:stop].T)
+            block = []
+            for j, noise in enumerate(zip(phi, d_b, d_n)):
+                x = step(x, rows, j, *noise, start + j)
+                block.append(x)
+            values[:, m + start + 1 : m + stop + 1] = np.array(block).T
+    return values
+
+
 def simulate_tem_batch(
     spec: ModelSpec,
     policy: TruncationPolicy,
@@ -161,32 +220,19 @@ def simulate_tem_batch(
     value, the volatility at the value one delay back, and the raw jump
     coefficient, then adds the three increments.
     """
-    lower, upper = truncation_band(grid.delta, policy)
-    tables = CoefficientTables(spec)
-    m, k = grid.tau_steps, grid.num_steps
-    num_paths = brownian.shape[0]
-    _check_shapes(brownian, poisson, regimes, num_paths, k)
+    # 0-d arrays: the same products as Python floats, cheaper ufunc operands
+    lower, upper = map(np.asarray, truncation_band(grid.delta, policy))
+    delta = np.asarray(grid.delta)
 
-    values = np.empty((num_paths, m + k + 1))
-    values[:, : m + 1] = initial_values(spec, grid)[None, :]
-    ridx = regimes - 1
-    # overflow to inf is caught by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(k):
-            x = values[:, m + step]
-            delayed = values[:, step]
-            r = ridx[:, step]
-            clamped = np.clip(x, lower, upper)
-            fd = tables.drift(clamped, r)
-            gd = tables.diffusion(np.minimum(x, upper))
-            phi = spec.volatility.evaluate_many(delayed, regimes[:, step])
-            jump = tables.jump(x, r)
-            values[:, m + step + 1] = (
-                x + fd * grid.delta + phi * gd * brownian[:, step]
-                + jump * poisson[:, step]
-            )
+    def step(x, rows, j, phi, d_b, d_n, _node):
+        fd = rows.drift(np.minimum(np.maximum(x, lower), upper), j)
+        gd = rows.diffusion(np.minimum(x, upper))
+        return x + fd * delta + phi * gd * d_b + rows.jump(x, j) * d_n
+
+    values = _march(spec, grid, CoefficientTables(spec), brownian, poisson,
+                    regimes, step)
     if check:
-        _check_finite(values, m, seed, grid.delta, path_indices)
+        _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)
     return values
 
 
@@ -222,29 +268,17 @@ def simulate_bem_batch(
             delta=grid.delta, seed=seed,
         )
     positive_domain = spec.include_inverse_drift
-    m, k = grid.tau_steps, grid.num_steps
-    num_paths = brownian.shape[0]
-    _check_shapes(brownian, poisson, regimes, num_paths, k)
 
-    values = np.empty((num_paths, m + k + 1))
-    values[:, : m + 1] = initial_values(spec, grid)[None, :]
-    ridx = regimes - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(k):
-            x = values[:, m + step]
-            delayed = values[:, step]
-            r = ridx[:, step]
-            phi = spec.volatility.evaluate_many(delayed, regimes[:, step])
-            target = (
-                x + phi * tables.diffusion(x) * brownian[:, step]
-                + tables.jump(x, r) * poisson[:, step]
-            )
-            values[:, m + step + 1] = implicit_drift_solve(
-                tables, r, target, grid.delta, positive_domain,
-                context=(seed, path_indices, step),
-            )
+    def step(x, rows, j, phi, d_b, d_n, node):
+        target = x + phi * rows.diffusion(x) * d_b + rows.jump(x, j) * d_n
+        return implicit_drift_solve(
+            rows, j, target, grid.delta, positive_domain,
+            context=(seed, path_indices, node),
+        )
+
+    values = _march(spec, grid, tables, brownian, poisson, regimes, step)
     if check:
-        _check_finite(values, m, seed, grid.delta, path_indices)
+        _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)
     return values
 
 
@@ -261,7 +295,9 @@ def implicit_drift_solve(
     Safeguarded Newton iteration inside a sign-changing bracket, falling
     back to bisection whenever a Newton proposal leaves the bracket. The
     residual is strictly increasing in z for admissible deltas, so the
-    bracketed root is unique.
+    bracketed root is unique. ``ridx`` indexes the coefficient arrays of
+    ``tables``: regime indices, or a row number of gathered tables
+    (:meth:`CoefficientTables.gather`).
     """
     seed, path_indices, step = context
 

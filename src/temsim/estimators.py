@@ -82,6 +82,8 @@ def _chunk_ranges(num_paths: int) -> list[tuple[int, int]]:
 
 def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
     """Apply a picklable chunk worker to every path range, in order."""
+    if num_paths < 1:
+        raise ValueError(f"num_paths must be at least 1, got {num_paths}")
     ranges = _chunk_ranges(num_paths)
     if threads > 1 and len(ranges) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
@@ -263,6 +265,9 @@ def strong_error(
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
+    if num_paths < 2:
+        raise ValueError(
+            f"num_paths must be at least 2 for a standard error, got {num_paths}")
     order = np.argsort(-np.asarray(coarse_deltas, dtype=float))
     deltas_desc = [float(coarse_deltas[i]) for i in order]
     ref_grid, levels = _coupled_grids(spec, deltas_desc, reference_delta, horizon)

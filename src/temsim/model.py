@@ -58,17 +58,21 @@ class VolatilitySpec:
     larger than ``bound_sigma``, with ``eval(y, i) == eval(0, i)`` for y < 0.
     ``eval_vec``, when provided, is the same map over numpy arrays and is
     used by the batch simulation engine; otherwise the scalar form is
-    broadcast (slower, but equivalent).
+    broadcast (slower, but equivalent). ``num_regimes`` says the map is
+    defined for regimes ``1..num_regimes`` only; ``None`` means any regime.
     """
 
     bound_sigma: float
     eval: Callable[[float, int], float]
     eval_vec: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "custom"
+    num_regimes: Optional[int] = None
 
     def __post_init__(self):
         if not (self.bound_sigma > 0.0 and math.isfinite(self.bound_sigma)):
             raise ValueError("bound_sigma must be a positive finite real")
+        if self.num_regimes is not None and self.num_regimes < 1:
+            raise ValueError("num_regimes must be None or at least 1")
 
     def evaluate_many(self, y: np.ndarray, regimes: np.ndarray) -> np.ndarray:
         if self.eval_vec is not None:
@@ -148,6 +152,12 @@ class ModelSpec:
             raise ValueError(
                 f"generator is {self.generator.num_states}x{self.generator.num_states} "
                 f"but there are {len(self.regimes)} regimes"
+            )
+        vol_regimes = self.volatility.num_regimes
+        if vol_regimes is not None and vol_regimes < self.generator.num_states:
+            raise ValueError(
+                f"volatility {self.volatility.name!r} defines regimes 1..{vol_regimes} "
+                f"but the generator has {self.generator.num_states} states"
             )
 
     @property
@@ -245,6 +255,7 @@ def build_volatility(name: str, level: float = 0.25,
             eval=sigmoid_volatility,
             eval_vec=sigmoid_volatility_vec,
             name="sigmoid_s5",
+            num_regimes=len(_SIGMOID_SCALE),
         )
     if name == "constant":
         vol = _constant_vol(level)

@@ -15,6 +15,10 @@ import numpy as np
 
 _GENERATOR_TOL = 1e-10
 
+# Time steps per block of the batch step loops (here and in the engine):
+# bounds the contiguous (block, P) scratch those loops step through.
+BLOCK_STEPS = 256
+
 
 class GeneratorError(ValueError):
     """Raised for matrices that are not valid chain generators."""
@@ -172,10 +176,21 @@ def sample_chain_paths_batch(
         return paths
     transition = matrix_exponential(generator, delta)
     cum = transition._cumulative[:, : generator.num_states - 1]
-    states = np.full(num_paths, initial_state, dtype=np.int64)
-    for k in range(num_steps):
-        states = 1 + np.count_nonzero(cum[states - 1] <= uniforms[:, k, None], axis=1)
-        paths[:, k + 1] = states
+    # 0-based states; per block, tabulate each step's successor of every
+    # state at once, so a step is one lookup in contiguous (block, P) rows
+    states = np.full(num_paths, initial_state - 1, dtype=np.int64)
+    cols = np.arange(num_paths)
+    size = min(num_steps, BLOCK_STEPS)
+    block = np.empty((size, num_paths), dtype=np.int64)
+    for start in range(0, num_steps, size):
+        stop = min(start + size, num_steps)
+        u = uniforms[:, start:stop].T
+        successor = np.count_nonzero(cum[:, None, None, :] <= u[None, :, :, None],
+                                     axis=-1)
+        for j in range(stop - start):
+            states = successor[states, j, cols]
+            block[j] = states
+        paths[:, start + 1 : stop + 1] = block[: stop - start].T + 1
     return paths
 
 

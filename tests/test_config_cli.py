@@ -95,6 +95,17 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="model.generator"):
             resolve_config(cfg)
 
+    def test_volatility_without_third_regime_rejected(self, tmp_path, capsys):
+        cfg = demo_config()
+        cfg["model"]["regimes"] = [
+            {"alpha_m1": 0.3, "alpha_0": 0.2, "alpha_1": 0.1, "alpha_2": 0.5,
+             "alpha_3": 1.0}] * 3
+        cfg["model"]["generator"] = [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0],
+                                     [1.0, 1.0, -2.0]]
+        path = write_config(tmp_path, cfg)
+        assert main(["price-bond", "--config", path]) == 2
+        assert "volatility 'sigmoid_s5' defines regimes 1..2" in capsys.readouterr().err
+
     def test_unknown_preset_and_volatility(self):
         with pytest.raises(ConfigError, match="model.preset"):
             resolve_config({"model": {"preset": "mystery"}})
@@ -207,6 +218,13 @@ class TestCliCommands:
         path = write_config(tmp_path, cfg)
         assert self.run_cli(["converge", "--config", path]) == 2
         assert "0.3" in capsys.readouterr().err
+
+    def test_converge_single_path_rejected(self, tmp_path, capsys):
+        cfg = demo_config(num_paths=1)
+        cfg["experiment"] = {"step_ladder": [0.0625], "reference_delta": 0.015625}
+        path = write_config(tmp_path, cfg)
+        assert self.run_cli(["converge", "--config", path]) == 2
+        assert "simulation.num_paths" in capsys.readouterr().err
 
     def test_converge_writes_fitted_order_footer(self, tmp_path):
         cfg = demo_config()

@@ -55,6 +55,24 @@ CONST_POLICY = default_mu_for(CONST_SPEC, psi_exponent=2 / 3,
                               mu_preset="power_fit")
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda n: bond_price(DEMO, POLICY, 1e-2, 0.5, n, 0),
+    lambda n: barrier_option_price(DEMO, POLICY, 1e-2, 0.5, 0.0, 2.0, n, 0),
+    lambda n: scheme_comparison(DEMO, POLICY, 1e-2, 0.5, n, 0),
+    lambda n: strong_error(DEMO, POLICY, [2**-5], 2**-7, 0.5, 2.0, n, 0),
+    lambda n: moment_curves(DEMO, POLICY, [2**-5], 0.5, 2.0, n, 0),
+], ids=["bond", "barrier", "comparison", "strong_error", "moments"])
+@pytest.mark.parametrize("num_paths", [0, -3])
+def test_entry_points_reject_empty_path_counts(estimate, num_paths):
+    with pytest.raises(ValueError, match="num_paths"):
+        estimate(num_paths)
+
+
+def test_strong_error_needs_two_paths():
+    with pytest.raises(ValueError, match="num_paths must be at least 2"):
+        strong_error(DEMO, POLICY, [2**-5], 2**-7, 0.5, 2.0, 1, 0)
+
+
 class TestEstimatorResult:
     def test_interval_definition(self):
         result = EstimatorResult.from_samples(np.array([1.0, 2.0, 3.0]))

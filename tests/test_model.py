@@ -201,6 +201,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_spec(generator=GeneratorMatrix(np.array([[0.0]])))
 
+    def test_volatility_regime_count_must_match(self):
+        three = dict(
+            regimes=(RegimeParams(0.3, 0.2, 0.1, 0.5, 1.0),) * 3,
+            generator=GeneratorMatrix(np.array([[-2.0, 1.0, 1.0],
+                                                [1.0, -2.0, 1.0],
+                                                [1.0, 1.0, -2.0]])),
+        )
+        with pytest.raises(ValueError, match=r"volatility 'sigmoid_s5' defines "
+                                             r"regimes 1\.\.2 but the generator has 3"):
+            make_spec(**three)
+        assert make_spec(**three, volatility=build_volatility("constant")).num_regimes == 3
+
     def test_initial_segment_positive(self):
         with pytest.raises(ValueError):
             constant_segment(0.0)
