@@ -25,7 +25,7 @@ from .estimators import (
     scheme_comparison,
     strong_error,
 )
-from .model import drift_f, validate_assumptions
+from .model import CoefficientTables, validate_assumptions
 from .rng import path_streams
 from .schemes import simulate_tem_path
 from .truncation import (
@@ -33,8 +33,6 @@ from .truncation import (
     TruncationError,
     psi,
     truncation_band,
-    truncated_diffusion,
-    truncated_drift,
 )
 
 EXIT_OK = 0
@@ -101,24 +99,17 @@ def cmd_validate(run: RunConfig) -> tuple[str, int]:
 
     # randomized cap check: every truncated coefficient stays below psi(delta)
     rng = np.random.default_rng(12345)
-    cap_ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepProfileWarning)
-        for _ in range(2000):
-            x = float(rng.uniform(-50.0, 50.0))
-            i = int(rng.integers(1, run.spec.num_regimes + 1))
-            delta = float(rng.uniform(1e-6, run.policy.delta_star))
-            cap = psi(delta, run.policy) * (1.0 + 1e-12)
-            fd = abs(truncated_drift(x, i, delta, run.spec, run.policy))
-            gd = truncated_diffusion(x, delta, run.spec, run.policy)
-            if max(fd, gd) > cap:
-                cap_ok = False
-                break
-        interior_ok = True
-        for x in np.linspace(lower * 1.01, upper * 0.99, 7):
-            if truncated_drift(float(x), 1, grid.delta, run.spec, run.policy) != \
-                    drift_f(float(x), 1, run.spec):
-                interior_ok = False
+    xs = rng.uniform(-50.0, 50.0, 2000)
+    ridx = rng.integers(0, run.spec.num_regimes, xs.size)
+    caps = rng.uniform(1e-6, run.policy.delta_star, xs.size) ** -run.policy.psi_exponent
+    uppers = run.policy.mu_inverse(caps)
+    tables = CoefficientTables(run.spec)
+    fd = np.abs(tables.truncated_drift(xs, ridx, 1.0 / uppers, uppers))
+    gd = tables.truncated_diffusion(xs, uppers)
+    cap_ok = bool(np.all(np.maximum(fd, gd) <= caps * (1.0 + 1e-12)))
+    inside = np.linspace(lower * 1.01, upper * 0.99, 7)
+    interior_ok = np.array_equal(tables.truncated_drift(inside, 0, lower, upper),
+                                 tables.drift(inside, 0))
     lines.append(("PASS" if cap_ok else "FAIL") + " truncated_coefficient_cap")
     lines.append(("PASS" if interior_ok else "FAIL") + " band_interior_identity")
     failed |= not (cap_ok and interior_ok)

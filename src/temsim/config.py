@@ -314,6 +314,8 @@ def resolve_config(
     if file_threads is not None:
         file_threads = _integer(sim, "threads", "simulation", minimum=1)
     if threads is not None:
+        if threads < 1:
+            raise ConfigError("simulation.threads", f"must be >= 1, got {threads}")
         run_threads = int(threads)
     elif file_threads is not None:
         run_threads = file_threads

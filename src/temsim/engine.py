@@ -9,14 +9,14 @@ substreams, so results are independent of batch boundaries.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import rng
-from .model import ModelSpec
+from .model import CoefficientTables, ModelSpec  # noqa: F401 (re-exported)
 from .noise import block_sums
 from .regime import BLOCK_STEPS, sample_chain_paths_batch
 from .truncation import TruncationPolicy, truncation_band
@@ -73,56 +73,6 @@ def resolve_grid(tau: float, delta: float, horizon: float) -> Grid:
     eff = tau / m
     k = round(horizon / eff)
     return Grid(delta=eff, tau_steps=m, num_steps=k)
-
-
-class CoefficientTables:
-    """Per-regime coefficient arrays for vectorized evaluation (0-based rows)."""
-
-    def __init__(self, spec: ModelSpec):
-        self.a_m1 = np.array([r.alpha_m1 for r in spec.regimes])
-        self.a0 = np.array([r.alpha_0 for r in spec.regimes])
-        self.a1 = np.array([r.alpha_1 for r in spec.regimes])
-        self.a2 = np.array([r.alpha_2 for r in spec.regimes])
-        self.a3 = np.array([r.alpha_3 for r in spec.regimes])
-        self.rho = spec.rho
-        self.theta = spec.theta
-        self.include_inverse = spec.include_inverse_drift
-
-    def drift(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
-        power = np.sign(x) * np.abs(x) ** self.rho
-        out = self.a1[ridx] * x - self.a0[ridx] - self.a2[ridx] * power
-        if self.include_inverse:
-            out = out + self.a_m1[ridx] / x
-        return out
-
-    def drift_derivative(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
-        out = self.a1[ridx] - self.a2[ridx] * self.rho * np.abs(x) ** (self.rho - 1.0)
-        if self.include_inverse:
-            out = out - self.a_m1[ridx] / (x * x)
-        return out
-
-    def diffusion(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > _ZERO, np.maximum(x, _ZERO) ** self.theta, _ZERO)
-
-    def jump(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
-        return np.where(x > _ZERO, self.a3[ridx] * x, _ZERO)
-
-    def gather(self, ridx: np.ndarray) -> "CoefficientTables":
-        """Tables whose row j holds the coefficients of regime indices ``ridx[j]``.
-
-        Passing a row number as ``ridx`` to the result reads a contiguous
-        row, made once here, instead of gathering on every call.
-        """
-        rows = copy.copy(self)
-        for name in ("a_m1", "a0", "a1", "a2", "a3"):
-            setattr(rows, name, list(getattr(self, name)[ridx]))
-        return rows
-
-
-# 0-d zero: the same comparisons and fills as the literal 0.0, with cheaper
-# ufunc calls (a Python float operand costs a conversion on every call)
-_ZERO = np.zeros(())
-_ZERO.flags.writeable = False
 
 
 def draw_batch_noise(
@@ -202,6 +152,22 @@ def _march(spec, grid, tables, brownian, poisson, regimes, step) -> np.ndarray:
     return values
 
 
+def tem_update(x, rows, ridx, phi, d_b, d_n, _node, delta, lower, upper):
+    """The truncated-EM step rule of :func:`_march`, with the drift and
+    diffusion truncated to the band ``[lower, upper]``."""
+    fd = rows.truncated_drift(x, ridx, lower, upper)
+    gd = rows.truncated_diffusion(x, upper)
+    return x + fd * delta + phi * gd * d_b + rows.jump(x, ridx) * d_n
+
+
+def bem_update(x, rows, ridx, phi, d_b, d_n, node, delta, positive_domain,
+               seed=None, path_indices=None):
+    """The backward-EM step rule of :func:`_march` (see :func:`simulate_bem_batch`)."""
+    target = x + phi * rows.diffusion(x) * d_b + rows.jump(x, ridx) * d_n
+    return implicit_drift_solve(rows, ridx, target, delta, positive_domain,
+                                context=(seed, path_indices, node))
+
+
 def simulate_tem_batch(
     spec: ModelSpec,
     policy: TruncationPolicy,
@@ -216,19 +182,12 @@ def simulate_tem_batch(
 ) -> np.ndarray:
     """Truncated EM trajectories, shape (P, M+K+1); column j is node j - M.
 
-    Each step evaluates the truncated drift and diffusion at the current
-    value, the volatility at the value one delay back, and the raw jump
-    coefficient, then adds the three increments.
+    Each step is :func:`tem_update`, with the volatility at the value one
+    delay back.
     """
     # 0-d arrays: the same products as Python floats, cheaper ufunc operands
     lower, upper = map(np.asarray, truncation_band(grid.delta, policy))
-    delta = np.asarray(grid.delta)
-
-    def step(x, rows, j, phi, d_b, d_n, _node):
-        fd = rows.drift(np.minimum(np.maximum(x, lower), upper), j)
-        gd = rows.diffusion(np.minimum(x, upper))
-        return x + fd * delta + phi * gd * d_b + rows.jump(x, j) * d_n
-
+    step = partial(tem_update, delta=np.asarray(grid.delta), lower=lower, upper=upper)
     values = _march(spec, grid, CoefficientTables(spec), brownian, poisson,
                     regimes, step)
     if check:
@@ -267,15 +226,9 @@ def simulate_bem_batch(
             f"(needs delta < {1.0 / max_a1:g})",
             delta=grid.delta, seed=seed,
         )
-    positive_domain = spec.include_inverse_drift
-
-    def step(x, rows, j, phi, d_b, d_n, node):
-        target = x + phi * rows.diffusion(x) * d_b + rows.jump(x, j) * d_n
-        return implicit_drift_solve(
-            rows, j, target, grid.delta, positive_domain,
-            context=(seed, path_indices, node),
-        )
-
+    step = partial(bem_update, delta=grid.delta,
+                   positive_domain=spec.include_inverse_drift,
+                   seed=seed, path_indices=path_indices)
     values = _march(spec, grid, tables, brownian, poisson, regimes, step)
     if check:
         _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)

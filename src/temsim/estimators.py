@@ -91,18 +91,27 @@ def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
     return [worker(r) for r in ranges]
 
 
-def _tem_chunk_values(spec, policy, grid, seed, path_range) -> np.ndarray:
-    lo, hi = path_range
-    indices = np.arange(lo, hi)
-    brownian, poisson, regimes = engine.draw_batch_noise(spec, grid, seed, indices)
-    return engine.simulate_tem_batch(
-        spec, policy, grid, brownian, poisson, regimes,
-        seed=seed, path_indices=indices,
-    )
+def _chunk(spec, policy, grid, seed, reduce, path_range):
+    """The chunk pipeline of every estimator: draw the noise of the paths in
+    ``path_range``, run TEM on ``grid`` and return ``reduce(values, rerun)``.
+    ``rerun(level, bem)`` reruns that noise on a ``(grid, factor)`` level of
+    :func:`_coupled_grids`, or through BEM."""
+    indices = np.arange(*path_range)
+    noise = engine.draw_batch_noise(spec, grid, seed, indices)
+    ids = dict(seed=seed, path_indices=indices)
+
+    def rerun(level=None, bem=False):
+        coarse, channels = grid, noise
+        if level is not None:
+            coarse, channels = level[0], engine.coarsen_batch(*noise, level[1])
+        if bem:
+            return engine.simulate_bem_batch(spec, coarse, *channels, **ids)
+        return engine.simulate_tem_batch(spec, policy, coarse, *channels, **ids)
+
+    return reduce(rerun(), rerun)
 
 
-def _bond_chunk(spec, policy, grid, seed, path_range) -> np.ndarray:
-    values = _tem_chunk_values(spec, policy, grid, seed, path_range)
+def _discount(grid, values, _rerun) -> np.ndarray:
     m, k = grid.tau_steps, grid.num_steps
     integrals = values[:, m:m + k].sum(axis=1) * grid.delta
     return np.exp(-integrals)
@@ -123,13 +132,12 @@ def bond_price(
     values times the step, so a constant path prices to exp(-x T) exactly.
     """
     grid = resolve_grid(spec.tau, delta, horizon)
-    worker = partial(_bond_chunk, spec, policy, grid, master_seed)
+    worker = partial(_chunk, spec, policy, grid, master_seed, partial(_discount, grid))
     samples = np.concatenate(_run_chunks(worker, num_paths, threads))
     return EstimatorResult.from_samples(samples)
 
 
-def _barrier_chunk(spec, policy, grid, strike, barrier, seed, path_range) -> np.ndarray:
-    values = _tem_chunk_values(spec, policy, grid, seed, path_range)
+def _knock_out(grid, strike, barrier, values, _rerun) -> np.ndarray:
     m, k = grid.tau_steps, grid.num_steps
     running_max = values[:, m:m + k + 1].max(axis=1)
     payoff = np.maximum(values[:, m + k] - strike, 0.0)
@@ -158,21 +166,15 @@ def barrier_option_price(
     if barrier <= 0.0:
         raise ValueError("barrier must be positive")
     grid = resolve_grid(spec.tau, delta, horizon)
-    worker = partial(_barrier_chunk, spec, policy, grid, strike, barrier, master_seed)
+    worker = partial(_chunk, spec, policy, grid, master_seed,
+                     partial(_knock_out, grid, strike, barrier))
     samples = np.concatenate(_run_chunks(worker, num_paths, threads))
     return EstimatorResult.from_samples(samples)
 
 
-def _comparison_chunk(spec, policy, grid, seed, path_range) -> np.ndarray:
-    lo, hi = path_range
-    indices = np.arange(lo, hi)
-    brownian, poisson, regimes = engine.draw_batch_noise(spec, grid, seed, indices)
-    tem = engine.simulate_tem_batch(spec, policy, grid, brownian, poisson, regimes,
-                                    seed=seed, path_indices=indices)
-    bem = engine.simulate_bem_batch(spec, grid, brownian, poisson, regimes,
-                                    seed=seed, path_indices=indices)
+def _tem_bem_distance(grid, tem, rerun) -> np.ndarray:
     m = grid.tau_steps
-    return np.abs(tem[:, m:] - bem[:, m:]).max(axis=1)
+    return np.abs(tem[:, m:] - rerun(bem=True)[:, m:]).max(axis=1)
 
 
 def scheme_comparison(
@@ -186,7 +188,8 @@ def scheme_comparison(
 ) -> SchemeComparison:
     """Pathwise sup-distance between TEM and BEM under shared noise."""
     grid = resolve_grid(spec.tau, delta, horizon)
-    worker = partial(_comparison_chunk, spec, policy, grid, master_seed)
+    worker = partial(_chunk, spec, policy, grid, master_seed,
+                     partial(_tem_bem_distance, grid))
     distances = np.concatenate(_run_chunks(worker, num_paths, threads))
     base = EstimatorResult.from_samples(distances)
     qs = (0.1, 0.5, 0.9)
@@ -225,19 +228,11 @@ def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
     return ref, levels
 
 
-def _strong_error_chunk(spec, policy, ref_grid, levels, seed, path_range) -> np.ndarray:
-    lo, hi = path_range
-    indices = np.arange(lo, hi)
-    brownian, poisson, regimes = engine.draw_batch_noise(spec, ref_grid, seed, indices)
-    fine = engine.simulate_tem_batch(spec, policy, ref_grid, brownian, poisson,
-                                     regimes, seed=seed, path_indices=indices)
-    m_ref = ref_grid.tau_steps
-    sups = np.empty((len(levels), hi - lo))
+def _sup_errors(ref_grid, levels, fine, rerun) -> np.ndarray:
+    sups = np.empty((len(levels), fine.shape[0]))
     for row, (grid, factor) in enumerate(levels):
-        cb, cp, cr = engine.coarsen_batch(brownian, poisson, regimes, factor)
-        coarse = engine.simulate_tem_batch(spec, policy, grid, cb, cp, cr,
-                                           seed=seed, path_indices=indices)
-        fine_at_nodes = fine[:, m_ref::factor]
+        coarse = rerun((grid, factor))
+        fine_at_nodes = fine[:, ref_grid.tau_steps::factor]
         sups[row] = np.abs(coarse[:, grid.tau_steps:] - fine_at_nodes).max(axis=1)
     return sups
 
@@ -271,7 +266,8 @@ def strong_error(
     order = np.argsort(-np.asarray(coarse_deltas, dtype=float))
     deltas_desc = [float(coarse_deltas[i]) for i in order]
     ref_grid, levels = _coupled_grids(spec, deltas_desc, reference_delta, horizon)
-    worker = partial(_strong_error_chunk, spec, policy, ref_grid, levels, master_seed)
+    worker = partial(_chunk, spec, policy, ref_grid, master_seed,
+                     partial(_sup_errors, ref_grid, levels))
     sups = np.concatenate(_run_chunks(worker, num_paths, threads), axis=1)
 
     powered = sups**p
@@ -302,17 +298,13 @@ def strong_error(
     )
 
 
-def _moment_chunk(spec, policy, fine_grid, levels, p, seed, path_range) -> list[np.ndarray]:
-    lo, hi = path_range
-    indices = np.arange(lo, hi)
-    brownian, poisson, regimes = engine.draw_batch_noise(spec, fine_grid, seed, indices)
-    out = []
+def _moment_sums(levels, p, fine, rerun) -> list[np.ndarray]:
+    sums = []
     for grid, factor in levels:
-        cb, cp, cr = engine.coarsen_batch(brownian, poisson, regimes, factor)
-        values = engine.simulate_tem_batch(spec, policy, grid, cb, cp, cr,
-                                           seed=seed, path_indices=indices)
-        out.append((np.abs(values[:, grid.tau_steps:]) ** p).sum(axis=0))
-    return out
+        # the finest level (factor 1) is the pipeline's own run
+        values = fine if factor == 1 else rerun((grid, factor))
+        sums.append((np.abs(values[:, grid.tau_steps:]) ** p).sum(axis=0))
+    return sums
 
 
 def moment_curves(
@@ -333,7 +325,8 @@ def moment_curves(
     """
     finest = min(deltas)
     fine_grid, levels = _coupled_grids(spec, list(deltas), finest, horizon)
-    worker = partial(_moment_chunk, spec, policy, fine_grid, levels, p, master_seed)
+    worker = partial(_chunk, spec, policy, fine_grid, master_seed,
+                     partial(_moment_sums, levels, p))
     chunk_sums = _run_chunks(worker, num_paths, threads)
     curves = {}
     for row, (grid, _) in enumerate(levels):

@@ -56,15 +56,6 @@ def render_path_csv(state: PathState, header: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_regime_csv(regimes, delta: float, header: Iterable[str] = ()) -> str:
-    """Regime trajectory rows (step index, time, state)."""
-    lines = list(header)
-    lines.append("k,t,state")
-    for k, state in enumerate(regimes):
-        lines.append(f"{k},{_fmt(k * delta)},{int(state)}")
-    return "\n".join(lines) + "\n"
-
-
 def render_price_csv(result: EstimatorResult, header: Iterable[str]) -> str:
     lines = list(header)
     lines.append("estimate,std_error,ci_low,ci_high,num_paths")

@@ -16,6 +16,7 @@ is read as sign(x)|x|^rho for direct calls with negative arguments.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -170,26 +171,99 @@ class ModelSpec:
         return self.regimes[i - 1]
 
 
+class CoefficientTables:
+    """The coefficient kernel: f, f', g, h and their truncations over arrays.
+
+    This is the only definition of the coefficients. The simulation engine
+    steps on it, and the scalar functions below are width-1 views of it.
+    ``ridx`` holds 0-based regime indices.
+    """
+
+    def __init__(self, spec: ModelSpec):
+        self.a_m1 = np.array([r.alpha_m1 for r in spec.regimes])
+        self.a0 = np.array([r.alpha_0 for r in spec.regimes])
+        self.a1 = np.array([r.alpha_1 for r in spec.regimes])
+        self.a2 = np.array([r.alpha_2 for r in spec.regimes])
+        self.a3 = np.array([r.alpha_3 for r in spec.regimes])
+        self.rho = spec.rho
+        self.theta = spec.theta
+        self.include_inverse = spec.include_inverse_drift
+
+    def drift(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
+        power = np.sign(x) * np.abs(x) ** self.rho
+        out = self.a1[ridx] * x - self.a0[ridx] - self.a2[ridx] * power
+        if self.include_inverse:
+            out = out + self.a_m1[ridx] / x
+        return out
+
+    def drift_derivative(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
+        out = self.a1[ridx] - self.a2[ridx] * self.rho * np.abs(x) ** (self.rho - 1.0)
+        if self.include_inverse:
+            out = out - self.a_m1[ridx] / (x * x)
+        return out
+
+    def diffusion(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x > _ZERO, np.maximum(x, _ZERO) ** self.theta, _ZERO)
+
+    def jump(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
+        return np.where(x > _ZERO, self.a3[ridx] * x, _ZERO)
+
+    def truncated_drift(self, x, ridx, lower, upper) -> np.ndarray:
+        """Drift at ``x`` clamped into the truncation band ``[lower, upper]``."""
+        return self.drift(np.minimum(np.maximum(x, lower), upper), ridx)
+
+    def truncated_diffusion(self, x, upper) -> np.ndarray:
+        """Diffusion factor with only the upper clamp."""
+        return self.diffusion(np.minimum(x, upper))
+
+    def gather(self, ridx: np.ndarray) -> "CoefficientTables":
+        """Tables whose row j holds the coefficients of regime indices ``ridx[j]``.
+
+        Passing a row number as ``ridx`` to the result reads a contiguous
+        row, made once here, instead of gathering on every call.
+        """
+        rows = copy.copy(self)
+        for name in ("a_m1", "a0", "a1", "a2", "a3"):
+            setattr(rows, name, list(getattr(self, name)[ridx]))
+        return rows
+
+
+# 0-d zero: the same comparisons and fills as the literal 0.0, with cheaper
+# ufunc calls (a Python float operand costs a conversion on every call)
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
+def point_value(kernel: Callable, x: float, *args) -> float:
+    """``kernel(x, *args)`` at one point, evaluated on a width-1 array.
+
+    A width-1 array runs the same numpy loops as a simulation's rows; a 0-d
+    operand would take numpy's scalar ``pow``, whose last bit can differ.
+    """
+    return float(kernel(np.array([x], dtype=float), *args)[0])
+
+
+def _check_drift_point(x: float, i: int, spec: ModelSpec) -> None:
+    spec.regime(i)
+    if spec.include_inverse_drift and x == 0.0:
+        raise ValueError("drift with inverse term undefined at x = 0")
+
+
 def drift_f(x: float, i: int, spec: ModelSpec) -> float:
     """Regime-``i`` drift at ``x``; requires x != 0 when the 1/x term is on."""
-    p = spec.regime(i)
-    power = math.copysign(abs(x) ** spec.rho, x) if x < 0 else x**spec.rho
-    value = -p.alpha_0 + p.alpha_1 * x - p.alpha_2 * power
-    if spec.include_inverse_drift:
-        if x == 0.0:
-            raise ValueError("drift with inverse term undefined at x = 0")
-        value += p.alpha_m1 / x
-    return value
+    _check_drift_point(x, i, spec)
+    return point_value(CoefficientTables(spec).drift, x, i - 1)
 
 
 def diffusion_g(x: float, spec: ModelSpec) -> float:
     """State factor of the diffusion: x^theta for x >= 0, zero below."""
-    return x**spec.theta if x > 0.0 else 0.0
+    return point_value(CoefficientTables(spec).diffusion, x)
 
 
 def jump_h(x: float, i: int, spec: ModelSpec) -> float:
     """Jump size per Poisson count: alpha_3(i) x for x >= 0, zero below."""
-    return spec.regime(i).alpha_3 * x if x > 0.0 else 0.0
+    spec.regime(i)
+    return point_value(CoefficientTables(spec).jump, x, i - 1)
 
 
 # -- built-in volatility functions -------------------------------------------
@@ -396,10 +470,18 @@ def validate_assumptions(spec: ModelSpec, grid_points: int = 10_000) -> Assumpti
 
 # -- one-sided growth (moment-bound) check ------------------------------------
 
+def _growth_functional(x, spec: ModelSpec, y, ridx, p: float) -> np.ndarray:
+    """x f(x,i) + (p-1)/2 * (phi(y,i) g(x))^2 over broadcast arrays."""
+    tables = CoefficientTables(spec)
+    phi = spec.volatility.evaluate_many(*np.broadcast_arrays(y, ridx + 1))
+    return x * tables.drift(x, ridx) + 0.5 * (p - 1.0) * (phi * tables.diffusion(x)) ** 2
+
+
 def khasminskii_integrand(x: float, y: float, i: int, p: float, spec: ModelSpec) -> float:
     """x f(x,i) + (p-1)/2 * (phi(y,i) g(x))^2, the one-sided growth functional."""
-    phi = spec.volatility.eval(y, i)
-    return x * drift_f(x, i, spec) + 0.5 * (p - 1.0) * (phi * diffusion_g(x, spec)) ** 2
+    _check_drift_point(x, i, spec)
+    return point_value(_growth_functional, x, spec, np.array([y], dtype=float),
+                       np.array([i - 1]), p)
 
 
 def khasminskii_check(
@@ -423,13 +505,10 @@ def khasminskii_check(
         raise ValueError("x grid must be positive")
     xs = np.sort(xs)
 
-    ratios = np.empty(xs.size)
-    for j, x in enumerate(xs):
-        worst = -np.inf
-        for i in range(1, spec.num_regimes + 1):
-            for y in ys:
-                worst = max(worst, khasminskii_integrand(float(x), float(y), i, p, spec))
-        ratios[j] = worst / (1.0 + x * x)
+    # axes (x, regime, y); the worst regime and delayed value per x
+    ridx = np.arange(spec.num_regimes)[None, :, None]
+    growth = _growth_functional(xs[:, None, None], spec, ys[None, None, :], ridx, p)
+    ratios = growth.max(axis=(1, 2)) / (1.0 + xs * xs)
 
     k4 = float(ratios.max())
     arg = int(ratios.argmax())

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import engine
 from .engine import Grid, resolve_grid
-from .model import ModelSpec, diffusion_g, drift_f, jump_h
+from .model import CoefficientTables, ModelSpec
 from .noise import NoiseIncrements, attach_regimes, make_noise
 from .regime import sample_chain_path
 from .rng import PathStreams
-from .truncation import TruncationPolicy, truncated_diffusion, truncated_drift
+from .truncation import TruncationPolicy, truncation_band
 
 
 @dataclass(frozen=True)
@@ -76,32 +76,30 @@ class PathState:
         return np.arange(-self.tau_steps, self.num_steps + 1) * self.delta
 
 
+def _step_inputs(state: PathState, k: int, spec: ModelSpec):
+    """Width-1 state, regime index and volatility of node k, for the step rules."""
+    r = state.regime(k)
+    spec.regime(r)
+    phi = spec.volatility.evaluate_many(np.array([state.delayed_value(k)]), np.array([r]))
+    return np.array([state.value(k)]), r - 1, phi
+
+
 def tem_step(state: PathState, k: int, d_brownian: float, d_poisson: int,
              spec: ModelSpec, policy: TruncationPolicy) -> float:
     """One truncated-EM update from node k given the step's increments."""
-    x = state.value(k)
-    delayed = state.delayed_value(k)
-    r = state.regime(k)
-    fd = truncated_drift(x, r, state.delta, spec, policy)
-    gd = truncated_diffusion(x, state.delta, spec, policy)
-    phi = spec.volatility.eval(delayed, r)
-    return x + fd * state.delta + phi * gd * d_brownian + jump_h(x, r, spec) * d_poisson
+    x, ridx, phi = _step_inputs(state, k, spec)
+    lower, upper = truncation_band(state.delta, policy)
+    return float(engine.tem_update(x, CoefficientTables(spec), ridx, phi, d_brownian,
+                                   float(d_poisson), k, state.delta, lower, upper)[0])
 
 
 def bem_step(state: PathState, k: int, d_brownian: float, d_poisson: int,
              spec: ModelSpec) -> float:
     """One backward-EM update: drift implicit, diffusion and jump explicit."""
-    x = state.value(k)
-    delayed = state.delayed_value(k)
-    r = state.regime(k)
-    phi = spec.volatility.eval(delayed, r)
-    target = x + phi * diffusion_g(x, spec) * d_brownian + jump_h(x, r, spec) * d_poisson
-    tables = engine.CoefficientTables(spec)
-    z = engine.implicit_drift_solve(
-        tables, np.array([r - 1]), np.array([float(target)]), state.delta,
-        spec.include_inverse_drift,
-    )
-    return float(z[0])
+    x, ridx, phi = _step_inputs(state, k, spec)
+    return float(engine.bem_update(x, CoefficientTables(spec), ridx, phi, d_brownian,
+                                   float(d_poisson), k, state.delta,
+                                   spec.include_inverse_drift)[0])
 
 
 def _path_noise(spec: ModelSpec, grid: Grid, streams: PathStreams) -> NoiseIncrements:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModelSpec, diffusion_g, drift_f
+from .model import CoefficientTables, ModelSpec, point_value
 
 
 class TruncationError(ValueError):
@@ -106,40 +106,41 @@ def truncation_band(delta: float, policy: TruncationPolicy) -> tuple[float, floa
 def truncated_drift(x: float, i: int, delta: float, spec: ModelSpec,
                     policy: TruncationPolicy) -> float:
     """Drift evaluated at ``x`` clamped into the band for this step size."""
+    spec.regime(i)
     lower, upper = truncation_band(delta, policy)
-    return drift_f(min(max(x, lower), upper), i, spec)
+    return point_value(CoefficientTables(spec).truncated_drift, x, i - 1, lower, upper)
 
 
 def truncated_diffusion(x: float, delta: float, spec: ModelSpec,
                         policy: TruncationPolicy) -> float:
     """Diffusion factor with only the upper clamp; zero for negative x."""
-    if x < 0.0:
-        return 0.0
     _, upper = truncation_band(delta, policy)
-    return diffusion_g(min(x, upper), spec)
+    return point_value(CoefficientTables(spec).truncated_diffusion, x, upper)
 
 
-def _coefficient_sup(spec: ModelSpec, xs: np.ndarray) -> np.ndarray:
-    """max over regimes of |f| or g, pointwise on a positive grid."""
-    sup = np.array([diffusion_g(float(x), spec) for x in xs])
-    for i in range(1, spec.num_regimes + 1):
-        fv = np.abs([drift_f(float(x), i, spec) for x in xs])
-        sup = np.maximum(sup, fv)
-    return sup
+def _band_sups(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Grid edges ``r`` >= 1 and the sup of |f| and g over each band [1/r, r]:
+    the grid is symmetric in log about x = 1 and the bands are nested, so
+    each sup is a running maximum outward from x = 1."""
+    xs = np.geomspace(1e-3, 1e3, 4001)
+    tables = CoefficientTables(spec)
+    drifts = tables.drift(xs, np.arange(spec.num_regimes)[:, None])
+    sup = np.maximum(tables.diffusion(xs), np.abs(drifts).max(axis=0))
+    mid = xs.size // 2
+    return xs[mid:], np.maximum(np.maximum.accumulate(sup[mid:]),
+                                np.maximum.accumulate(sup[mid::-1]))
 
 
-def _verify_domination(spec: ModelSpec, mu: Callable[[float], float],
-                       r_grid: np.ndarray, xs: np.ndarray, sup: np.ndarray) -> None:
-    for r in r_grid:
-        in_band = (xs >= 1.0 / r) & (xs <= r)
-        if not np.any(in_band):
-            continue
-        band_sup = float(sup[in_band].max())
-        if band_sup > float(mu(r)) * (1.0 + 1e-9):
-            raise TruncationError(
-                f"mu({r:g}) = {float(mu(r)):g} does not dominate the "
-                f"coefficient sup {band_sup:g} on [1/{r:g}, {r:g}]"
-            )
+def _verify_domination(mu: Callable, r: np.ndarray, band_sup: np.ndarray) -> None:
+    # a band [1/u, u] with r[k] <= u <= r[k+1] lies inside band k+1, and
+    # mu(u) >= mu(r[k]): checking these pairs covers every u, not only r
+    bad = band_sup[1:] > mu(r[:-1]) * (1.0 + 1e-9)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise TruncationError(
+            f"mu({r[k]:g}) = {float(mu(r[k])):g} does not dominate the "
+            f"coefficient sup {band_sup[k + 1]:g} on [1/{r[k + 1]:g}, {r[k + 1]:g}]"
+        )
 
 
 def delta_star_search(spec: ModelSpec, policy: TruncationPolicy) -> float:
@@ -149,14 +150,16 @@ def delta_star_search(spec: ModelSpec, policy: TruncationPolicy) -> float:
 
 def _delta_star_search(spec: ModelSpec, mu_inverse: Callable[[float], float],
                        q: float) -> float:
+    tables = CoefficientTables(spec)
+    ridx = np.arange(spec.num_regimes)[:, None]
+
     def admissible(delta: float) -> bool:
         if float(mu_inverse(delta**-q)) <= 1.0:
             return False
         if spec.include_inverse_drift:
             xs = np.geomspace(delta * 1e-3, delta * (1.0 - 1e-9), 128)
-            for i in range(1, spec.num_regimes + 1):
-                if any(drift_f(float(x), i, spec) <= 0.0 for x in xs):
-                    return False
+            if np.any(tables.drift(xs, ridx) <= 0.0):
+                return False
         return True
 
     lo, hi = 1e-12, 1.0 - 1e-9
@@ -190,15 +193,13 @@ def default_mu_for(spec: ModelSpec, psi_exponent: float = 0.25,
     quarter-power step condition; larger values (e.g. 2/3) are accepted but
     make :func:`psi` warn.
     """
-    xs = np.geomspace(1e-3, 1e3, 4001)
-    sup = _coefficient_sup(spec, xs)
-    r_grid = np.geomspace(1.0, 1e3, 200)
+    r, band_sup = _band_sups(spec)
 
     mu = None
     if mu_preset in ("auto", "3u2"):
         candidate = _Mu3U2()
         try:
-            _verify_domination(spec, candidate, r_grid, xs, sup)
+            _verify_domination(candidate, r, band_sup)
             mu = candidate
         except TruncationError:
             if mu_preset == "3u2":
@@ -207,16 +208,8 @@ def default_mu_for(spec: ModelSpec, psi_exponent: float = 0.25,
         if mu_preset not in ("auto", "power_fit"):
             raise TruncationError(f"unknown mu preset {mu_preset!r}")
         m = max(spec.rho, spec.theta) + 1.0
-        ratios = []
-        for r in r_grid:
-            in_band = (xs >= 1.0 / r) & (xs <= r)
-            if np.any(in_band):
-                ratios.append(float(sup[in_band].max()) / r**m)
-        c = max(ratios) * (1.0 + 1e-6)
-        mu = _MuPower(c, m)
-        # verify on an offset grid, not the one used for the fit
-        r_check = np.geomspace(1.013, 0.87e3, 173)
-        _verify_domination(spec, mu, r_check, xs, sup)
+        # dominates by construction, in the sense of _verify_domination
+        mu = _MuPower(float((band_sup[1:] / r[:-1] ** m).max()) * (1.0 + 1e-6), m)
 
     if delta_star is None:
         delta_star = _delta_star_search(spec, mu.inverse, psi_exponent)

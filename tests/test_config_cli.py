@@ -54,6 +54,12 @@ class TestResolveConfig:
         assert not run.spec.include_inverse_drift
         assert run.policy.psi_exponent == 0.25
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_non_positive_threads_flag_rejected(self, tmp_path, threads):
+        raw = load_config(write_config(tmp_path, demo_config()))
+        with pytest.raises(ConfigError, match="simulation.threads"):
+            resolve_config(raw, threads=threads)
+
     def test_empty_config_names_missing_section(self, tmp_path):
         with pytest.raises(ConfigError, match="model"):
             resolve_config({})
@@ -277,15 +283,16 @@ class TestCliCommands:
             run = resolve_config(load_config(str(REPO_CONFIGS / name)))
             assert run.spec.num_regimes == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_threads_flag_exit_code(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, demo_config())
+        assert self.run_cli(["price-bond", "--config", cfg, "--threads", threads]) == 2
+        assert "simulation.threads" in capsys.readouterr().err
+
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, demo_config())
         assert self.run_cli(["simulate", "--config", cfg, "--seed", "-3"]) == 2
         assert "seed" in capsys.readouterr().err
-
-    def test_regime_trajectory_export(self):
-        from temsim.export import render_regime_csv
-        text = render_regime_csv([1, 2, 2], 0.5)
-        assert text.splitlines() == ["k,t,state", "0,0.0,1", "1,0.5,2", "2,1.0,2"]
 
     def test_header_echo_reproducibility(self, tmp_path):
         # the echoed config in the header resolves to the same run
