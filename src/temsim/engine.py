@@ -16,10 +16,16 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .model import CoefficientTables, ModelSpec  # noqa: F401 (re-exported)
+from .model import _ZERO, CoefficientTables, ModelSpec  # noqa: F401 (re-exported)
 from .noise import block_sums
 from .regime import BLOCK_STEPS, sample_chain_paths_batch
 from .truncation import TruncationPolicy, truncation_band
+
+
+# 0-d operands of the implicit solve: the same arithmetic as the floats,
+# cheaper ufunc calls
+_HALF, _ONE, _TINY = np.asarray(0.5), np.asarray(1.0), np.asarray(1e-300)
+_F_TOL, _BRACKET_TOL = np.asarray(1e-14), np.asarray(1e-15)
 
 
 class SimulationError(RuntimeError):
@@ -251,29 +257,44 @@ def implicit_drift_solve(
     bracketed root is unique. ``ridx`` indexes the coefficient arrays of
     ``tables``: regime indices, or a row number of gathered tables
     (:meth:`CoefficientTables.gather`).
+
+    Both bracket ends take one residual call, and the iteration stops
+    before the slope once every row has settled. A row's iterates do not
+    depend on the other rows of the batch.
     """
     seed, path_indices, step = context
+    # 0-d step: the same products as the float, a cheaper ufunc operand;
+    # ``delta`` stays a float for the error's replay fields
+    step_size = np.asarray(delta)
 
     if positive_domain:
         def residual(z):
-            return z - delta * tables.drift(z, ridx) - target
+            return z - step_size * tables.drift(z, ridx) - target
 
         def slope_at(z):
-            return 1.0 - delta * tables.drift_derivative(z, ridx)
+            return _ONE - step_size * tables.drift_derivative(z, ridx)
     else:
         # boundary-value extension: drift frozen at its z = 0 value below zero
         def residual(z):
-            return z - delta * tables.drift(np.maximum(z, 0.0), ridx) - target
+            return z - step_size * tables.drift(np.maximum(z, _ZERO), ridx) - target
 
         def slope_at(z):
             return np.where(
-                z > 0.0,
-                1.0 - delta * tables.drift_derivative(np.maximum(z, 1e-300), ridx),
-                1.0,
+                z > _ZERO,
+                _ONE - step_size * tables.drift_derivative(np.maximum(z, _TINY), ridx),
+                _ONE,
             )
 
-    def no_root(kind, still_bad):
-        row = int(np.argmax(still_bad))
+    def widen(end, res, fails, grow, tries, kind):
+        """Grow ``end`` on the failing rows until no row fails, given the
+        residual ``res`` at ``end``."""
+        for _ in range(tries):
+            bad = fails(res)
+            if not bad.any():
+                return end
+            end = np.where(bad, grow(end), end)
+            res = residual(end)
+        row = int(np.argmax(fails(res)))
         idx = row if path_indices is None else int(np.asarray(path_indices)[row])
         raise SimulationError(
             f"implicit solve found no {kind} bracket end at step {step} of "
@@ -281,53 +302,42 @@ def implicit_drift_solve(
             path_index=idx, step=step, seed=seed, delta=delta,
         )
 
+    abs_target = np.abs(target)
     if positive_domain:
         # residual -> -inf as z -> 0+ through the a_m1/z term
-        lo = np.clip(np.abs(target), 1e-8, 0.5)
-        for _ in range(400):
-            res = residual(lo)
-            bad = ~(res < 0.0)  # NaN counts as bad
-            if not bad.any():
-                break
-            lo = np.where(bad, lo * 0.125, lo)
-        else:
-            no_root("positive lower", ~(residual(lo) < 0.0))
+        lo = np.minimum(np.maximum(abs_target, 1e-8), 0.5)
     else:
         lo = np.minimum(target, 0.0) - 1.0
-        for _ in range(200):
-            bad = residual(lo) >= 0.0
-            if not bad.any():
-                break
-            lo = np.where(bad, 2.0 * lo - 1.0, lo)
-        else:
-            no_root("lower", residual(lo) >= 0.0)
-    hi = np.abs(target) + 1.0
-    for _ in range(200):
-        bad = residual(hi) <= 0.0
-        if not bad.any():
-            break
-        hi = np.where(bad, 2.0 * hi + 1.0, hi)
+    hi = abs_target + 1.0
+    # one residual call for both ends; the widening loops run only for a
+    # batch with a failing row
+    at_lo, at_hi = residual(np.stack((lo, hi)))
+    if positive_domain:
+        lo = widen(lo, at_lo, lambda res: ~(res < 0.0),  # NaN counts as bad
+                   lambda end: end * 0.125, 400, "positive lower")
     else:
-        no_root("upper", residual(hi) <= 0.0)
+        lo = widen(lo, at_lo, lambda res: res >= 0.0,
+                   lambda end: 2.0 * end - 1.0, 200, "lower")
+    hi = widen(hi, at_hi, lambda res: res <= 0.0,
+               lambda end: 2.0 * end + 1.0, 200, "upper")
 
-    z = 0.5 * (lo + hi)
+    z = _HALF * (lo + hi)
     active = np.ones(z.shape, dtype=bool)
-    for _ in range(200):
-        f = residual(z)
-        lo = np.where(active & (f < 0.0), z, lo)
-        hi = np.where(active & (f >= 0.0), z, hi)
-        slope = slope_at(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            proposal = z - f / slope
-        inside = np.isfinite(proposal) & (proposal > lo) & (proposal < hi)
-        z_next = np.where(inside, proposal, 0.5 * (lo + hi))
-        settled = (np.abs(f) <= 1e-14 * (1.0 + np.abs(z) + np.abs(target))) | (
-            (hi - lo) <= 1e-15 * (1.0 + np.abs(z))
-        )
-        z = np.where(active & ~settled, z_next, z)
-        active &= ~settled
-        if not active.any():
-            break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            f = residual(z)
+            # a settled row never reads its bracket again
+            np.putmask(lo, f < _ZERO, z)
+            np.putmask(hi, f >= _ZERO, z)
+            near = _ONE + np.abs(z)
+            active &= ~((np.abs(f) <= _F_TOL * (near + abs_target))
+                        | ((hi - lo) <= _BRACKET_TOL * near))
+            if not np.count_nonzero(active):
+                break
+            proposal = z - f / slope_at(z)
+            # a proposal strictly inside the bracket is finite (NaN fails both)
+            inside = (proposal > lo) & (proposal < hi)
+            np.copyto(z, np.where(inside, proposal, _HALF * (lo + hi)), where=active)
     return z
 
 

@@ -1,11 +1,15 @@
-"""The blocked engine loops against the per-step loops they replaced.
+"""The blocked engine loops and the implicit solve against the code they
+replaced.
 
 ``reference_tem`` and ``reference_bem`` are the per-step loops of the
-original ``simulate_tem_batch`` and ``simulate_bem_batch``, kept verbatim.
-The block loop must reproduce them bit for bit at every block edge: delays
-shorter than, equal to and longer than one block, horizons that end inside
-a block, one path and many, negative iterates, and a volatility without a
-vectorised form.
+original ``simulate_tem_batch`` and ``simulate_bem_batch``, and
+``reference_solve`` is the original ``implicit_drift_solve``, all kept
+verbatim. The block loop must reproduce them bit for bit at every block
+edge: delays shorter than, equal to and longer than one block, horizons
+that end inside a block, one path and many, negative iterates, and a
+volatility without a vectorised form. The solve must reproduce
+``reference_solve`` bit for bit, errors included, on targets of every
+scale, in both domains and at the largest admissible step.
 """
 
 import math
@@ -17,13 +21,14 @@ import pytest
 from temsim.engine import (
     CoefficientTables,
     Grid,
+    SimulationError,
     draw_batch_noise,
     implicit_drift_solve,
     initial_values,
     simulate_bem_batch,
     simulate_tem_batch,
 )
-from temsim.model import VolatilitySpec, two_regime_demo
+from temsim.model import RegimeParams, VolatilitySpec, two_regime_demo
 from temsim.regime import (
     GeneratorMatrix,
     sample_chain_path,
@@ -59,6 +64,94 @@ def reference_tem(spec, policy, grid, brownian, poisson, regimes):
     return values
 
 
+def reference_solve(
+    tables: CoefficientTables,
+    ridx: np.ndarray,
+    target: np.ndarray,
+    delta: float,
+    positive_domain: bool,
+    context: tuple = (None, None, None),
+) -> np.ndarray:
+    """The original ``implicit_drift_solve``, kept verbatim."""
+    seed, path_indices, step = context
+
+    if positive_domain:
+        def residual(z):
+            return z - delta * tables.drift(z, ridx) - target
+
+        def slope_at(z):
+            return 1.0 - delta * tables.drift_derivative(z, ridx)
+    else:
+        # boundary-value extension: drift frozen at its z = 0 value below zero
+        def residual(z):
+            return z - delta * tables.drift(np.maximum(z, 0.0), ridx) - target
+
+        def slope_at(z):
+            return np.where(
+                z > 0.0,
+                1.0 - delta * tables.drift_derivative(np.maximum(z, 1e-300), ridx),
+                1.0,
+            )
+
+    def no_root(kind, still_bad):
+        row = int(np.argmax(still_bad))
+        idx = row if path_indices is None else int(np.asarray(path_indices)[row])
+        raise SimulationError(
+            f"implicit solve found no {kind} bracket end at step {step} of "
+            f"path {idx} (replay: seed={seed}, path={idx}, delta={delta:g})",
+            path_index=idx, step=step, seed=seed, delta=delta,
+        )
+
+    if positive_domain:
+        # residual -> -inf as z -> 0+ through the a_m1/z term
+        lo = np.clip(np.abs(target), 1e-8, 0.5)
+        for _ in range(400):
+            res = residual(lo)
+            bad = ~(res < 0.0)  # NaN counts as bad
+            if not bad.any():
+                break
+            lo = np.where(bad, lo * 0.125, lo)
+        else:
+            no_root("positive lower", ~(residual(lo) < 0.0))
+    else:
+        lo = np.minimum(target, 0.0) - 1.0
+        for _ in range(200):
+            bad = residual(lo) >= 0.0
+            if not bad.any():
+                break
+            lo = np.where(bad, 2.0 * lo - 1.0, lo)
+        else:
+            no_root("lower", residual(lo) >= 0.0)
+    hi = np.abs(target) + 1.0
+    for _ in range(200):
+        bad = residual(hi) <= 0.0
+        if not bad.any():
+            break
+        hi = np.where(bad, 2.0 * hi + 1.0, hi)
+    else:
+        no_root("upper", residual(hi) <= 0.0)
+
+    z = 0.5 * (lo + hi)
+    active = np.ones(z.shape, dtype=bool)
+    for _ in range(200):
+        f = residual(z)
+        lo = np.where(active & (f < 0.0), z, lo)
+        hi = np.where(active & (f >= 0.0), z, hi)
+        slope = slope_at(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            proposal = z - f / slope
+        inside = np.isfinite(proposal) & (proposal > lo) & (proposal < hi)
+        z_next = np.where(inside, proposal, 0.5 * (lo + hi))
+        settled = (np.abs(f) <= 1e-14 * (1.0 + np.abs(z) + np.abs(target))) | (
+            (hi - lo) <= 1e-15 * (1.0 + np.abs(z))
+        )
+        z = np.where(active & ~settled, z_next, z)
+        active &= ~settled
+        if not active.any():
+            break
+    return z
+
+
 def reference_bem(spec, grid, brownian, poisson, regimes):
     tables = CoefficientTables(spec)
     positive_domain = spec.include_inverse_drift
@@ -78,7 +171,7 @@ def reference_bem(spec, grid, brownian, poisson, regimes):
                 x + phi * tables.diffusion(x) * brownian[:, step]
                 + tables.jump(x, r) * poisson[:, step]
             )
-            values[:, m + step + 1] = implicit_drift_solve(
+            values[:, m + step + 1] = reference_solve(
                 tables, r, target, grid.delta, positive_domain,
                 context=(None, None, step),
             )
@@ -140,3 +233,122 @@ def test_batch_chain_matches_single_path_sampler(num_steps, num_paths):
         for s in seeds
     ])
     assert np.array_equal(batch, single)
+
+
+# large alpha_0 makes the residual at the starting lower end nonnegative
+# (the lower widening loop runs); with a large alpha_m1, or with a step just
+# below 1 / alpha_1 and a small alpha_2, it is nonpositive at the starting
+# upper end (the upper widening loop runs). rho = 1.7 takes numpy's general
+# pow, where the demo's rho = 2 takes its square.
+LOOP_SPEC = replace(
+    two_regime_demo(),
+    regimes=(RegimeParams(0.3, 5000.0, 10.0, 1e-3, 1.0),
+             RegimeParams(5000.0, 0.1, 10.0, 1e-3, 2.0)),
+    rho=1.7,
+)
+
+
+def solve_targets(seed):
+    """Targets of both signs from 1e-6 to 1e150, with 0.0 and -0.0."""
+    sweep = np.logspace(-6, 150, 157)
+    drawn = 10.0 ** np.random.default_rng(seed).uniform(-6, 150, 200)
+    magnitudes = np.concatenate([sweep, drawn])
+    return np.concatenate([magnitudes, -magnitudes, [0.0, -0.0]])
+
+
+def starting_ends_fail(tables, ridx, target, delta, positive_domain):
+    """Whether some row fails at the starting lower or upper bracket end,
+    which is when the solve's widening loops run."""
+    def residual(z):
+        return z - delta * tables.drift(z if positive_domain else np.maximum(z, 0.0),
+                                        ridx) - target
+    with np.errstate(all="ignore"):
+        if positive_domain:
+            lower_fails = ~(residual(np.clip(np.abs(target), 1e-8, 0.5)) < 0.0)
+        else:
+            lower_fails = residual(np.minimum(target, 0.0) - 1.0) >= 0.0
+        upper_fails = residual(np.abs(target) + 1.0) <= 0.0
+    return lower_fails.any(), upper_fails.any()
+
+
+def solve_outcome(solve, *args, **kwargs):
+    """The solve's result, or its error's message and replay fields."""
+    try:
+        with np.errstate(all="ignore"):
+            return solve(*args, **kwargs)
+    except SimulationError as err:
+        return (str(err), err.path_index, err.step, err.seed, err.delta,
+                type(err.delta))
+
+
+def assert_same_outcome(*args, **kwargs):
+    got = solve_outcome(implicit_drift_solve, *args, **kwargs)
+    want = solve_outcome(reference_solve, *args, **kwargs)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, want, equal_nan=True)
+    return want
+
+
+def solve_case(spec, positive_domain, delta, gathered, seed):
+    spec = replace(spec, include_inverse_drift=positive_domain)
+    tables = CoefficientTables(spec)
+    if delta == "max":  # the largest admissible step
+        delta = float(np.nextafter(1.0 / tables.a1.max(), 0.0))
+    target = solve_targets(seed)
+    ridx = np.random.default_rng(seed).integers(0, spec.num_regimes, target.size)
+    if gathered:  # the engine's form: one row of gathered coefficient tables
+        return tables.gather(ridx[None, :]), 0, target, delta
+    return tables, ridx, target, delta
+
+
+@pytest.mark.parametrize("gathered", [False, True])
+@pytest.mark.parametrize("delta", [1e-3, 0.05, "max"])
+@pytest.mark.parametrize("positive_domain", [True, False])
+@pytest.mark.parametrize("spec", [two_regime_demo(), LOOP_SPEC], ids=["demo", "loops"])
+def test_solve_matches_reference(spec, positive_domain, delta, gathered):
+    tables, ridx, target, delta = solve_case(spec, positive_domain, delta, gathered,
+                                             seed=7)
+    result = assert_same_outcome(tables, ridx, target, delta, positive_domain)
+    assert isinstance(result, np.ndarray)
+    if positive_domain:
+        assert (result[np.isfinite(result)] > 0.0).all()
+
+
+@pytest.mark.parametrize("positive_domain", [True, False])
+def test_solve_widening_loops_match_reference(positive_domain):
+    spec = replace(LOOP_SPEC, include_inverse_drift=positive_domain)
+    tables = CoefficientTables(spec)
+    delta = float(np.nextafter(1.0 / tables.a1.max(), 0.0))
+    magnitudes = np.logspace(-6, 6, 61)
+    target = np.concatenate([magnitudes, -magnitudes, [0.0, -0.0]])
+    for regime in (0, 1):
+        ridx = np.full(target.size, regime)
+        lower, upper = starting_ends_fail(tables, ridx, target, delta, positive_domain)
+        # regime 1 (large alpha_0) widens the lower end; regime 2 (large
+        # alpha_m1) and, without the 1/x term, the step widen the upper end
+        assert lower if regime == 0 else upper
+        assert_same_outcome(tables, ridx, target, delta, positive_domain)
+        rows = tables.gather(ridx[None, :])
+        assert_same_outcome(rows, 0, target, delta, positive_domain)
+
+
+@pytest.mark.parametrize("positive_domain", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_non_finite_target_matches_reference(bad, positive_domain):
+    spec = two_regime_demo(include_inverse_drift=positive_domain)
+    tables = CoefficientTables(spec)
+    target = np.linspace(0.01, 2.0, 9)
+    target[5] = bad
+    ridx = np.arange(target.size) % 2
+    context = (3, np.arange(40, 40 + target.size), 17)
+    outcome = assert_same_outcome(tables, ridx, target, 1e-3, positive_domain,
+                                  context=context)
+    if positive_domain and bad != np.inf:
+        # no negative residual below a NaN or -inf target: a named error
+        # with the replay coordinates of path 45
+        message, path, step, seed, delta, delta_type = outcome
+        assert "no positive lower bracket end at step 17 of path 45" in message
+        assert (path, step, seed, delta, delta_type) == (45, 17, 3, 1e-3, float)

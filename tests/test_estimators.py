@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from temsim import estimators
 from temsim.engine import SimulationError
 from temsim.estimators import (
     ConvergenceReport,
@@ -284,3 +285,23 @@ class TestMomentCurves:
         values = engine.simulate_tem_batch(DEMO, POLICY, grid, b, p, r)
         direct = (np.abs(values[:, grid.tau_steps:]) ** 4).mean(axis=0)
         np.testing.assert_allclose(curves[grid.delta], direct, rtol=1e-12)
+
+
+NO_INVERSE = two_regime_demo(include_inverse_drift=False)
+
+
+@pytest.mark.parametrize("estimate,spec,psi_exponent", [
+    (bond_price, DEMO, 2 / 3),
+    (scheme_comparison, DEMO, 2 / 3),
+    (scheme_comparison, NO_INVERSE, 0.25),
+], ids=["bond", "compare", "compare-no-inverse"])
+def test_results_do_not_depend_on_chunk_size(estimate, spec, psi_exponent, monkeypatch):
+    """A path's result must not depend on the batch it runs in, although the
+    implicit solve iterates until every row of its batch has settled."""
+    policy = default_mu_for(spec, psi_exponent=psi_exponent)
+    results = []
+    for size in (1, 7, 128, 1000):
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", size)
+        results.append(estimate(spec, policy, 1e-2, 0.5, 130, 21))
+    results.append(estimate(spec, policy, 1e-2, 0.5, 130, 21, threads=2))
+    assert all(result == results[0] for result in results[1:])
