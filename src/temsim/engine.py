@@ -17,7 +17,6 @@ import numpy as np
 
 from . import rng
 from .model import _ZERO, CoefficientTables, ModelSpec  # noqa: F401 (re-exported)
-from .noise import block_sums
 from .regime import BLOCK_STEPS, sample_chain_paths_batch
 from .truncation import TruncationPolicy, truncation_band
 
@@ -182,7 +181,6 @@ def simulate_tem_batch(
     poisson: np.ndarray,
     regimes: np.ndarray,
     *,
-    check: bool = True,
     seed: Optional[int] = None,
     path_indices: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -196,8 +194,7 @@ def simulate_tem_batch(
     step = partial(tem_update, delta=np.asarray(grid.delta), lower=lower, upper=upper)
     values = _march(spec, grid, CoefficientTables(spec), brownian, poisson,
                     regimes, step)
-    if check:
-        _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)
+    _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)
     return values
 
 
@@ -208,7 +205,6 @@ def simulate_bem_batch(
     poisson: np.ndarray,
     regimes: np.ndarray,
     *,
-    check: bool = True,
     seed: Optional[int] = None,
     path_indices: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -236,8 +232,7 @@ def simulate_bem_batch(
                    positive_domain=spec.include_inverse_drift,
                    seed=seed, path_indices=path_indices)
     values = _march(spec, grid, tables, brownian, poisson, regimes, step)
-    if check:
-        _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)
+    _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)
     return values
 
 
@@ -287,7 +282,8 @@ def implicit_drift_solve(
 
     def widen(end, res, fails, grow, tries, kind):
         """Grow ``end`` on the failing rows until no row fails, given the
-        residual ``res`` at ``end``."""
+        residual ``res`` at ``end``. ``fails`` counts a NaN residual as
+        failing, so a non-finite target raises here, at its step."""
         for _ in range(tries):
             bad = fails(res)
             if not bad.any():
@@ -313,12 +309,12 @@ def implicit_drift_solve(
     # batch with a failing row
     at_lo, at_hi = residual(np.stack((lo, hi)))
     if positive_domain:
-        lo = widen(lo, at_lo, lambda res: ~(res < 0.0),  # NaN counts as bad
+        lo = widen(lo, at_lo, lambda res: ~(res < 0.0),
                    lambda end: end * 0.125, 400, "positive lower")
     else:
-        lo = widen(lo, at_lo, lambda res: res >= 0.0,
+        lo = widen(lo, at_lo, lambda res: ~(res < 0.0),
                    lambda end: 2.0 * end - 1.0, 200, "lower")
-    hi = widen(hi, at_hi, lambda res: res <= 0.0,
+    hi = widen(hi, at_hi, lambda res: ~(res > 0.0),
                lambda end: 2.0 * end + 1.0, 200, "upper")
 
     z = _HALF * (lo + hi)
@@ -367,11 +363,19 @@ def coarsen_batch(
     regimes: np.ndarray,
     factor: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch analogue of noise coarsening: block sums + node subsampling."""
+    """Noise on a grid ``factor`` times coarser.
+
+    Brownian and Poisson increments are sums over blocks of ``factor``
+    steps, so the total jump count is kept exactly; the regime at a coarse
+    node is the fine regime at the same node.
+    """
     if factor == 1:
         return brownian, poisson, regimes
+    k = brownian.shape[-1]
+    if k % factor:
+        raise ValueError(f"{k} fine steps not divisible by coarsening factor {factor}")
     return (
-        block_sums(brownian, factor),
-        block_sums(poisson, factor),
+        brownian.reshape(*brownian.shape[:-1], k // factor, factor).sum(axis=-1),
+        poisson.reshape(*poisson.shape[:-1], k // factor, factor).sum(axis=-1),
         regimes[:, ::factor],
     )

@@ -1,6 +1,5 @@
 """Noise records for path simulation: Brownian and Poisson increments plus
-the regime value at each grid node, with block-sum coarsening and a binary
-replay format.
+the regime value at each grid node, with a binary replay format.
 """
 
 from __future__ import annotations
@@ -72,39 +71,6 @@ def make_noise(delta: float, num_steps: int, jump_intensity: float,
 
 def attach_regimes(noise: NoiseIncrements, regimes: np.ndarray) -> NoiseIncrements:
     return replace(noise, regimes=np.asarray(regimes, dtype=np.int64))
-
-
-def block_sums(values: np.ndarray, factor: int) -> np.ndarray:
-    """Sum consecutive blocks of ``factor`` entries along the last axis."""
-    n = values.shape[-1]
-    if n % factor:
-        raise ValueError(f"{n} increments not divisible by factor {factor}")
-    return values.reshape(*values.shape[:-1], n // factor, factor).sum(axis=-1)
-
-
-def coarsen_noise(fine: NoiseIncrements, factor: int) -> NoiseIncrements:
-    """Aggregate a fine record onto a grid ``factor`` times coarser.
-
-    Brownian and Poisson increments are block sums; the regime at a coarse
-    node is the fine regime at the same node. Both total Brownian
-    displacement and total jump count are preserved exactly.
-    """
-    if factor < 1 or int(factor) != factor:
-        raise ValueError("factor must be a positive integer")
-    factor = int(factor)
-    if factor == 1:
-        return fine
-    if fine.num_steps % factor:
-        raise ValueError(
-            f"{fine.num_steps} fine steps not divisible by coarsening factor {factor}"
-        )
-    regimes = None if fine.regimes is None else fine.regimes[::factor]
-    return NoiseIncrements(
-        delta=fine.delta * factor,
-        brownian=block_sums(fine.brownian, factor),
-        poisson=block_sums(fine.poisson, factor),
-        regimes=regimes,
-    )
 
 
 # -- binary replay records -----------------------------------------------------

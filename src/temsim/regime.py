@@ -112,72 +112,28 @@ def matrix_exponential(generator: GeneratorMatrix, delta: float) -> TransitionMa
     return TransitionMatrix(entries=result, step=float(delta))
 
 
-def sample_chain_step(current: int, transition: TransitionMatrix, u: float) -> int:
-    """Next state from state ``current`` (1-based) given a uniform ``u`` in [0,1).
+def _march_chain(transition: TransitionMatrix, initial_state: int,
+                 uniforms: np.ndarray) -> np.ndarray:
+    """Chain paths of shape (P, K+1) from the (P, K) ``uniforms``.
 
-    Selects the smallest state j whose cumulative row probability strictly
-    exceeds u; if u is at or beyond the cumulative sum through state N-1,
-    the last state is returned. Equality with a partial sum therefore moves
-    to the next state (the lower bound of each branch is inclusive).
+    From state i, a step moves to the smallest state j whose cumulative row
+    probability strictly exceeds the step's uniform u; if u is at or beyond
+    the cumulative sum through state N-1, it moves to the last state.
+    Equality with a partial sum therefore moves to the next state (the lower
+    bound of each branch is inclusive).
     """
     n = transition.num_states
-    if not 1 <= current <= n:
-        raise ValueError(f"state {current} outside 1..{n}")
-    cum = transition._cumulative[current - 1]
-    # count of partial sums <= u over states 1..N-1 gives the 0-based index
-    return 1 + int(np.count_nonzero(cum[: n - 1] <= u))
-
-
-def sample_chain_path(
-    generator: GeneratorMatrix,
-    initial_state: int,
-    delta: float,
-    num_steps: int,
-    stream: np.random.Generator,
-) -> np.ndarray:
-    """Regime trajectory of length ``num_steps + 1`` on the grid ``k * delta``."""
-    if num_steps < 0:
-        raise ValueError("num_steps must be >= 0")
-    if not 1 <= initial_state <= generator.num_states:
-        raise ValueError("initial_state outside the state space")
-    path = np.empty(num_steps + 1, dtype=np.int64)
-    path[0] = initial_state
-    if num_steps == 0:
-        return path
-    transition = matrix_exponential(generator, delta)
-    uniforms = stream.random(num_steps)
-    cum = transition._cumulative[:, : generator.num_states - 1]
-    state = initial_state
-    for k in range(num_steps):
-        state = 1 + int(np.count_nonzero(cum[state - 1] <= uniforms[k]))
-        path[k + 1] = state
-    return path
-
-
-def sample_chain_paths_batch(
-    generator: GeneratorMatrix,
-    initial_state: int,
-    delta: float,
-    num_steps: int,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    """Vectorized chain sampling for many paths sharing one grid.
-
-    ``uniforms`` has shape (num_paths, num_steps); the returned array has
-    shape (num_paths, num_steps + 1). Path p consumes uniforms[p] exactly as
-    :func:`sample_chain_path` would, so batch and scalar results agree.
-    """
-    num_paths = uniforms.shape[0]
-    if uniforms.shape[1] != num_steps:
-        raise ValueError("uniforms shape inconsistent with num_steps")
+    if not 1 <= initial_state <= n:
+        raise ValueError(f"state {initial_state} outside 1..{n}")
+    num_paths, num_steps = uniforms.shape
     paths = np.empty((num_paths, num_steps + 1), dtype=np.int64)
     paths[:, 0] = initial_state
     if num_steps == 0:
         return paths
-    transition = matrix_exponential(generator, delta)
-    cum = transition._cumulative[:, : generator.num_states - 1]
+    cum = transition._cumulative[:, : n - 1]
     # 0-based states; per block, tabulate each step's successor of every
-    # state at once, so a step is one lookup in contiguous (block, P) rows
+    # state at once (the count of partial sums <= u), so a step is one
+    # lookup in contiguous (block, P) rows
     states = np.full(num_paths, initial_state - 1, dtype=np.int64)
     cols = np.arange(num_paths)
     size = min(num_steps, BLOCK_STEPS)
@@ -192,6 +148,45 @@ def sample_chain_paths_batch(
             block[j] = states
         paths[:, start + 1 : stop + 1] = block[: stop - start].T + 1
     return paths
+
+
+def sample_chain_step(current: int, transition: TransitionMatrix, u: float) -> int:
+    """Next state from state ``current`` (1-based) given a uniform ``u`` in [0,1):
+    one step of the batch sampler's selection rule."""
+    return int(_march_chain(transition, current, np.array([[u]], dtype=float))[0, 1])
+
+
+def sample_chain_path(
+    generator: GeneratorMatrix,
+    initial_state: int,
+    delta: float,
+    num_steps: int,
+    stream: np.random.Generator,
+) -> np.ndarray:
+    """Regime trajectory of length ``num_steps + 1`` on the grid ``k * delta``:
+    one row of :func:`sample_chain_paths_batch` on ``stream``'s uniforms."""
+    if num_steps < 0:
+        raise ValueError("num_steps must be >= 0")
+    uniforms = stream.random(num_steps)[None, :]
+    return _march_chain(matrix_exponential(generator, delta), initial_state, uniforms)[0]
+
+
+def sample_chain_paths_batch(
+    generator: GeneratorMatrix,
+    initial_state: int,
+    delta: float,
+    num_steps: int,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """Vectorized chain sampling for many paths sharing one grid.
+
+    ``uniforms`` has shape (num_paths, num_steps); the returned array has
+    shape (num_paths, num_steps + 1). Path p consumes uniforms[p] exactly as
+    :func:`sample_chain_path` consumes its stream's draws.
+    """
+    if np.ndim(uniforms) != 2 or uniforms.shape[1] != num_steps:
+        raise ValueError("uniforms must have shape (num_paths, num_steps)")
+    return _march_chain(matrix_exponential(generator, delta), initial_state, uniforms)
 
 
 def stationary_distribution(generator: GeneratorMatrix) -> np.ndarray:

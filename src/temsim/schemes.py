@@ -110,14 +110,7 @@ def _path_noise(spec: ModelSpec, grid: Grid, streams: PathStreams) -> NoiseIncre
     return attach_regimes(noise, regimes)
 
 
-def _simulate_path(spec, grid, noise, simulate) -> PathState:
-    if noise.regimes is None:
-        raise ValueError("path simulation needs a regime trajectory in the noise record")
-    values = simulate(
-        brownian=noise.brownian[None, :],
-        poisson=noise.poisson[None, :],
-        regimes=noise.regimes[None, :],
-    )
+def _path_state(grid: Grid, noise: NoiseIncrements, values: np.ndarray) -> PathState:
     return PathState(delta=grid.delta, tau_steps=grid.tau_steps,
                      values=values[0], regimes=noise.regimes, noise=noise)
 
@@ -138,12 +131,8 @@ def simulate_tem_path(
     the horizon to a multiple of the step; read the effective values off
     the returned state.
     """
-    grid, noise = _resolve_run(spec, delta, horizon, streams, noise)
-
-    def run(**channels):
-        return engine.simulate_tem_batch(spec, policy, grid, **channels)
-
-    return _simulate_path(spec, grid, noise, run)
+    grid, noise, rows = _resolve_run(spec, delta, horizon, streams, noise)
+    return _path_state(grid, noise, engine.simulate_tem_batch(spec, policy, grid, *rows))
 
 
 def simulate_bem_path(
@@ -154,15 +143,13 @@ def simulate_bem_path(
     noise: Optional[NoiseIncrements] = None,
 ) -> PathState:
     """Backward-EM companion to :func:`simulate_tem_path` (no truncation)."""
-    grid, noise = _resolve_run(spec, delta, horizon, streams, noise)
-
-    def run(**channels):
-        return engine.simulate_bem_batch(spec, grid, **channels)
-
-    return _simulate_path(spec, grid, noise, run)
+    grid, noise, rows = _resolve_run(spec, delta, horizon, streams, noise)
+    return _path_state(grid, noise, engine.simulate_bem_batch(spec, grid, *rows))
 
 
 def _resolve_run(spec, delta, horizon, streams, noise):
+    """The grid, the noise record and its width-1 engine rows (Brownian,
+    Poisson, regimes)."""
     if (streams is None) == (noise is None):
         raise ValueError("pass exactly one of streams or noise")
     grid = resolve_grid(spec.tau, delta, horizon)
@@ -179,4 +166,7 @@ def _resolve_run(spec, delta, horizon, streams, noise):
                 f"noise has {noise.num_steps} steps but the horizon needs "
                 f"{grid.num_steps}"
             )
-    return grid, noise
+        if noise.regimes is None:
+            raise ValueError("path simulation needs a regime trajectory in the noise record")
+    return grid, noise, (noise.brownian[None, :], noise.poisson[None, :],
+                         noise.regimes[None, :])

@@ -2,14 +2,17 @@
 replaced.
 
 ``reference_tem`` and ``reference_bem`` are the per-step loops of the
-original ``simulate_tem_batch`` and ``simulate_bem_batch``, and
-``reference_solve`` is the original ``implicit_drift_solve``, all kept
+original ``simulate_tem_batch`` and ``simulate_bem_batch``,
+``reference_solve`` is the original ``implicit_drift_solve`` and
+``reference_chain`` the original per-step ``sample_chain_path``, all kept
 verbatim. The block loop must reproduce them bit for bit at every block
 edge: delays shorter than, equal to and longer than one block, horizons
 that end inside a block, one path and many, negative iterates, and a
 volatility without a vectorised form. The solve must reproduce
 ``reference_solve`` bit for bit, errors included, on targets of every
-scale, in both domains and at the largest admissible step.
+scale, in both domains and at the largest admissible step. The batch
+chain sampler must reproduce ``reference_chain`` on every path. No result
+may depend on the memory layout of the arrays passed in.
 """
 
 import math
@@ -17,6 +20,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temsim.engine import (
     CoefficientTables,
@@ -31,6 +36,7 @@ from temsim.engine import (
 from temsim.model import RegimeParams, VolatilitySpec, two_regime_demo
 from temsim.regime import (
     GeneratorMatrix,
+    matrix_exponential,
     sample_chain_path,
     sample_chain_paths_batch,
 )
@@ -178,6 +184,32 @@ def reference_bem(spec, grid, brownian, poisson, regimes):
     return values
 
 
+def reference_chain(
+    generator: GeneratorMatrix,
+    initial_state: int,
+    delta: float,
+    num_steps: int,
+    stream: np.random.Generator,
+) -> np.ndarray:
+    """Regime trajectory of length ``num_steps + 1`` on the grid ``k * delta``."""
+    if num_steps < 0:
+        raise ValueError("num_steps must be >= 0")
+    if not 1 <= initial_state <= generator.num_states:
+        raise ValueError("initial_state outside the state space")
+    path = np.empty(num_steps + 1, dtype=np.int64)
+    path[0] = initial_state
+    if num_steps == 0:
+        return path
+    transition = matrix_exponential(generator, delta)
+    uniforms = stream.random(num_steps)
+    cum = transition._cumulative[:, : generator.num_states - 1]
+    state = initial_state
+    for k in range(num_steps):
+        state = 1 + int(np.count_nonzero(cum[state - 1] <= uniforms[k]))
+        path[k + 1] = state
+    return path
+
+
 def scalar_only_volatility(y: float, i: int) -> float:
     return 0.1 * i * (1.0 + math.tanh(max(y, 0.0)))
 
@@ -191,10 +223,10 @@ SHAPES = [(1, 5), (7, 23), (256, 700), (257, 300), (1000, 600)]
 def run_pair(spec, policy, m, k, num_paths, seed):
     grid = Grid(delta=spec.tau / m, tau_steps=m, num_steps=k)
     noise = draw_batch_noise(spec, grid, seed, np.arange(num_paths))
-    tem = simulate_tem_batch(spec, policy, grid, *noise, check=False)
+    tem = simulate_tem_batch(spec, policy, grid, *noise)
     assert np.array_equal(tem, reference_tem(spec, policy, grid, *noise),
                           equal_nan=True)
-    bem = simulate_bem_batch(spec, grid, *noise, check=False)
+    bem = simulate_bem_batch(spec, grid, *noise)
     assert np.array_equal(bem, reference_bem(spec, grid, *noise), equal_nan=True)
     return tem
 
@@ -229,10 +261,15 @@ def test_batch_chain_matches_single_path_sampler(num_steps, num_paths):
     uniforms = np.array([np.random.default_rng(s).random(num_steps) for s in seeds])
     batch = sample_chain_paths_batch(gen, 2, 0.05, num_steps, uniforms)
     single = np.array([
-        sample_chain_path(gen, 2, 0.05, num_steps, np.random.default_rng(s))
+        reference_chain(gen, 2, 0.05, num_steps, np.random.default_rng(s))
         for s in seeds
     ])
     assert np.array_equal(batch, single)
+    views = np.array([
+        sample_chain_path(gen, 2, 0.05, num_steps, np.random.default_rng(s))
+        for s in seeds
+    ])
+    assert np.array_equal(views, single)
 
 
 # large alpha_0 makes the residual at the starting lower end nonnegative
@@ -344,11 +381,53 @@ def test_solve_non_finite_target_matches_reference(bad, positive_domain):
     target[5] = bad
     ridx = np.arange(target.size) % 2
     context = (3, np.arange(40, 40 + target.size), 17)
-    outcome = assert_same_outcome(tables, ridx, target, 1e-3, positive_domain,
-                                  context=context)
+    args = (tables, ridx, target, 1e-3, positive_domain)
+    got = solve_outcome(implicit_drift_solve, *args, context=context)
+    want = solve_outcome(reference_solve, *args, context=context)
+    # the residual at an end is NaN or of the wrong sign, so every
+    # non-finite target is a named error at its step, with the replay
+    # coordinates of path 45
+    kind = "upper" if bad == np.inf else "positive lower" if positive_domain else "lower"
+    assert isinstance(got, tuple)
+    message, path, step, seed, delta, delta_type = got
+    assert f"no {kind} bracket end at step 17 of path 45" in message
+    assert (path, step, seed, delta, delta_type) == (45, 17, 3, 1e-3, float)
     if positive_domain and bad != np.inf:
-        # no negative residual below a NaN or -inf target: a named error
-        # with the replay coordinates of path 45
-        message, path, step, seed, delta, delta_type = outcome
-        assert "no positive lower bracket end at step 17 of path 45" in message
-        assert (path, step, seed, delta, delta_type) == (45, 17, 3, 1e-3, float)
+        assert got == want  # no negative residual below a NaN or -inf target
+    else:
+        # the original solve took a NaN residual as a bracket end and
+        # returned a non-finite row without an error
+        assert not np.isfinite(want[5])
+
+
+def relayout(a, layout):
+    """``a``'s values in another memory layout: Fortran order, a strided view
+    into a larger buffer, or a view with negative strides."""
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        buffer = np.zeros((2 * a.shape[0] + 1, 3 * a.shape[1] + 2), dtype=a.dtype)
+        buffer[1::2, 2::3] = a
+        return buffer[1::2, 2::3]
+    return np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(layout=st.sampled_from(["fortran", "strided", "reversed"]),
+       num_paths=st.integers(1, 6), m=st.sampled_from([1, 3, 20]),
+       k=st.integers(0, 45), seed=st.integers(0, 2**16), inverse=st.booleans())
+def test_results_do_not_depend_on_array_layout(layout, num_paths, m, k, seed, inverse):
+    spec = two_regime_demo(include_inverse_drift=inverse, tau=0.01 * m)
+    policy = default_mu_for(spec, psi_exponent=2.0 / 3.0, mu_preset="3u2")
+    grid = Grid(delta=spec.tau / m, tau_steps=m, num_steps=k)
+    noise = draw_batch_noise(spec, grid, seed, np.arange(num_paths))
+    moved = [relayout(a, layout) for a in noise]
+    assert np.array_equal(simulate_tem_batch(spec, policy, grid, *moved),
+                          simulate_tem_batch(spec, policy, grid, *noise))
+    assert np.array_equal(simulate_bem_batch(spec, grid, *moved),
+                          simulate_bem_batch(spec, grid, *noise))
+    uniforms = np.random.default_rng(seed).random((num_paths, k))
+    assert np.array_equal(
+        sample_chain_paths_batch(spec.generator, 2, grid.delta, k,
+                                 relayout(uniforms, layout)),
+        sample_chain_paths_batch(spec.generator, 2, grid.delta, k, uniforms))

@@ -3,10 +3,10 @@ import io
 import numpy as np
 import pytest
 
+from temsim.engine import coarsen_batch
 from temsim.noise import (
     NoiseIncrements,
     attach_regimes,
-    coarsen_noise,
     load_noise,
     make_noise,
     save_noise,
@@ -66,40 +66,41 @@ class TestMakeNoise:
 
 class TestCoarsen:
     def test_identity_factor(self):
-        noise = make_noise(0.01, 16, 1.0, path_streams(0, 0))
-        assert coarsen_noise(noise, 1) is noise
+        b, p = np.zeros((2, 16)), np.zeros((2, 16), dtype=np.int64)
+        r = np.ones((2, 17), dtype=np.int64)
+        coarse = coarsen_batch(b, p, r, 1)
+        assert all(c is f for c, f in zip(coarse, (b, p, r)))
 
     def test_block_sums(self):
-        noise = NoiseIncrements(delta=0.5, brownian=np.array([1.0, 2.0, 3.0, 4.0]),
-                                poisson=np.array([1, 0, 2, 1]))
-        coarse = coarsen_noise(noise, 2)
-        np.testing.assert_array_equal(coarse.brownian, [3.0, 7.0])
-        np.testing.assert_array_equal(coarse.poisson, [1, 3])
-        assert coarse.delta == 1.0
+        brownian = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, -0.5, 2.0, 1.0]])
+        poisson = np.array([[1, 0, 2, 1], [0, 0, 3, 0]])
+        coarse_b, coarse_p, _ = coarsen_batch(brownian, poisson,
+                                              np.ones((2, 5), dtype=np.int64), 2)
+        np.testing.assert_array_equal(coarse_b, [[3.0, 7.0], [0.0, 3.0]])
+        np.testing.assert_array_equal(coarse_p, [[1, 3], [0, 3]])
+        assert coarse_p.dtype == poisson.dtype
 
     def test_conservation_exact(self):
-        noise = make_noise(2**-10, 2**12, 2.0, path_streams(5, 2))
-        noise = attach_regimes(noise, np.ones(2**12 + 1, dtype=np.int64))
+        rows = [make_noise(2**-10, 2**12, 2.0, path_streams(5, idx)) for idx in range(3)]
+        brownian = np.array([noise.brownian for noise in rows])
+        poisson = np.array([noise.poisson for noise in rows])
+        regimes = np.ones((3, 2**12 + 1), dtype=np.int64)
         for factor in (2, 8, 64):
-            coarse = coarsen_noise(noise, factor)
-            assert coarse.poisson.sum() == noise.poisson.sum()
-            assert coarse.brownian.sum() == pytest.approx(noise.brownian.sum(),
-                                                          rel=1e-12)
+            coarse_b, coarse_p, _ = coarsen_batch(brownian, poisson, regimes, factor)
+            np.testing.assert_array_equal(coarse_p.sum(axis=1), poisson.sum(axis=1))
+            np.testing.assert_allclose(coarse_b.sum(axis=1), brownian.sum(axis=1),
+                                       rtol=1e-12)
 
     def test_regime_subsampling(self):
-        regimes = np.arange(9)
-        noise = attach_regimes(
-            NoiseIncrements(delta=0.1, brownian=np.zeros(8),
-                            poisson=np.zeros(8, dtype=np.int64)),
-            regimes,
-        )
-        coarse = coarsen_noise(noise, 4)
-        np.testing.assert_array_equal(coarse.regimes, [0, 4, 8])
+        regimes = np.arange(18).reshape(2, 9)
+        _, _, coarse = coarsen_batch(np.zeros((2, 8)), np.zeros((2, 8), dtype=np.int64),
+                                     regimes, 4)
+        np.testing.assert_array_equal(coarse, [[0, 4, 8], [9, 13, 17]])
 
     def test_divisibility_enforced(self):
-        noise = make_noise(0.01, 10, 0.0, path_streams(0, 0))
-        with pytest.raises(ValueError):
-            coarsen_noise(noise, 3)
+        with pytest.raises(ValueError, match="not divisible"):
+            coarsen_batch(np.zeros((2, 10)), np.zeros((2, 10), dtype=np.int64),
+                          np.ones((2, 11), dtype=np.int64), 3)
 
 
 class TestBinaryRecord:

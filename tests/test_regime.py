@@ -12,6 +12,7 @@ from temsim.regime import (
     stationary_distribution,
 )
 from temsim.rng import substream
+from test_engine_blocks import reference_chain
 
 DEMO_GENERATOR = GeneratorMatrix(np.array([[-2.0, 2.0], [1.0, -1.0]]))
 
@@ -154,9 +155,26 @@ class TestChainSampling:
         ])
         batch = sample_chain_paths_batch(DEMO_GENERATOR, 1, 0.01, num_steps, uniforms)
         for idx in range(4):
-            scalar = sample_chain_path(DEMO_GENERATOR, 1, 0.01, num_steps,
-                                       substream(9, idx, 2))
+            scalar = reference_chain(DEMO_GENERATOR, 1, 0.01, num_steps,
+                                     substream(9, idx, 2))
             np.testing.assert_array_equal(batch[idx], scalar)
+
+    @pytest.mark.parametrize("state", [0, -1, 3])
+    def test_state_outside_space_rejected(self, state):
+        # 0 and -1 would index the successor table and give wrong paths
+        uniforms = substream(0, 0, 2).random((2, 5))
+        with pytest.raises(ValueError, match="outside 1..2"):
+            sample_chain_paths_batch(DEMO_GENERATOR, state, 0.01, 5, uniforms)
+        with pytest.raises(ValueError, match="outside 1..2"):
+            sample_chain_path(DEMO_GENERATOR, state, 0.01, 5, substream(0, 0, 2))
+        with pytest.raises(ValueError, match="outside 1..2"):
+            sample_chain_step(state, matrix_exponential(DEMO_GENERATOR, 0.01), 0.5)
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 2, 5), (2, 4)])
+    def test_uniforms_shape_rejected(self, shape):
+        uniforms = substream(0, 0, 2).random(shape)
+        with pytest.raises(ValueError, match="shape"):
+            sample_chain_paths_batch(DEMO_GENERATOR, 1, 0.01, 5, uniforms)
 
     def test_empirical_one_step_frequencies(self):
         # one vectorized step from each state, a million draws
