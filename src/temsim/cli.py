@@ -26,7 +26,6 @@ from .estimators import (
     strong_error,
 )
 from .model import CoefficientTables, validate_assumptions
-from .rng import path_streams
 from .schemes import simulate_tem_path
 from .truncation import (
     StepProfileWarning,
@@ -102,7 +101,7 @@ def cmd_validate(run: RunConfig) -> tuple[str, int]:
     xs = rng.uniform(-50.0, 50.0, 2000)
     ridx = rng.integers(0, run.spec.num_regimes, xs.size)
     caps = rng.uniform(1e-6, run.policy.delta_star, xs.size) ** -run.policy.psi_exponent
-    uppers = run.policy.mu_inverse(caps)
+    uppers = run.policy.mu.inverse(caps)
     tables = CoefficientTables(run.spec)
     fd = np.abs(tables.truncated_drift(xs, ridx, 1.0 / uppers, uppers))
     gd = tables.truncated_diffusion(xs, uppers)
@@ -118,10 +117,8 @@ def cmd_validate(run: RunConfig) -> tuple[str, int]:
 
 
 def cmd_simulate(run: RunConfig) -> tuple[str, int]:
-    state = simulate_tem_path(
-        run.spec, run.policy, run.delta, run.horizon,
-        streams=path_streams(run.seed, 0),
-    )
+    state = simulate_tem_path(run.spec, run.policy, run.delta, run.horizon,
+                              seed=run.seed)
     header = export.config_header(run.resolved, "simulate")
     return export.render_path_csv(state, header), EXIT_OK
 

@@ -364,7 +364,7 @@ def resolve_config(
         },
         "truncation": {
             "psi_exponent": policy.psi_exponent,
-            "mu": policy.mu_name,
+            "mu": policy.mu.name,
             "delta_star": policy.delta_star,
         },
         "simulation": {

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import rng
 from .model import _ZERO, CoefficientTables, ModelSpec  # noqa: F401 (re-exported)
+from .noise import draw_increments
 from .regime import BLOCK_STEPS, sample_chain_paths_batch
 from .truncation import TruncationPolicy, truncation_band
 
@@ -60,10 +61,6 @@ class Grid:
     def horizon(self) -> float:
         return self.num_steps * self.delta
 
-    @property
-    def num_nodes(self) -> int:
-        return self.tau_steps + self.num_steps + 1
-
 
 def resolve_grid(tau: float, delta: float, horizon: float) -> Grid:
     """Snap a requested step to ``tau / M`` and the horizon to a multiple.
@@ -88,8 +85,8 @@ def draw_batch_noise(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-path noise for a batch: Brownian (P,K), Poisson (P,K), regimes (P,K+1).
 
-    Row p is drawn from the substreams of ``path_indices[p]``, identically
-    to a single-path simulation of that index.
+    Row p is drawn from the substreams of ``path_indices[p]`` alone, so it
+    does not depend on the other rows; a single path is the width-1 draw.
     """
     p = len(path_indices)
     k = grid.num_steps
@@ -100,8 +97,7 @@ def draw_batch_noise(
     mean_jumps = spec.jump_intensity * grid.delta
     for row, idx in enumerate(path_indices):
         streams = rng.path_streams(master_seed, int(idx))
-        brownian[row] = streams.brownian.standard_normal(k) * sqrt_dt
-        poisson[row] = streams.poisson.poisson(mean_jumps, k)
+        draw_increments(streams, sqrt_dt, mean_jumps, brownian[row], poisson[row])
         uniforms[row] = streams.chain.random(k)
     regimes = sample_chain_paths_batch(
         spec.generator, spec.initial_regime, grid.delta, k, uniforms

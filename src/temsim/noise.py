@@ -4,8 +4,9 @@ the regime value at each grid node, with a binary replay format.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import BinaryIO, Optional
 
 import numpy as np
@@ -30,8 +31,8 @@ class NoiseIncrements:
     regimes: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         b = np.asarray(self.brownian, dtype=float)
         n = np.asarray(self.poisson, dtype=np.int64)
         if b.ndim != 1 or n.ndim != 1 or b.shape != n.shape:
@@ -51,26 +52,33 @@ class NoiseIncrements:
         return self.brownian.size
 
 
+def draw_increments(streams: PathStreams, sqrt_dt, mean_jumps,
+                    brownian: np.ndarray, poisson: np.ndarray) -> None:
+    """Fill one path's Brownian row (normals scaled by ``sqrt_dt``) and
+    Poisson row (counts of mean ``mean_jumps``) from its own substreams.
+    The single-path and batch draws both take their rows from here. The
+    in-place scaling gives the bits of ``standard_normal(k) * sqrt_dt``
+    without a temporary row."""
+    streams.brownian.standard_normal(out=brownian)
+    brownian *= sqrt_dt
+    poisson[:] = streams.poisson.poisson(mean_jumps, poisson.size)
+
+
 def make_noise(delta: float, num_steps: int, jump_intensity: float,
                streams: PathStreams) -> NoiseIncrements:
     """Draw the Brownian/Poisson channels for one path.
 
     Both channels come from disjoint per-path substreams in ``streams``,
     so they are mutually independent and independent of the chain
-    uniforms. Regimes are not drawn here; attach a chain trajectory with
-    :func:`attach_regimes`.
+    uniforms. Regimes are not drawn here.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if jump_intensity < 0.0:
         raise ValueError("jump_intensity must be nonnegative")
-    brownian = streams.brownian.standard_normal(num_steps) * np.sqrt(delta)
-    poisson = streams.poisson.poisson(jump_intensity * delta, num_steps).astype(np.int64)
+    brownian, poisson = np.empty(num_steps), np.empty(num_steps, dtype=np.int64)
+    draw_increments(streams, np.sqrt(delta), jump_intensity * delta, brownian, poisson)
     return NoiseIncrements(delta=delta, brownian=brownian, poisson=poisson)
-
-
-def attach_regimes(noise: NoiseIncrements, regimes: np.ndarray) -> NoiseIncrements:
-    return replace(noise, regimes=np.asarray(regimes, dtype=np.int64))
 
 
 # -- binary replay records -----------------------------------------------------
@@ -104,19 +112,25 @@ def save_noise(noise: NoiseIncrements, fobj: BinaryIO, *, seed: int,
         fobj.write(noise.regimes.astype("<i8").tobytes())
 
 
+def _read(fobj: BinaryIO, size: int) -> bytes:
+    raw = fobj.read(size)
+    if len(raw) != size:
+        raise ValueError(f"noise record truncated: read {len(raw)} of {size} bytes")
+    return raw
+
+
 def load_noise(fobj: BinaryIO) -> tuple[NoiseIncrements, dict]:
-    raw = fobj.read(_HEADER.size)
     magic, version, seed, path_index, delta, tau_steps, lam, k, flags = \
-        _HEADER.unpack(raw)
+        _HEADER.unpack(_read(fobj, _HEADER.size))
     if magic != _MAGIC:
         raise ValueError("not a noise record (bad magic)")
     if version != _VERSION:
         raise ValueError(f"unsupported noise record version {version}")
-    brownian = np.frombuffer(fobj.read(8 * k), dtype="<f8").astype(float)
-    poisson = np.frombuffer(fobj.read(8 * k), dtype="<i8").astype(np.int64)
+    brownian = np.frombuffer(_read(fobj, 8 * k), dtype="<f8").astype(float)
+    poisson = np.frombuffer(_read(fobj, 8 * k), dtype="<i8").astype(np.int64)
     regimes = None
     if flags & 1:
-        regimes = np.frombuffer(fobj.read(8 * (k + 1)), dtype="<i8").astype(np.int64)
+        regimes = np.frombuffer(_read(fobj, 8 * (k + 1)), dtype="<i8").astype(np.int64)
     noise = NoiseIncrements(delta=delta, brownian=brownian, poisson=poisson,
                             regimes=regimes)
     header = {"seed": seed, "path_index": path_index, "delta": delta,

@@ -17,9 +17,7 @@ import numpy as np
 from . import engine
 from .engine import Grid, resolve_grid
 from .model import CoefficientTables, ModelSpec
-from .noise import NoiseIncrements, attach_regimes, make_noise
-from .regime import sample_chain_path
-from .rng import PathStreams
+from .noise import NoiseIncrements
 from .truncation import TruncationPolicy, truncation_band
 
 
@@ -42,9 +40,6 @@ class PathState:
     @property
     def num_steps(self) -> int:
         return self.values.size - self.tau_steps - 1
-
-    def time(self, k: int) -> float:
-        return k * self.delta
 
     def value(self, k: int) -> float:
         """Grid value at node k, for k in -M..K."""
@@ -71,9 +66,6 @@ class PathState:
     @property
     def horizon(self) -> float:
         return self.num_steps * self.delta
-
-    def times(self) -> np.ndarray:
-        return np.arange(-self.tau_steps, self.num_steps + 1) * self.delta
 
 
 def _step_inputs(state: PathState, k: int, spec: ModelSpec):
@@ -102,14 +94,6 @@ def bem_step(state: PathState, k: int, d_brownian: float, d_poisson: int,
                                    spec.include_inverse_drift)[0])
 
 
-def _path_noise(spec: ModelSpec, grid: Grid, streams: PathStreams) -> NoiseIncrements:
-    noise = make_noise(grid.delta, grid.num_steps, spec.jump_intensity, streams)
-    regimes = sample_chain_path(
-        spec.generator, spec.initial_regime, grid.delta, grid.num_steps, streams.chain
-    )
-    return attach_regimes(noise, regimes)
-
-
 def _path_state(grid: Grid, noise: NoiseIncrements, values: np.ndarray) -> PathState:
     return PathState(delta=grid.delta, tau_steps=grid.tau_steps,
                      values=values[0], regimes=noise.regimes, noise=noise)
@@ -120,53 +104,59 @@ def simulate_tem_path(
     policy: TruncationPolicy,
     delta: float,
     horizon: float,
-    streams: Optional[PathStreams] = None,
+    seed: Optional[int] = None,
+    path_index: int = 0,
     noise: Optional[NoiseIncrements] = None,
 ) -> PathState:
     """Simulate one truncated-EM path on [-tau, horizon].
 
-    Pass ``streams`` to draw fresh noise, or ``noise`` (with regimes
-    attached) to replay a recorded path; the result is a pure function of
-    the noise record. The step snaps to an exact fraction of the delay and
-    the horizon to a multiple of the step; read the effective values off
-    the returned state.
+    Pass ``seed`` to draw path ``path_index`` of that run (row
+    ``path_index`` of its batch draw), or ``noise`` (with regimes) to
+    replay a recorded path; the result is a pure function of the noise
+    record. A :class:`SimulationError` carries ``seed`` and ``path_index``
+    as its replay coordinates. The step snaps to an exact fraction of the
+    delay and the horizon to a multiple of the step; read the effective
+    values off the returned state.
     """
-    grid, noise, rows = _resolve_run(spec, delta, horizon, streams, noise)
-    return _path_state(grid, noise, engine.simulate_tem_batch(spec, policy, grid, *rows))
+    grid, noise, rows = _resolve_run(spec, delta, horizon, seed, path_index, noise)
+    return _path_state(grid, noise, engine.simulate_tem_batch(
+        spec, policy, grid, *rows, seed=seed, path_indices=[path_index]))
 
 
 def simulate_bem_path(
     spec: ModelSpec,
     delta: float,
     horizon: float,
-    streams: Optional[PathStreams] = None,
+    seed: Optional[int] = None,
+    path_index: int = 0,
     noise: Optional[NoiseIncrements] = None,
 ) -> PathState:
     """Backward-EM companion to :func:`simulate_tem_path` (no truncation)."""
-    grid, noise, rows = _resolve_run(spec, delta, horizon, streams, noise)
-    return _path_state(grid, noise, engine.simulate_bem_batch(spec, grid, *rows))
+    grid, noise, rows = _resolve_run(spec, delta, horizon, seed, path_index, noise)
+    return _path_state(grid, noise, engine.simulate_bem_batch(
+        spec, grid, *rows, seed=seed, path_indices=[path_index]))
 
 
-def _resolve_run(spec, delta, horizon, streams, noise):
+def _resolve_run(spec, delta, horizon, seed, path_index, noise):
     """The grid, the noise record and its width-1 engine rows (Brownian,
     Poisson, regimes)."""
-    if (streams is None) == (noise is None):
-        raise ValueError("pass exactly one of streams or noise")
+    if (seed is None) == (noise is None):
+        raise ValueError("pass exactly one of seed or noise")
     grid = resolve_grid(spec.tau, delta, horizon)
     if noise is None:
-        noise = _path_noise(spec, grid, streams)
-    else:
-        if abs(noise.delta - grid.delta) > 1e-12 * grid.delta:
-            raise ValueError(
-                f"noise recorded at delta {noise.delta:g} but the grid resolves "
-                f"to {grid.delta:g}"
-            )
-        if noise.num_steps != grid.num_steps:
-            raise ValueError(
-                f"noise has {noise.num_steps} steps but the horizon needs "
-                f"{grid.num_steps}"
-            )
-        if noise.regimes is None:
-            raise ValueError("path simulation needs a regime trajectory in the noise record")
+        rows = engine.draw_batch_noise(spec, grid, seed, [path_index])
+        return grid, NoiseIncrements(grid.delta, *(row[0] for row in rows)), rows
+    if abs(noise.delta - grid.delta) > 1e-12 * grid.delta:
+        raise ValueError(
+            f"noise recorded at delta {noise.delta:g} but the grid resolves "
+            f"to {grid.delta:g}"
+        )
+    if noise.num_steps != grid.num_steps:
+        raise ValueError(
+            f"noise has {noise.num_steps} steps but the horizon needs "
+            f"{grid.num_steps}"
+        )
+    if noise.regimes is None:
+        raise ValueError("path simulation needs a regime trajectory in the noise record")
     return grid, noise, (noise.brownian[None, :], noise.poisson[None, :],
                          noise.regimes[None, :])

@@ -58,13 +58,15 @@ class _MuPower:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Dominating function, step profile exponent, and admissible step bound."""
+    """Dominating function, step profile exponent, and admissible step bound.
 
-    mu: Callable[[float], float]
-    mu_inverse: Callable[[float], float]
+    ``mu`` is callable and carries its ``inverse`` and ``name`` (see
+    :class:`_Mu3U2` and :class:`_MuPower`).
+    """
+
+    mu: _Mu3U2 | _MuPower
     psi_exponent: float
     delta_star: float
-    mu_name: str = "custom"
 
     def __post_init__(self):
         if self.psi_exponent <= 0.0:
@@ -89,13 +91,13 @@ def psi(delta: float, policy: TruncationPolicy) -> float:
 
 
 def truncation_band(delta: float, policy: TruncationPolicy) -> tuple[float, float]:
-    """Clamp interval ``[1/u, u]`` with ``u = mu_inverse(psi(delta))``."""
+    """Clamp interval ``[1/u, u]`` with ``u = mu.inverse(psi(delta))``."""
     if delta > policy.delta_star * (1.0 + 1e-12):
         raise TruncationError(
             f"delta = {delta:g} exceeds the admissible bound delta_star = "
             f"{policy.delta_star:g}"
         )
-    upper = float(policy.mu_inverse(psi(delta, policy)))
+    upper = float(policy.mu.inverse(psi(delta, policy)))
     if upper <= 1.0:
         raise TruncationError(
             f"truncation band degenerate at delta = {delta:g} (upper edge {upper:g})"
@@ -145,7 +147,7 @@ def _verify_domination(mu: Callable, r: np.ndarray, band_sup: np.ndarray) -> Non
 
 def delta_star_search(spec: ModelSpec, policy: TruncationPolicy) -> float:
     """Largest admissible step bound for this model under the policy's mu/psi."""
-    return _delta_star_search(spec, policy.mu_inverse, policy.psi_exponent)
+    return _delta_star_search(spec, policy.mu.inverse, policy.psi_exponent)
 
 
 def _delta_star_search(spec: ModelSpec, mu_inverse: Callable[[float], float],
@@ -221,10 +223,5 @@ def default_mu_for(spec: ModelSpec, psi_exponent: float = 0.25,
                 f"delta_star override {delta_star:g} gives a degenerate band"
             )
 
-    return TruncationPolicy(
-        mu=mu,
-        mu_inverse=mu.inverse,
-        psi_exponent=psi_exponent,
-        delta_star=float(delta_star),
-        mu_name=mu.name,
-    )
+    return TruncationPolicy(mu=mu, psi_exponent=psi_exponent,
+                            delta_star=float(delta_star))

@@ -33,7 +33,7 @@ from temsim.regime import (
     matrix_exponential,
     sample_chain_path,
 )
-from temsim.rng import path_streams, substream
+from temsim.rng import substream
 from temsim.schemes import simulate_tem_path
 from temsim.truncation import (
     StepProfileWarning,
@@ -183,7 +183,7 @@ def test_criterion_5_deterministic_euler_reduction():
     errors = []
     for e in (5, 6, 7, 8):
         state = simulate_tem_path(spec, policy, 2.0**-e, 1.0,
-                                  streams=path_streams(0, 0))
+                                  seed=0, path_index=0)
         values = state.values[state.tau_steps:]
         sub = reference[:: fine_n // state.num_steps]
         errors.append(np.abs(values - sub).max())

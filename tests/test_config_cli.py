@@ -270,6 +270,26 @@ class TestCliCommands:
         assert code == 4
         assert "numerical error" in capsys.readouterr().err
 
+    def test_simulate_failure_carries_replay_coordinates(self, tmp_path, capsys):
+        # jumps of 2x the state at rate 2000 overflow within two time units;
+        # the message must name the coordinates price-bond would name
+        cfg = {
+            "model": {
+                "regimes": [{"alpha_m1": 0.0, "alpha_0": 0.0, "alpha_1": 0.0,
+                             "alpha_2": 0.0, "alpha_3": 2.0}],
+                "rho": 2.0, "theta": 1.25, "tau": 1.0, "jump_intensity": 2000.0,
+                "volatility": {"name": "zero"}, "include_inverse_drift": False,
+                "initial_segment": {"value": 1.0}, "generator": [[0.0]],
+            },
+            "truncation": {"psi_exponent": 2.0 / 3.0, "mu": "power_fit"},
+            "simulation": {"delta": 0.01, "horizon": 2.0, "num_paths": 4,
+                           "seed": 55, "threads": 1},
+        }
+        path = write_config(tmp_path, cfg)
+        for command in ("simulate", "price-bond"):
+            assert self.run_cli([command, "--config", path]) == 4
+            assert "replay: seed=55, path=0, delta=0.01" in capsys.readouterr().err
+
     def test_seed_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, demo_config())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -13,9 +13,8 @@ from temsim.model import (
     constant_segment,
     two_regime_demo,
 )
-from temsim.noise import NoiseIncrements, attach_regimes
+from temsim.noise import NoiseIncrements
 from temsim.regime import GeneratorMatrix
-from temsim.rng import path_streams
 from temsim.schemes import (
     PathState,
     bem_step,
@@ -114,7 +113,7 @@ class TestPathState:
     def test_delay_lookup_is_exact_index_shift(self):
         # constant history must be reproduced bit-exactly at the delay offset
         state = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
-                                  streams=path_streams(3, 0))
+                                  seed=3, path_index=0)
         for k in range(0, 40):
             assert state.delayed_value(k) == 0.02
 
@@ -122,7 +121,7 @@ class TestPathState:
 class TestTemStep:
     def test_zero_noise_is_pure_drift(self):
         state = simulate_tem_path(DEMO, POLICY, 1e-3, 0.1,
-                                  streams=path_streams(1, 0))
+                                  seed=1, path_index=0)
         from temsim.truncation import truncated_drift
         for k in (0, 10, 50):
             x = state.value(k)
@@ -134,7 +133,7 @@ class TestTemStep:
         # independent re-derivation: clamp band sqrt(psi/3) at delta=1e-3,
         # q=2/3; x = 0.02 sits below the band so the drift argument clamps
         state = simulate_tem_path(DEMO, POLICY, 1e-3, 0.1,
-                                  streams=path_streams(1, 0))
+                                  seed=1, path_index=0)
         upper = math.sqrt(100.0 / 3.0)
         lower = 1.0 / upper
         fd = 0.3 / lower - 0.2 + 0.1 * lower - 0.5 * lower**2
@@ -156,7 +155,7 @@ class TestTemStep:
 
     def test_matches_engine_recursion(self):
         state = simulate_tem_path(DEMO, POLICY, 1e-2, 0.5,
-                                  streams=path_streams(99, 0))
+                                  seed=99, path_index=0)
         for k in range(state.num_steps):
             nxt = tem_step(state, k, float(state.noise.brownian[k]),
                            int(state.noise.poisson[k]), DEMO, POLICY)
@@ -166,25 +165,25 @@ class TestTemStep:
 class TestSimulateTem:
     def test_zero_horizon_returns_history_only(self):
         state = simulate_tem_path(DEMO, POLICY, 1e-2, 0.0,
-                                  streams=path_streams(0, 0))
+                                  seed=0, path_index=0)
         assert state.num_steps == 0
         assert state.values.size == state.tau_steps + 1
         assert np.all(state.values == 0.02)
 
     def test_deterministic_under_seed(self):
-        a = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, streams=path_streams(5, 7))
-        b = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, streams=path_streams(5, 7))
+        a = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, seed=5, path_index=7)
+        b = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, seed=5, path_index=7)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.regimes, b.regimes)
 
     def test_replay_from_noise_record(self):
-        a = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, streams=path_streams(5, 7))
+        a = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, seed=5, path_index=7)
         b = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, noise=a.noise)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_pure_function_of_noise(self):
         noise = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
-                                  streams=path_streams(1, 1)).noise
+                                  seed=1, path_index=1).noise
         runs = [simulate_tem_path(DEMO, POLICY, 1e-2, 1.0, noise=noise).values
                 for _ in range(3)]
         assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[1], runs[2])
@@ -193,26 +192,38 @@ class TestSimulateTem:
         with pytest.raises(ValueError):
             simulate_tem_path(DEMO, POLICY, 1e-2, 1.0)
         noise = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
-                                  streams=path_streams(0, 0)).noise
+                                  seed=0, path_index=0).noise
         with pytest.raises(ValueError):
             simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
-                              streams=path_streams(0, 0), noise=noise)
+                              seed=0, path_index=0, noise=noise)
 
     def test_noise_grid_mismatch_rejected(self):
         noise = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
-                                  streams=path_streams(0, 0)).noise
+                                  seed=0, path_index=0).noise
         with pytest.raises(ValueError):
             simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, noise=noise)
+
+    def test_single_path_is_row_of_batch_draw(self):
+        # the single path draws row p of the run's batch noise, bit for bit,
+        # and replaying that record reproduces the values
+        grid = resolve_grid(DEMO.tau, 0.021, 0.5)  # snaps to tau / 48
+        rows = engine.draw_batch_noise(DEMO, grid, 31, np.arange(5))
+        for idx in (0, 4):
+            state = simulate_tem_path(DEMO, POLICY, 0.021, 0.5, seed=31, path_index=idx)
+            for got, batch in zip((state.noise.brownian, state.noise.poisson,
+                                   state.noise.regimes), rows):
+                assert got.tobytes() == batch[idx].tobytes()
+            assert state.noise.delta == grid.delta
+            replay = simulate_tem_path(DEMO, POLICY, 0.021, 0.5, noise=state.noise)
+            assert replay.values.tobytes() == state.values.tobytes()
 
     def test_zero_noise_equals_explicit_euler(self):
         spec = single_regime_ode_spec()
         policy = default_mu_for(spec, psi_exponent=2 / 3)
         k = 64
-        noise = attach_regimes(
-            NoiseIncrements(delta=1.0 / 64, brownian=np.zeros(k),
-                            poisson=np.zeros(k, dtype=np.int64)),
-            np.ones(k + 1, dtype=np.int64),
-        )
+        noise = NoiseIncrements(delta=1.0 / 64, brownian=np.zeros(k),
+                                poisson=np.zeros(k, dtype=np.int64),
+                                regimes=np.ones(k + 1, dtype=np.int64))
         state = simulate_tem_path(spec, policy, 1.0 / 64, 1.0, noise=noise)
         from temsim.truncation import truncated_drift
         x = 1.0
@@ -228,7 +239,7 @@ class TestSimulateTem:
                                           regimes)
         for idx in range(6):
             single = simulate_tem_path(DEMO, POLICY, 1e-2, 0.5,
-                                       streams=path_streams(99, idx))
+                                       seed=99, path_index=idx)
             np.testing.assert_array_equal(batch[idx], single.values)
 
     def test_moments_finite_both_steps(self):
@@ -283,7 +294,7 @@ class TestBem:
                                                                  rel=1e-12)
 
     def test_positivity_with_inverse_drift(self):
-        state = simulate_bem_path(DEMO, 1e-3, 1.0, streams=path_streams(21, 0))
+        state = simulate_bem_path(DEMO, 1e-3, 1.0, seed=21, path_index=0)
         assert np.all(state.values > 0.0)
 
     def test_batch_equals_single_bitwise(self):
@@ -292,7 +303,7 @@ class TestBem:
         batch = engine.simulate_bem_batch(DEMO, grid, b, p, r)
         for idx in range(3):
             single = simulate_bem_path(DEMO, 1e-2, 0.5,
-                                       streams=path_streams(4, idx))
+                                       seed=4, path_index=idx)
             np.testing.assert_array_equal(batch[idx], single.values)
 
     def test_step_size_guard(self):
@@ -306,11 +317,11 @@ class TestBem:
         )
         # delta = tau/M snaps to 1/3 > 1/alpha_1 = 1/4
         with pytest.raises(SimulationError):
-            simulate_bem_path(spec, 1 / 3, 1.0, streams=path_streams(0, 0))
+            simulate_bem_path(spec, 1 / 3, 1.0, seed=0, path_index=0)
 
     def test_shared_noise_with_tem_small_gap(self):
         tem = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0,
-                                streams=path_streams(8, 0))
+                                seed=8, path_index=0)
         bem = simulate_bem_path(DEMO, 1e-3, 1.0, noise=tem.noise)
         gap = np.abs(tem.values - bem.values).max()
         assert 0.0 < gap < 0.2

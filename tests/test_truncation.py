@@ -33,13 +33,13 @@ POLICY = demo_policy()
 
 class TestDefaultMu:
     def test_demo_uses_closed_form(self):
-        assert POLICY.mu_name == "3u2"
+        assert POLICY.mu.name == "3u2"
         assert POLICY.mu(2.0) == pytest.approx(12.0)
-        assert POLICY.mu_inverse(12.0) == pytest.approx(2.0)
+        assert POLICY.mu.inverse(12.0) == pytest.approx(2.0)
 
     def test_inverse_identity(self):
         for r in (1.0, 2.0, 10.0):
-            assert POLICY.mu_inverse(POLICY.mu(r)) == pytest.approx(r, rel=1e-12)
+            assert POLICY.mu.inverse(POLICY.mu(r)) == pytest.approx(r, rel=1e-12)
 
     def test_domination_at_band_one(self):
         # sup over [1,1] is max(|f(1,1)|, |f(1,2)|, g(1)) = max(0.3, 0.5, 1.0)
@@ -53,7 +53,7 @@ class TestDefaultMu:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepProfileWarning)
             policy = default_mu_for(DEMO, psi_exponent=2 / 3, mu_preset="power_fit")
-        assert policy.mu_name == "power_fit"
+        assert policy.mu.name == "power_fit"
         xs = np.geomspace(1e-2, 1e2, 200)
         for r in (1.5, 4.0, 50.0):
             band = xs[(xs >= 1.0 / r) & (xs <= r)]
@@ -233,8 +233,6 @@ class TestGrowthPreservation:
 class TestPolicyType:
     def test_field_validation(self):
         with pytest.raises(TruncationError):
-            TruncationPolicy(mu=lambda r: r, mu_inverse=lambda u: u,
-                             psi_exponent=0.0, delta_star=0.1)
+            TruncationPolicy(mu=POLICY.mu, psi_exponent=0.0, delta_star=0.1)
         with pytest.raises(TruncationError):
-            TruncationPolicy(mu=lambda r: r, mu_inverse=lambda u: u,
-                             psi_exponent=0.25, delta_star=1.5)
+            TruncationPolicy(mu=POLICY.mu, psi_exponent=0.25, delta_star=1.5)
