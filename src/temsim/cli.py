@@ -103,11 +103,10 @@ def cmd_validate(run: RunConfig) -> tuple[str, int]:
     caps = rng.uniform(1e-6, run.policy.delta_star, xs.size) ** -run.policy.psi_exponent
     uppers = run.policy.mu.inverse(caps)
     tables = CoefficientTables(run.spec)
-    fd = np.abs(tables.truncated_drift(xs, ridx, 1.0 / uppers, uppers))
-    gd = tables.truncated_diffusion(xs, uppers)
-    cap_ok = bool(np.all(np.maximum(fd, gd) <= caps * (1.0 + 1e-12)))
+    fd, gd = tables.truncated(xs, ridx, 1.0 / uppers, uppers)
+    cap_ok = bool(np.all(np.maximum(np.abs(fd), gd) <= caps * (1.0 + 1e-12)))
     inside = np.linspace(lower * 1.01, upper * 0.99, 7)
-    interior_ok = np.array_equal(tables.truncated_drift(inside, 0, lower, upper),
+    interior_ok = np.array_equal(tables.truncated(inside, 0, lower, upper)[0],
                                  tables.drift(inside, 0))
     lines.append(("PASS" if cap_ok else "FAIL") + " truncated_coefficient_cap")
     lines.append(("PASS" if interior_ok else "FAIL") + " band_interior_identity")

@@ -121,7 +121,9 @@ def _march(spec, grid, tables, brownian, poisson, regimes, step) -> np.ndarray:
     and copies its noise into contiguous (B, P) scratch. Then
     ``step(x, rows, j, phi, d_b, d_n, node)`` maps the length-P state ``x``
     at ``node`` (step j of the block, coefficients ``rows``) to the next
-    one. The block is written back into the (P, M+K+1) result with one
+    one; ``d_n`` is None on a step where no path jumps, which each block
+    finds with one call. Each new state is copied into (B, P) scratch, and
+    the block is written back into the (P, M+K+1) result with one
     transposed copy.
     """
     m, k = grid.tau_steps, grid.num_steps
@@ -134,6 +136,7 @@ def _march(spec, grid, tables, brownian, poisson, regimes, step) -> np.ndarray:
     d_b = np.empty((size, num_paths))
     # Poisson counts as floats: the same products, without a mixed-type call
     d_n = np.empty((size, num_paths))
+    block = np.empty((size, num_paths))
     x = values[:, m].copy()
     # overflow to inf is caught by the callers' finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -145,26 +148,31 @@ def _march(spec, grid, tables, brownian, poisson, regimes, step) -> np.ndarray:
             rows = tables.gather(np.ascontiguousarray(regimes[:, start:stop].T) - 1)
             np.copyto(d_b[: stop - start], brownian[:, start:stop].T)
             np.copyto(d_n[: stop - start], poisson[:, start:stop].T)
-            block = []
-            for j, noise in enumerate(zip(phi, d_b, d_n)):
-                x = step(x, rows, j, *noise, start + j)
-                block.append(x)
-            values[:, m + start + 1 : m + stop + 1] = np.array(block).T
+            jumps = d_n[: stop - start].any(axis=1).tolist()
+            for j, (phi_j, d_b_j, d_n_j, jumped) in enumerate(zip(phi, d_b, d_n, jumps)):
+                x = step(x, rows, j, phi_j, d_b_j, d_n_j if jumped else None, start + j)
+                block[j] = x
+            values[:, m + start + 1 : m + stop + 1] = block[: stop - start].T
     return values
 
 
 def tem_update(x, rows, ridx, phi, d_b, d_n, _node, delta, lower, upper):
     """The truncated-EM step rule of :func:`_march`, with the drift and
-    diffusion truncated to the band ``[lower, upper]``."""
-    fd = rows.truncated_drift(x, ridx, lower, upper)
-    gd = rows.truncated_diffusion(x, upper)
-    return x + fd * delta + phi * gd * d_b + rows.jump(x, ridx) * d_n
+    diffusion truncated to the band ``[lower, upper]``; ``d_n`` is None on
+    a step without jumps."""
+    fd, gd = rows.truncated(x, ridx, lower, upper)
+    out = x + fd * delta + phi * gd * d_b
+    if d_n is not None:
+        out += rows.jump(x, ridx) * d_n
+    return out
 
 
 def bem_update(x, rows, ridx, phi, d_b, d_n, node, delta, positive_domain,
                seed=None, path_indices=None):
     """The backward-EM step rule of :func:`_march` (see :func:`simulate_bem_batch`)."""
-    target = x + phi * rows.diffusion(x) * d_b + rows.jump(x, ridx) * d_n
+    target = x + phi * rows.diffusion(x) * d_b
+    if d_n is not None:
+        target += rows.jump(x, ridx) * d_n
     return implicit_drift_solve(rows, ridx, target, delta, positive_domain,
                                 context=(seed, path_indices, node))
 
@@ -259,8 +267,10 @@ def implicit_drift_solve(
     step_size = np.asarray(delta)
 
     if positive_domain:
+        # every iterate is +0 or more: the lower bracket end starts
+        # positive and only shrinks, and each iterate lies inside the bracket
         def residual(z):
-            return z - step_size * tables.drift(z, ridx) - target
+            return z - step_size * tables.drift(z, ridx, positive=True) - target
 
         def slope_at(z):
             return _ONE - step_size * tables.drift_derivative(z, ridx)

@@ -298,13 +298,13 @@ def strong_error(
     )
 
 
-def _moment_sums(levels, p, fine, rerun) -> list[np.ndarray]:
-    sums = []
+def _moments(levels, p, fine, rerun) -> list[np.ndarray]:
+    rows = []
     for grid, factor in levels:
         # the finest level (factor 1) is the pipeline's own run
         values = fine if factor == 1 else rerun((grid, factor))
-        sums.append((np.abs(values[:, grid.tau_steps:]) ** p).sum(axis=0))
-    return sums
+        rows.append(np.abs(values[:, grid.tau_steps:]) ** p)
+    return rows
 
 
 def moment_curves(
@@ -321,15 +321,14 @@ def moment_curves(
 
     All step sizes are driven by one shared fine noise record per path
     (the finest requested step), so the curves are pathwise coupled.
-    Returns, per effective step, the moment at each of its grid nodes.
+    Returns, per effective step, the moment at each of its grid nodes: the
+    mean of the per-path rows in path order, so it does not depend on the
+    chunk size.
     """
     finest = min(deltas)
     fine_grid, levels = _coupled_grids(spec, list(deltas), finest, horizon)
     worker = partial(_chunk, spec, policy, fine_grid, master_seed,
-                     partial(_moment_sums, levels, p))
-    chunk_sums = _run_chunks(worker, num_paths, threads)
-    curves = {}
-    for row, (grid, _) in enumerate(levels):
-        total = np.sum([c[row] for c in chunk_sums], axis=0)
-        curves[grid.delta] = total / num_paths
-    return curves
+                     partial(_moments, levels, p))
+    chunks = _run_chunks(worker, num_paths, threads)
+    return {grid.delta: np.concatenate([c[row] for c in chunks]).mean(axis=0)
+            for row, (grid, _) in enumerate(levels)}

@@ -189,32 +189,43 @@ class CoefficientTables:
         self.theta = spec.theta
         self.include_inverse = spec.include_inverse_drift
 
-    def drift(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
-        power = np.sign(x) * np.abs(x) ** self.rho
+    def drift(self, x: np.ndarray, ridx: np.ndarray, *,
+              positive: bool = False) -> np.ndarray:
+        """f at ``x``; x^rho is read as sign(x)|x|^rho. ``positive`` says
+        every ``x`` is +0 or more (or NaN), where ``x ** rho`` is that term
+        bit for bit in two fewer calls."""
+        power = x ** self.rho if positive else np.sign(x) * np.abs(x) ** self.rho
         out = self.a1[ridx] * x - self.a0[ridx] - self.a2[ridx] * power
         if self.include_inverse:
             out = out + self.a_m1[ridx] / x
         return out
 
     def drift_derivative(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
-        out = self.a1[ridx] - self.a2[ridx] * self.rho * np.abs(x) ** (self.rho - 1.0)
+        """f' at ``x >= +0`` (or NaN), the only points the implicit solve
+        takes it at."""
+        out = self.a1[ridx] - self.a2[ridx] * self.rho * x ** (self.rho - 1.0)
         if self.include_inverse:
             out = out - self.a_m1[ridx] / (x * x)
         return out
 
     def diffusion(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > _ZERO, np.maximum(x, _ZERO) ** self.theta, _ZERO)
+        """g at ``x``: x^theta for x >= 0, zero below, NaN at NaN."""
+        return np.maximum(x, _ZERO) ** self.theta
 
     def jump(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
         return np.where(x > _ZERO, self.a3[ridx] * x, _ZERO)
 
-    def truncated_drift(self, x, ridx, lower, upper) -> np.ndarray:
-        """Drift at ``x`` clamped into the truncation band ``[lower, upper]``."""
-        return self.drift(np.minimum(np.maximum(x, lower), upper), ridx)
+    def truncated(self, x, ridx, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+        """The truncated drift and diffusion factor at ``x``.
 
-    def truncated_diffusion(self, x, upper) -> np.ndarray:
-        """Diffusion factor with only the upper clamp."""
-        return self.diffusion(np.minimum(x, upper))
+        The drift is taken at ``x`` clamped into the band ``[lower, upper]``
+        and the diffusion factor at ``x`` clamped from above only; the two
+        share the upper clamp. The drift's argument is at least
+        ``lower > 0``, so it takes the positive form.
+        """
+        below = np.minimum(x, upper)
+        return (self.drift(np.maximum(below, lower), ridx, positive=True),
+                self.diffusion(below))
 
     def gather(self, ridx: np.ndarray) -> "CoefficientTables":
         """Tables whose row j holds the coefficients of regime indices ``ridx[j]``.
@@ -275,11 +286,12 @@ def sigmoid_volatility_vec(y: np.ndarray, i: np.ndarray) -> np.ndarray:
     """Vectorized two-regime sigmoid volatility (regimes 1 and 2)."""
     y = np.asarray(y, dtype=float)
     scale = np.where(np.asarray(i) == 1, _SIGMOID_SCALE[0], _SIGMOID_SCALE[1])
-    yp = np.where(y >= 0.0, y, 0.0)
+    nonnegative = y >= 0.0
+    yp = np.where(nonnegative, y, 0.0)
     # (1 + e^y - e^-y)/(e^y + e^-y) rewritten as tanh(y) + sech-type term,
     # stable for arbitrarily large y
     ratio = np.tanh(yp) + np.exp(-yp) / (1.0 + np.exp(-2.0 * yp))
-    return np.where(y >= 0.0, scale * ratio, scale * 0.5)
+    return scale * np.where(nonnegative, ratio, 0.5)
 
 
 # sup of (1 + e^y - e^-y)/(e^y + e^-y) over y >= 0, attained at y = arcsinh(2);

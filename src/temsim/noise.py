@@ -112,11 +112,23 @@ def save_noise(noise: NoiseIncrements, fobj: BinaryIO, *, seed: int,
         fobj.write(noise.regimes.astype("<i8").tobytes())
 
 
+_READ_PIECE = 1 << 20
+
+
 def _read(fobj: BinaryIO, size: int) -> bytes:
-    raw = fobj.read(size)
-    if len(raw) != size:
-        raise ValueError(f"noise record truncated: read {len(raw)} of {size} bytes")
-    return raw
+    """``size`` bytes of ``fobj``, read at most 1 MiB at a time: a header
+    that declares more bytes than the stream holds, however many, fails as
+    a truncated record, not in an overflow or a huge allocation."""
+    pieces, got = [], 0
+    while got < size:
+        piece = fobj.read(min(size - got, _READ_PIECE))
+        if not piece:
+            break
+        pieces.append(piece)
+        got += len(piece)
+    if got != size:
+        raise ValueError(f"noise record truncated: read {got} of {size} bytes")
+    return b"".join(pieces)
 
 
 def load_noise(fobj: BinaryIO) -> tuple[NoiseIncrements, dict]:

@@ -68,30 +68,30 @@ class PathState:
         return self.num_steps * self.delta
 
 
-def _step_inputs(state: PathState, k: int, spec: ModelSpec):
-    """Width-1 state, regime index and volatility of node k, for the step rules."""
+def _step_inputs(state: PathState, k: int, d_poisson: int, spec: ModelSpec):
+    """Width-1 state, regime index, volatility and jump count of node k, for
+    the step rules (a count of zero is a step without jumps)."""
     r = state.regime(k)
     spec.regime(r)
     phi = spec.volatility.evaluate_many(np.array([state.delayed_value(k)]), np.array([r]))
-    return np.array([state.value(k)]), r - 1, phi
+    return np.array([state.value(k)]), r - 1, phi, float(d_poisson) if d_poisson else None
 
 
 def tem_step(state: PathState, k: int, d_brownian: float, d_poisson: int,
              spec: ModelSpec, policy: TruncationPolicy) -> float:
     """One truncated-EM update from node k given the step's increments."""
-    x, ridx, phi = _step_inputs(state, k, spec)
+    x, ridx, phi, d_n = _step_inputs(state, k, d_poisson, spec)
     lower, upper = truncation_band(state.delta, policy)
     return float(engine.tem_update(x, CoefficientTables(spec), ridx, phi, d_brownian,
-                                   float(d_poisson), k, state.delta, lower, upper)[0])
+                                   d_n, k, state.delta, lower, upper)[0])
 
 
 def bem_step(state: PathState, k: int, d_brownian: float, d_poisson: int,
              spec: ModelSpec) -> float:
     """One backward-EM update: drift implicit, diffusion and jump explicit."""
-    x, ridx, phi = _step_inputs(state, k, spec)
+    x, ridx, phi, d_n = _step_inputs(state, k, d_poisson, spec)
     return float(engine.bem_update(x, CoefficientTables(spec), ridx, phi, d_brownian,
-                                   float(d_poisson), k, state.delta,
-                                   spec.include_inverse_drift)[0])
+                                   d_n, k, state.delta, spec.include_inverse_drift)[0])
 
 
 def _path_state(grid: Grid, noise: NoiseIncrements, values: np.ndarray) -> PathState:

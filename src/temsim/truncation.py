@@ -110,14 +110,16 @@ def truncated_drift(x: float, i: int, delta: float, spec: ModelSpec,
     """Drift evaluated at ``x`` clamped into the band for this step size."""
     spec.regime(i)
     lower, upper = truncation_band(delta, policy)
-    return point_value(CoefficientTables(spec).truncated_drift, x, i - 1, lower, upper)
+    tables = CoefficientTables(spec)
+    return point_value(lambda xs: tables.truncated(xs, i - 1, lower, upper)[0], x)
 
 
 def truncated_diffusion(x: float, delta: float, spec: ModelSpec,
                         policy: TruncationPolicy) -> float:
     """Diffusion factor with only the upper clamp; zero for negative x."""
-    _, upper = truncation_band(delta, policy)
-    return point_value(CoefficientTables(spec).truncated_diffusion, x, upper)
+    lower, upper = truncation_band(delta, policy)
+    tables = CoefficientTables(spec)
+    return point_value(lambda xs: tables.truncated(xs, 0, lower, upper)[1], x)
 
 
 def _band_sups(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -284,24 +285,48 @@ class TestMomentCurves:
         b, p, r = engine.draw_batch_noise(DEMO, grid, 8, np.arange(40))
         values = engine.simulate_tem_batch(DEMO, POLICY, grid, b, p, r)
         direct = (np.abs(values[:, grid.tau_steps:]) ** 4).mean(axis=0)
-        np.testing.assert_allclose(curves[grid.delta], direct, rtol=1e-12)
+        assert np.array_equal(curves[grid.delta], direct)
 
 
 NO_INVERSE = two_regime_demo(include_inverse_drift=False)
+
+
+def strong_error_at(spec, policy, delta, horizon, num_paths, seed, threads=1):
+    """Two coarse levels of a reference a quarter of ``delta``."""
+    return strong_error(spec, policy, [2 * delta, delta], delta / 4, horizon, 2.0,
+                        num_paths, seed, threads)
+
+
+def moment_curves_at(spec, policy, delta, horizon, num_paths, seed, threads=1):
+    return moment_curves(spec, policy, [2 * delta, delta], horizon, 3.0,
+                         num_paths, seed, threads)
+
+
+def comparable(result):
+    """``result`` with its arrays as bytes, so ``==`` compares them bit for bit."""
+    if isinstance(result, dict):
+        return {key: value.tobytes() for key, value in result.items()}
+    if isinstance(result, ConvergenceReport):
+        return {field.name: np.asarray(getattr(result, field.name)).tobytes()
+                for field in dataclasses.fields(result)}
+    return result
 
 
 @pytest.mark.parametrize("estimate,spec,psi_exponent", [
     (bond_price, DEMO, 2 / 3),
     (scheme_comparison, DEMO, 2 / 3),
     (scheme_comparison, NO_INVERSE, 0.25),
-], ids=["bond", "compare", "compare-no-inverse"])
+    (strong_error_at, DEMO, 2 / 3),
+    (moment_curves_at, DEMO, 2 / 3),
+], ids=["bond", "compare", "compare-no-inverse", "strong-error", "moments"])
 def test_results_do_not_depend_on_chunk_size(estimate, spec, psi_exponent, monkeypatch):
     """A path's result must not depend on the batch it runs in, although the
-    implicit solve iterates until every row of its batch has settled."""
+    implicit solve iterates until every row of its batch has settled, and
+    every reduction runs over per-path rows in path order."""
     policy = default_mu_for(spec, psi_exponent=psi_exponent)
     results = []
     for size in (1, 7, 128, 1000):
         monkeypatch.setattr(estimators, "CHUNK_SIZE", size)
-        results.append(estimate(spec, policy, 1e-2, 0.5, 130, 21))
-    results.append(estimate(spec, policy, 1e-2, 0.5, 130, 21, threads=2))
+        results.append(comparable(estimate(spec, policy, 1e-2, 0.5, 130, 21)))
+    results.append(comparable(estimate(spec, policy, 1e-2, 0.5, 130, 21, threads=2)))
     assert all(result == results[0] for result in results[1:])

@@ -214,7 +214,7 @@ def test_truncation_cap_holds_for_random_models(model, xs):
     lower, upper = bands[:, :1], bands[:, 1:]
     points = np.hstack([bands, np.broadcast_to(xs, (deltas.size, len(xs)))])
     tables = CoefficientTables(spec)
-    assert np.all(tables.truncated_diffusion(points, upper) <= caps * (1.0 + 1e-12))
     for r in range(spec.num_regimes):
-        drift = tables.truncated_drift(points, r, lower, upper)
+        drift, diffusion = tables.truncated(points, r, lower, upper)
+        assert np.all(diffusion <= caps * (1.0 + 1e-12))
         assert np.all(np.abs(drift) <= caps * (1.0 + 1e-12))

@@ -22,6 +22,8 @@ from temsim.rng import CHANNEL_BROWNIAN, CHANNEL_CHAIN, CHANNEL_POISSON, \
 # the f64 delta field of a record header follows magic, version, seed and
 # path index
 DELTA_OFFSET = struct.calcsize("<4sIQQ")
+# and its u64 step count follows delta, delay steps and jump intensity
+K_OFFSET = struct.calcsize("<4sIQQdQd")
 
 
 class TestStreams:
@@ -177,6 +179,19 @@ class TestBinaryRecord:
                 load_noise(io.BytesIO(record[:cut]))
         loaded, _ = load_noise(io.BytesIO(record))
         assert loaded.num_steps == 4
+
+    @pytest.mark.parametrize("num_steps", [2**62, 2**64 - 1])
+    def test_impossible_step_count_rejected(self, num_steps):
+        # a one-step record (a 16-byte body) whose header claims num_steps;
+        # 8 * num_steps bytes fit no index
+        buffer = io.BytesIO()
+        save_noise(make_noise(0.01, 1, 1.0, path_streams(3, 1)), buffer, seed=3,
+                   path_index=1, tau_steps=100, jump_intensity=1.0)
+        record = bytearray(buffer.getvalue())
+        struct.pack_into("<Q", record, K_OFFSET, num_steps)
+        with pytest.raises(ValueError,
+                           match=f"noise record truncated: read 16 of {8 * num_steps} bytes"):
+            load_noise(io.BytesIO(bytes(record)))
 
 
 U64_MAX = 2**64 - 1
