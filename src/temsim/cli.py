@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Commands: validate | simulate | converge | compare-schemes | price-bond |
-price-barrier. One YAML config file describes the run; command-line flags
-override file values, file values override defaults. Exit codes: 0 on
-success, 2 for configuration problems, 3 for failed validation checks,
-4 for numerical failures.
+One subcommand per entry of ``_COMMANDS``. One YAML config file describes
+the run; command-line flags override file values and are read by the same
+rules, file values override defaults. Exit codes: 0 on success, 2 for
+configuration problems, 3 for failed validation checks, 4 for numerical
+failures.
 """
 
 from __future__ import annotations
@@ -47,14 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "rate model with delayed volatility",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("validate", "audit model assumptions and the truncation policy"),
-        ("simulate", "simulate one path and write it as CSV"),
-        ("converge", "strong-error study over the configured step ladder"),
-        ("compare-schemes", "pathwise TEM vs BEM distance at one step size"),
-        ("price-bond", "Monte Carlo bond price"),
-        ("price-barrier", "Monte Carlo knock-out barrier option price"),
-    ]:
+    for name, (_, helptext) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="YAML config file")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -68,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_validate(run: RunConfig) -> tuple[str, int]:
-    header = export.config_header(run.resolved, "validate")
+def cmd_validate(run: RunConfig, header: list[str]) -> tuple[str, int]:
     lines = list(header)
     failed = False
 
@@ -115,14 +107,13 @@ def cmd_validate(run: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_VALIDATION if failed else EXIT_OK
 
 
-def cmd_simulate(run: RunConfig) -> tuple[str, int]:
+def cmd_simulate(run: RunConfig, header: list[str]) -> tuple[str, int]:
     state = simulate_tem_path(run.spec, run.policy, run.delta, run.horizon,
                               seed=run.seed)
-    header = export.config_header(run.resolved, "simulate")
     return export.render_path_csv(state, header), EXIT_OK
 
 
-def cmd_converge(run: RunConfig) -> tuple[str, int]:
+def cmd_converge(run: RunConfig, header: list[str]) -> tuple[str, int]:
     exp = run.experiment
     if not exp.step_ladder:
         raise ConfigError("experiment.step_ladder", "required for converge")
@@ -138,63 +129,56 @@ def cmd_converge(run: RunConfig) -> tuple[str, int]:
         )
     except ValueError as exc:
         raise ConfigError("experiment.step_ladder", str(exc)) from exc
-    header = export.config_header(run.resolved, "converge")
     return export.render_convergence_csv(report, header), EXIT_OK
 
 
-def cmd_compare_schemes(run: RunConfig) -> tuple[str, int]:
+def cmd_compare_schemes(run: RunConfig, header: list[str]) -> tuple[str, int]:
     result = scheme_comparison(
         run.spec, run.policy, run.delta, run.horizon, run.num_paths, run.seed,
         threads=run.threads,
     )
-    header = export.config_header(run.resolved, "compare-schemes")
     return export.render_comparison_csv(result, header), EXIT_OK
 
 
-def cmd_price_bond(run: RunConfig) -> tuple[str, int]:
+def cmd_price_bond(run: RunConfig, header: list[str]) -> tuple[str, int]:
     result = bond_price(run.spec, run.policy, run.delta, run.horizon,
                         run.num_paths, run.seed, threads=run.threads)
-    header = export.config_header(run.resolved, "price-bond")
     return export.render_price_csv(result, header), EXIT_OK
 
 
-def cmd_price_barrier(run: RunConfig) -> tuple[str, int]:
+def cmd_price_barrier(run: RunConfig, header: list[str]) -> tuple[str, int]:
     exp = run.experiment
     result = barrier_option_price(
         run.spec, run.policy, run.delta, run.horizon, exp.strike, exp.barrier,
         run.num_paths, run.seed, threads=run.threads,
     )
-    header = export.config_header(run.resolved, "price-barrier")
     return export.render_price_csv(result, header), EXIT_OK
 
 
 _COMMANDS = {
-    "validate": cmd_validate,
-    "simulate": cmd_simulate,
-    "converge": cmd_converge,
-    "compare-schemes": cmd_compare_schemes,
-    "price-bond": cmd_price_bond,
-    "price-barrier": cmd_price_barrier,
+    "validate": (cmd_validate, "audit model assumptions and the truncation policy"),
+    "simulate": (cmd_simulate, "simulate one path and write it as CSV"),
+    "converge": (cmd_converge, "strong-error study over the configured step ladder"),
+    "compare-schemes": (cmd_compare_schemes, "pathwise TEM vs BEM distance at one step size"),
+    "price-bond": (cmd_price_bond, "Monte Carlo bond price"),
+    "price-barrier": (cmd_price_barrier, "Monte Carlo knock-out barrier option price"),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = load_config(args.config)
-        run = resolve_config(
-            raw,
-            seed=args.seed,
-            threads=args.threads,
-            no_inverse_drift=args.no_inverse_drift,
-            psi_exponent=args.psi_exponent,
-        )
+        run = resolve_config(load_config(args.config), seed=args.seed,
+                             threads=args.threads, no_inverse_drift=args.no_inverse_drift,
+                             psi_exponent=args.psi_exponent)
     except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    handler, _ = _COMMANDS[args.command]
+    header = export.config_header(run.resolved, args.command)
     try:
-        output, code = _COMMANDS[args.command](run)
+        output, code = handler(run, header)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

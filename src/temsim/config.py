@@ -10,9 +10,10 @@ field by its dotted path.
 from __future__ import annotations
 
 import copy
+import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -61,11 +62,11 @@ MODEL_PRESETS: dict[str, dict] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    strike: float = 0.01
-    barrier: float = 1.0
-    step_ladder: tuple[float, ...] = ()
-    reference_delta: Optional[float] = None
-    p: float = 2.0
+    strike: float
+    barrier: float
+    step_ladder: tuple[float, ...]
+    reference_delta: Optional[float]
+    p: float
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,10 @@ class RunConfig:
 
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fobj:
-        raw = yaml.safe_load(fobj)
+        try:
+            raw = yaml.safe_load(fobj)
+        except ValueError as exc:  # an integer past Python's 4300-digit limit
+            raise ConfigError("<root>", str(exc)) from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -91,43 +95,55 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _section(raw: dict, name: str, required: bool = False) -> dict:
+def _section(raw: dict, name: str, required: bool = False, **flags) -> dict:
+    """Section ``name`` with the given command-line values written over its
+    fields (a flag of None was not given)."""
     value = raw.get(name)
     if value is None:
         if required:
             raise ConfigError(name, "section is required")
-        return {}
+        value = {}
     if not isinstance(value, dict):
         raise ConfigError(name, "section must be a mapping")
-    return value
+    return {**value, **{key: v for key, v in flags.items() if v is not None}}
 
 
-def _number(section: dict, key: str, path: str, default=_REQUIRED,
-            minimum=None, exclusive=False, maximum=None) -> float:
-    if key not in section or section[key] is None:
+def _number(section: dict, key, path: str, default=_REQUIRED, minimum=None,
+            exclusive=False, maximum=None, integer=False):
+    """The finite number at ``section[key]`` (an integer key names a list
+    entry), or ``default`` when it is absent or null. With ``integer`` the
+    value must be integral and comes back as an exact ``int``."""
+    where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+    value = section.get(key)
+    if value is None:
         if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}", "field is required")
+            raise ConfigError(where, "field is required")
         return default
-    value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
-    value = float(value)
+        raise ConfigError(where, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise ConfigError(where, "integer out of range") from exc
+    if not math.isfinite(number):
+        raise ConfigError(where, f"expected a finite number, got {number}")
+    if integer:
+        if number != int(number):
+            raise ConfigError(where, f"expected an integer, got {number}")
+        number = value if isinstance(value, int) else int(number)
     if minimum is not None:
-        if exclusive and value <= minimum:
-            raise ConfigError(f"{path}.{key}", f"must be > {minimum}, got {value}")
-        if not exclusive and value < minimum:
-            raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}.{key}", f"must be <= {maximum}, got {value}")
-    return value
+        if exclusive and number <= minimum:
+            raise ConfigError(where, f"must be > {minimum}, got {number}")
+        if not exclusive and number < minimum:
+            raise ConfigError(where, f"must be >= {minimum}, got {number}")
+    if maximum is not None and number > maximum:
+        raise ConfigError(where, f"must be <= {maximum}, got {number}")
+    return number
 
 
 def _integer(section: dict, key: str, path: str, default=_REQUIRED,
              minimum=None) -> int:
-    value = _number(section, key, path, default=default, minimum=minimum)
-    if value != int(value):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {value}")
-    return int(value)
+    return _number(section, key, path, default=default, minimum=minimum, integer=True)
 
 
 def _boolean(section: dict, key: str, path: str, default: bool) -> bool:
@@ -210,9 +226,8 @@ def _parse_volatility(model: dict):
     if not isinstance(name, str):
         raise ConfigError("model.volatility.name", "field is required")
     level = _number(vol, "level", "model.volatility", default=0.25, minimum=0.0)
-    bound = vol.get("bound")
-    if bound is not None:
-        bound = _number(vol, "bound", "model.volatility", minimum=0.0, exclusive=True)
+    bound = _number(vol, "bound", "model.volatility", default=None, minimum=0.0,
+                    exclusive=True)
     try:
         return build_volatility(name, level=level, bound=bound), {
             "name": name, **({"level": level} if name == "constant" else {}),
@@ -257,133 +272,87 @@ def resolve_config(
 ) -> RunConfig:
     """Materialize a raw config dict into validated model/policy/run objects.
 
-    Keyword arguments are command-line overrides and take precedence over
-    the file; file values take precedence over defaults.
+    Keyword arguments are command-line overrides: each is written over its
+    file field and read by the same rules, so flags take precedence over
+    the file and file values over defaults. The values read are the echo
+    in ``RunConfig.resolved``.
     """
-    model_raw = _merge_preset(_section(raw, "model", required=True))
-    if no_inverse_drift:
-        model_raw["include_inverse_drift"] = False
-
+    model_raw = _merge_preset(_section(
+        raw, "model", required=True,
+        include_inverse_drift=False if no_inverse_drift else None))
     regimes = _parse_regimes(model_raw)
     volatility, vol_echo = _parse_volatility(model_raw)
     segment, seg_echo = _parse_segment(model_raw)
     generator = _parse_generator(model_raw, len(regimes))
-    rho = _number(model_raw, "rho", "model")
-    theta = _number(model_raw, "theta", "model")
-    tau = _number(model_raw, "tau", "model", default=1.0, minimum=0.0, exclusive=True)
-    lam = _number(model_raw, "jump_intensity", "model", default=1.0, minimum=0.0)
-    initial_regime = _integer(model_raw, "initial_regime", "model", default=1, minimum=1)
-    include_inverse = _boolean(model_raw, "include_inverse_drift", "model", True)
+    scalars = {
+        "rho": _number(model_raw, "rho", "model"),
+        "theta": _number(model_raw, "theta", "model"),
+        "tau": _number(model_raw, "tau", "model", default=1.0, minimum=0.0,
+                       exclusive=True),
+        "jump_intensity": _number(model_raw, "jump_intensity", "model", default=1.0,
+                                  minimum=0.0),
+        "initial_regime": _integer(model_raw, "initial_regime", "model", default=1,
+                                   minimum=1),
+        "include_inverse_drift": _boolean(model_raw, "include_inverse_drift", "model",
+                                          True),
+    }
     try:
-        spec = ModelSpec(
-            regimes=tuple(regimes), rho=rho, theta=theta, tau=tau,
-            jump_intensity=lam, volatility=volatility, initial_segment=segment,
-            generator=generator, initial_regime=initial_regime,
-            include_inverse_drift=include_inverse,
-        )
+        spec = ModelSpec(regimes=tuple(regimes), volatility=volatility,
+                         initial_segment=segment, generator=generator, **scalars)
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
+    model = {**scalars, "regimes": [asdict(r) for r in regimes],
+             "volatility": vol_echo, "initial_segment": seg_echo,
+             "generator": generator.entries.tolist()}
 
-    trunc = _section(raw, "truncation")
-    q = psi_exponent if psi_exponent is not None else _number(
-        trunc, "psi_exponent", "truncation", default=0.25, minimum=0.0, exclusive=True)
+    trunc = _section(raw, "truncation", psi_exponent=psi_exponent)
+    q = _number(trunc, "psi_exponent", "truncation", default=0.25, minimum=0.0,
+                exclusive=True)
     mu_preset = trunc.get("mu", "auto")
     if mu_preset not in ("auto", "3u2", "power_fit"):
         raise ConfigError("truncation.mu",
                           f"unknown preset {mu_preset!r}; known: auto, 3u2, power_fit")
-    delta_star = trunc.get("delta_star")
-    if delta_star is not None:
-        delta_star = _number(trunc, "delta_star", "truncation",
-                             minimum=0.0, exclusive=True)
+    delta_star = _number(trunc, "delta_star", "truncation", default=None, minimum=0.0,
+                         exclusive=True)
     try:
         policy = default_mu_for(spec, psi_exponent=q, mu_preset=mu_preset,
                                 delta_star=delta_star)
     except ValueError as exc:
         raise ConfigError("truncation", str(exc)) from exc
+    truncation = {"psi_exponent": q, "mu": policy.mu.name,
+                  "delta_star": policy.delta_star}
 
-    sim = _section(raw, "simulation")
-    delta = _number(sim, "delta", "simulation", default=1e-3, minimum=0.0,
-                    exclusive=True)
-    horizon = _number(sim, "horizon", "simulation", default=2.0, minimum=0.0)
-    num_paths = _integer(sim, "num_paths", "simulation", default=1000, minimum=1)
-    file_seed = _integer(sim, "seed", "simulation", default=0, minimum=0)
-    if seed is not None and seed < 0:
-        raise ConfigError("simulation.seed", f"must be >= 0, got {seed}")
-    run_seed = int(seed) if seed is not None else file_seed
-    file_threads = sim.get("threads")
-    if file_threads is not None:
-        file_threads = _integer(sim, "threads", "simulation", minimum=1)
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("simulation.threads", f"must be >= 1, got {threads}")
-        run_threads = int(threads)
-    elif file_threads is not None:
-        run_threads = file_threads
-    else:
-        run_threads = os.cpu_count() or 1
+    sim = _section(raw, "simulation", seed=seed, threads=threads)
+    simulation = {
+        "delta": _number(sim, "delta", "simulation", default=1e-3, minimum=0.0,
+                         exclusive=True),
+        "horizon": _number(sim, "horizon", "simulation", default=2.0, minimum=0.0),
+        "num_paths": _integer(sim, "num_paths", "simulation", default=1000, minimum=1),
+        "seed": _integer(sim, "seed", "simulation", default=0, minimum=0),
+        "threads": _integer(sim, "threads", "simulation",
+                            default=os.cpu_count() or 1, minimum=1),
+    }
 
     exp = _section(raw, "experiment")
-    ladder = exp.get("step_ladder", [])
-    if ladder is None:
-        ladder = []
-    if not isinstance(ladder, list):
+    ladder = exp.get("step_ladder")
+    if not isinstance(ladder, (list, type(None))):
         raise ConfigError("experiment.step_ladder", "expected a list of steps")
-    for idx, value in enumerate(ladder):
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"experiment.step_ladder[{idx}]",
-                              f"expected a positive step, got {value!r}")
-    reference_delta = exp.get("reference_delta")
-    if reference_delta is not None:
-        reference_delta = _number(exp, "reference_delta", "experiment",
-                                  minimum=0.0, exclusive=True)
-    experiment = ExperimentConfig(
-        strike=_number(exp, "strike", "experiment", default=0.01, minimum=0.0),
-        barrier=_number(exp, "barrier", "experiment", default=1.0, minimum=0.0,
-                        exclusive=True),
-        step_ladder=tuple(float(v) for v in ladder),
-        reference_delta=reference_delta,
-        p=_number(exp, "p", "experiment", default=2.0, minimum=1.0),
-    )
-
-    resolved = {
-        "model": {
-            "regimes": [
-                {"alpha_m1": r.alpha_m1, "alpha_0": r.alpha_0, "alpha_1": r.alpha_1,
-                 "alpha_2": r.alpha_2, "alpha_3": r.alpha_3}
-                for r in spec.regimes
-            ],
-            "rho": spec.rho,
-            "theta": spec.theta,
-            "tau": spec.tau,
-            "jump_intensity": spec.jump_intensity,
-            "initial_regime": spec.initial_regime,
-            "include_inverse_drift": spec.include_inverse_drift,
-            "volatility": vol_echo,
-            "initial_segment": seg_echo,
-            "generator": [[float(v) for v in row] for row in spec.generator.entries],
-        },
-        "truncation": {
-            "psi_exponent": policy.psi_exponent,
-            "mu": policy.mu.name,
-            "delta_star": policy.delta_star,
-        },
-        "simulation": {
-            "delta": delta,
-            "horizon": horizon,
-            "num_paths": num_paths,
-            "seed": run_seed,
-            "threads": run_threads,
-        },
-        "experiment": {
-            "strike": experiment.strike,
-            "barrier": experiment.barrier,
-            "step_ladder": list(experiment.step_ladder),
-            "reference_delta": experiment.reference_delta,
-            "p": experiment.p,
-        },
+    ladder = dict(enumerate(ladder or []))
+    experiment = {
+        "strike": _number(exp, "strike", "experiment", default=0.01, minimum=0.0),
+        "barrier": _number(exp, "barrier", "experiment", default=1.0, minimum=0.0,
+                           exclusive=True),
+        "step_ladder": [_number(ladder, idx, "experiment.step_ladder", minimum=0.0,
+                                exclusive=True) for idx in ladder],
+        "reference_delta": _number(exp, "reference_delta", "experiment", default=None,
+                                   minimum=0.0, exclusive=True),
+        "p": _number(exp, "p", "experiment", default=2.0, minimum=1.0),
     }
+
     return RunConfig(
-        spec=spec, policy=policy, delta=delta, horizon=horizon,
-        num_paths=num_paths, seed=run_seed, threads=run_threads,
-        experiment=experiment, resolved=resolved,
+        spec=spec, policy=policy, **simulation,
+        experiment=ExperimentConfig(**{**experiment,
+                                       "step_ladder": tuple(experiment["step_ladder"])}),
+        resolved={"model": model, "truncation": truncation,
+                  "simulation": simulation, "experiment": experiment},
     )

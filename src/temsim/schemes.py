@@ -113,7 +113,8 @@ def simulate_tem_path(
     Pass ``seed`` to draw path ``path_index`` of that run (row
     ``path_index`` of its batch draw), or ``noise`` (with regimes) to
     replay a recorded path; the result is a pure function of the noise
-    record. A :class:`SimulationError` carries ``seed`` and ``path_index``
+    record. With both, the noise drives the path and the seed only labels
+    errors. A :class:`SimulationError` carries ``seed`` and ``path_index``
     as its replay coordinates. The step snaps to an exact fraction of the
     delay and the horizon to a multiple of the step; read the effective
     values off the returned state.
@@ -140,7 +141,7 @@ def simulate_bem_path(
 def _resolve_run(spec, delta, horizon, seed, path_index, noise):
     """The grid, the noise record and its width-1 engine rows (Brownian,
     Poisson, regimes)."""
-    if (seed is None) == (noise is None):
+    if seed is None and noise is None:
         raise ValueError("pass exactly one of seed or noise")
     grid = resolve_grid(spec.tau, delta, horizon)
     if noise is None:

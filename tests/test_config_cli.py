@@ -1,13 +1,16 @@
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from temsim import export
 from temsim.cli import main
 from temsim.config import ConfigError, load_config, resolve_config
-from temsim.model import two_regime_demo
+from temsim.model import InitialSegment, ModelSpec, VolatilitySpec, two_regime_demo
+from temsim.regime import GeneratorMatrix
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -30,11 +33,23 @@ def demo_config(**sim):
 class TestResolveConfig:
     def test_preset_expands_to_demo_spec(self, tmp_path):
         run = resolve_config(load_config(write_config(tmp_path, demo_config())))
+        ys, rs = np.linspace(-1.0, 3.0, 9), np.array([1, 2] * 4 + [1])
+
+        def comparable(value):
+            if isinstance(value, GeneratorMatrix):
+                return value.entries.tolist()
+            if isinstance(value, VolatilitySpec):
+                return (value.name, value.bound_sigma, value.num_regimes,
+                        value.evaluate_many(ys, rs).tolist())
+            if isinstance(value, InitialSegment):
+                return (value.name, value.holder_constant, value.holder_exponent,
+                        value.eval(-0.5), value.eval(0.0))
+            return value
+
         demo = two_regime_demo()
-        assert run.spec.rho == demo.rho
-        assert run.spec.regimes == demo.regimes
-        assert np.array_equal(run.spec.generator.entries, demo.generator.entries)
-        assert run.spec.volatility.name == "sigmoid_s5"
+        for spec_field in fields(ModelSpec):
+            assert comparable(getattr(run.spec, spec_field.name)) == \
+                comparable(getattr(demo, spec_field.name)), spec_field.name
         assert run.seed == 3 and run.num_paths == 20
 
     def test_preset_field_override(self, tmp_path):
@@ -59,6 +74,27 @@ class TestResolveConfig:
         raw = load_config(write_config(tmp_path, demo_config()))
         with pytest.raises(ConfigError, match="simulation.threads"):
             resolve_config(raw, threads=threads)
+
+    def test_integers_read_exactly(self, tmp_path):
+        big = 2**53 + 1  # float(big) == 2**53
+        raw = load_config(write_config(tmp_path, demo_config(seed=big, num_paths=big)))
+        run = resolve_config(raw)
+        assert (run.seed, run.num_paths) == (big, big)
+        assert run.resolved["simulation"]["seed"] == big
+        assert resolve_config(raw, seed=big + 2).seed == big + 2
+        for value, message in ((10**400, "integer out of range"),
+                               (2.5, "expected an integer"),
+                               (True, "expected a number")):
+            with pytest.raises(ConfigError, match=f"simulation.seed: {message}"):
+                resolve_config(load_config(write_config(tmp_path, demo_config(seed=value))))
+            with pytest.raises(ConfigError, match=f"simulation.seed: {message}"):
+                resolve_config(raw, seed=value)
+        # past 4300 digits the YAML loader itself refuses the literal
+        path = tmp_path / "digits.yaml"
+        path.write_text("model: {preset: two_regime_demo}\n"
+                        "simulation: {seed: " + "9" * 5000 + "}\n")
+        with pytest.raises(ConfigError):
+            resolve_config(load_config(str(path)))
 
     def test_empty_config_names_missing_section(self, tmp_path):
         with pytest.raises(ConfigError, match="model"):
@@ -315,17 +351,62 @@ class TestCliCommands:
         assert "seed" in capsys.readouterr().err
 
     def test_header_echo_reproducibility(self, tmp_path):
-        # the echoed config in the header resolves to the same run
+        # the echoed config in the header resolves to the same run, field
+        # for field
+        def echoed(lines):
+            return yaml.safe_load("\n".join(
+                line[len("#   "):] for line in lines if line.startswith("#   ")))
+
         cfg = write_config(tmp_path, demo_config())
         out = tmp_path / "bond.csv"
         self.run_cli(["price-bond", "--config", cfg, "--seed", "12",
                       "--out", str(out)])
-        header_yaml = "\n".join(
-            line[len("#   "):] for line in out.read_text().splitlines()
-            if line.startswith("#   ")
-        )
-        echoed = yaml.safe_load(header_yaml)
-        rerun = resolve_config(echoed)
+        echo = echoed(out.read_text().splitlines())
+        rerun = resolve_config(echo)
         assert rerun.seed == 12
         assert rerun.policy.delta_star == pytest.approx(
-            echoed["truncation"]["delta_star"], rel=1e-12)
+            echo["truncation"]["delta_star"], rel=1e-12)
+        assert rerun.resolved == echo
+        for name in ("two_regime.yaml", "convergence.yaml"):
+            run = resolve_config(load_config(str(REPO_CONFIGS / name)))
+            echo = echoed(export.config_header(run.resolved, "converge"))
+            assert echo == run.resolved
+            assert resolve_config(echo).resolved == run.resolved, name
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("field", [
+        "model.rho", "model.tau", "model.jump_intensity",
+        "model.initial_segment.value", "experiment.strike", "experiment.barrier",
+        "experiment.p", "simulation.delta", "simulation.horizon",
+        "--psi-exponent",
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, field, value):
+        cfg, flags = demo_config(), []
+        if field.startswith("--"):
+            flags, field = [field, value], "truncation.psi_exponent"
+        else:
+            *sections, key = field.split(".")
+            node = cfg
+            for name in sections:
+                node = node.setdefault(name, {})
+            node[key] = float(value)
+        path = write_config(tmp_path, cfg)
+        assert self.run_cli(["price-barrier", "--config", path, *flags]) == 2
+        assert f"config error: {field}: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_seed_read_exactly(self, tmp_path, capsys, where):
+        def run(seed):
+            cfg = demo_config(horizon=0.05)
+            if where == "file":
+                cfg["simulation"]["seed"] = seed
+            flags = ["--seed", str(seed)] if where == "flag" else []
+            path = write_config(tmp_path, cfg)
+            return self.run_cli(["simulate", "--config", path, *flags,
+                                 "--out", str(tmp_path / "path.csv")])
+
+        seed = 2**53 + 1
+        assert run(seed) == 0
+        assert f"#     seed: {seed}" in (tmp_path / "path.csv").read_text().splitlines()
+        assert run(10**400) == 2
+        assert "simulation.seed: integer out of range" in capsys.readouterr().err

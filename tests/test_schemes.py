@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 
@@ -13,7 +14,7 @@ from temsim.model import (
     constant_segment,
     two_regime_demo,
 )
-from temsim.noise import NoiseIncrements
+from temsim.noise import NoiseIncrements, load_noise, save_noise
 from temsim.regime import GeneratorMatrix
 from temsim.schemes import (
     PathState,
@@ -189,13 +190,13 @@ class TestSimulateTem:
         assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[1], runs[2])
 
     def test_requires_exactly_one_noise_source(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pass exactly one of seed or noise"):
             simulate_tem_path(DEMO, POLICY, 1e-2, 1.0)
-        noise = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
-                                  seed=0, path_index=0).noise
-        with pytest.raises(ValueError):
-            simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
-                              seed=0, path_index=0, noise=noise)
+        # with both, the record drives the path and the seed only labels errors
+        state = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0, seed=0, path_index=0)
+        labelled = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
+                                     seed=9, path_index=4, noise=state.noise)
+        assert labelled.values.tobytes() == state.values.tobytes()
 
     def test_noise_grid_mismatch_rejected(self):
         noise = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
@@ -346,3 +347,32 @@ class TestNonFiniteDetection:
         assert err.value.seed == 55
         assert err.value.path_index in (0, 1)
         assert "replay" in str(err.value)
+
+    def test_replayed_record_names_its_seed(self):
+        # a record replayed with the seed it was drawn from fails with the
+        # same replay coordinates as the seeded run
+        spec = ModelSpec(
+            regimes=(RegimeParams(0.0, 0.0, 0.0, 0.0, 2.0),),
+            rho=2.0, theta=1.25, tau=1.0, jump_intensity=2000.0,
+            volatility=build_volatility("zero"),
+            initial_segment=constant_segment(1.0),
+            generator=GeneratorMatrix(np.zeros((1, 1))),
+            initial_regime=1, include_inverse_drift=False,
+        )
+        policy = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
+        grid = resolve_grid(1.0, 1e-2, 2.0)
+        b, p, r = engine.draw_batch_noise(spec, grid, 55, [3])
+        fobj = io.BytesIO()
+        save_noise(NoiseIncrements(grid.delta, b[0], p[0], r[0]), fobj, seed=55,
+                   path_index=3, tau_steps=grid.tau_steps, jump_intensity=2000.0)
+        fobj.seek(0)
+        record, header = load_noise(fobj)
+        messages = []
+        for kwargs in ({"seed": 55}, {"seed": header["seed"], "noise": record}):
+            with pytest.raises(SimulationError) as err:
+                simulate_tem_path(spec, policy, 0.01, 2.0,
+                                  path_index=header["path_index"], **kwargs)
+            assert (err.value.seed, err.value.path_index) == (55, 3)
+            messages.append(str(err.value))
+        assert "(replay: seed=55, path=3, delta=0.01)" in messages[0]
+        assert messages[1] == messages[0]
