@@ -147,7 +147,9 @@ def _integer(section: dict, key: str, path: str, default=_REQUIRED,
 
 
 def _boolean(section: dict, key: str, path: str, default: bool) -> bool:
-    value = section.get(key, default)
+    value = section.get(key)
+    if value is None:
+        return default
     if not isinstance(value, bool):
         raise ConfigError(f"{path}.{key}", f"expected true/false, got {value!r}")
     return value
@@ -163,11 +165,12 @@ def _merge_preset(model_raw: dict) -> dict:
             f"unknown preset {preset_name!r}; known: {sorted(MODEL_PRESETS)}",
         )
     merged = copy.deepcopy(MODEL_PRESETS[preset_name])
+    # a null field keeps the preset's value, its default
     for key, value in model_raw.items():
-        if key == "preset":
+        if key == "preset" or value is None:
             continue
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key].update(value)
+            merged[key].update((k, v) for k, v in value.items() if v is not None)
         else:
             merged[key] = value
     return merged
@@ -219,30 +222,40 @@ def _parse_generator(model: dict, num_regimes: int) -> GeneratorMatrix:
 
 
 def _parse_volatility(model: dict):
-    vol = model.get("volatility", {"name": "sigmoid_s5"})
+    vol = model.get("volatility")
+    if vol is None:
+        vol = {"name": "sigmoid_s5"}
     if not isinstance(vol, dict):
         raise ConfigError("model.volatility", "expected a mapping with a 'name'")
     name = vol.get("name")
     if not isinstance(name, str):
         raise ConfigError("model.volatility.name", "field is required")
-    level = _number(vol, "level", "model.volatility", default=0.25, minimum=0.0)
+    echo = {"name": name}
+    if name == "constant":
+        echo["level"] = _number(vol, "level", "model.volatility", default=0.25,
+                                minimum=0.0)
     bound = _number(vol, "bound", "model.volatility", default=None, minimum=0.0,
                     exclusive=True)
     try:
-        return build_volatility(name, level=level, bound=bound), {
-            "name": name, **({"level": level} if name == "constant" else {}),
-            **({"bound": bound} if bound is not None else {}),
-        }
+        volatility = build_volatility(name, level=echo.get("level", 0.25), bound=bound)
     except ValueError as exc:
         raise ConfigError("model.volatility.name", str(exc)) from exc
+    if name != "constant" and vol.get("level") is not None:
+        raise ConfigError("model.volatility.level",
+                          f"applies only to the 'constant' volatility, not {name!r}")
+    if bound is not None:
+        echo["bound"] = bound
+    return volatility, echo
 
 
 def _parse_segment(model: dict) -> tuple[InitialSegment, dict]:
-    seg = model.get("initial_segment", {"kind": "constant", "value": 0.02})
+    seg = model.get("initial_segment")
+    if seg is None:
+        seg = {}
     if not isinstance(seg, dict):
         raise ConfigError("model.initial_segment", "expected a mapping")
-    kind = seg.get("kind", "constant")
-    if kind != "constant":
+    kind = seg.get("kind")
+    if kind not in (None, "constant"):
         raise ConfigError(
             "model.initial_segment.kind",
             f"unknown kind {kind!r}; config files support 'constant' "
@@ -308,7 +321,9 @@ def resolve_config(
     trunc = _section(raw, "truncation", psi_exponent=psi_exponent)
     q = _number(trunc, "psi_exponent", "truncation", default=0.25, minimum=0.0,
                 exclusive=True)
-    mu_preset = trunc.get("mu", "auto")
+    mu_preset = trunc.get("mu")
+    if mu_preset is None:
+        mu_preset = "auto"
     if mu_preset not in ("auto", "3u2", "power_fit"):
         raise ConfigError("truncation.mu",
                           f"unknown preset {mu_preset!r}; known: auto, 3u2, power_fit")

@@ -4,14 +4,15 @@ Simulates batches of paths on a shared uniform grid. One path is the
 special case of a batch of width one, so the scalar convenience wrappers
 in :mod:`temsim.schemes` and the Monte Carlo estimators all run through
 the same arithmetic. Each path draws its noise from its own counter-based
-substreams, so results are independent of batch boundaries.
+substreams, so results are independent of batch boundaries, and a batch
+draws it one block of steps at a time as the schemes consume it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -77,32 +78,100 @@ def resolve_grid(tau: float, delta: float, horizon: float) -> Grid:
     return Grid(delta=eff, tau_steps=m, num_steps=k)
 
 
+# Steps per noise draw: a chunk holds its noise one block of this many
+# steps at a time, a multiple of the march block of :func:`_march`
+DRAW_STEPS = 4 * BLOCK_STEPS
+
+
+@dataclass(frozen=True)
+class NoiseBlocks:
+    """The noise of P paths over K steps, one block of steps at a time.
+
+    Iterating yields ``(brownian, poisson, regimes)`` per block of b
+    consecutive steps: the increments, shape (P, b), and the regimes at
+    the block's b + 1 nodes, its first node through the next block's
+    first. A drawn source (:func:`draw_batch_noise`) yields its blocks
+    once; a list of blocks (:func:`noise_blocks`) any number of times.
+    """
+
+    shape: tuple[int, int]
+    blocks: Iterable
+
+    @property
+    def size(self) -> int:
+        """Path-steps covered: P * K."""
+        return self.shape[0] * self.shape[1]
+
+    def __iter__(self) -> Iterator:
+        return iter(self.blocks)
+
+    def tap(self, keep: Callable) -> "NoiseBlocks":
+        """The same blocks, each passed to ``keep`` as it is yielded."""
+        def tapped():
+            for block in self.blocks:
+                keep(block)
+                yield block
+                del block
+        return NoiseBlocks(self.shape, tapped())
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The whole noise: Brownian (P,K), Poisson (P,K), regimes (P,K+1)."""
+        brownian, poisson, regimes = zip(*self)
+        return (np.concatenate(brownian, axis=1), np.concatenate(poisson, axis=1),
+                np.concatenate([r[:, :-1] for r in regimes] + [regimes[-1][:, -1:]],
+                               axis=1))
+
+
+def noise_blocks(brownian: np.ndarray, poisson: np.ndarray,
+                 regimes: np.ndarray) -> NoiseBlocks:
+    """Whole arrays as one block: Brownian (P,K), Poisson (P,K), regimes (P,K+1)."""
+    if np.ndim(brownian) != 2:
+        raise ValueError("noise arrays must have shape (num_paths, num_steps)")
+    _check_shapes(brownian, poisson, regimes, *np.shape(brownian))
+    return NoiseBlocks(np.shape(brownian), [(brownian, poisson, regimes)])
+
+
 def draw_batch_noise(
     spec: ModelSpec,
     grid: Grid,
     master_seed: int,
     path_indices: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-path noise for a batch: Brownian (P,K), Poisson (P,K), regimes (P,K+1).
+    block_steps: Optional[int] = None,
+) -> NoiseBlocks:
+    """Per-path noise for a batch, drawn one block of ``block_steps`` steps
+    (default :data:`DRAW_STEPS`) at a time as the blocks are consumed.
 
-    Row p is drawn from the substreams of ``path_indices[p]`` alone, so it
-    does not depend on the other rows; a single path is the width-1 draw.
+    Row p is drawn from the substreams of ``path_indices[p]`` alone, and
+    each block continues those streams and the chain where the last one
+    stopped, so a row depends neither on the other rows nor on the block
+    size; a single path is the width-1 draw.
     """
-    p = len(path_indices)
-    k = grid.num_steps
-    brownian = np.empty((p, k))
-    poisson = np.empty((p, k), dtype=np.int64)
-    uniforms = np.empty((p, k))
+    streams = [rng.path_streams(master_seed, int(idx)) for idx in path_indices]
+    return NoiseBlocks((len(streams), grid.num_steps),
+                       _drawn_blocks(spec, grid, streams, block_steps or DRAW_STEPS))
+
+
+def _drawn_blocks(spec, grid, streams, size):
+    p, k = len(streams), grid.num_steps
     sqrt_dt = np.sqrt(grid.delta)
     mean_jumps = spec.jump_intensity * grid.delta
-    for row, idx in enumerate(path_indices):
-        streams = rng.path_streams(master_seed, int(idx))
-        draw_increments(streams, sqrt_dt, mean_jumps, brownian[row], poisson[row])
-        uniforms[row] = streams.chain.random(k)
-    regimes = sample_chain_paths_batch(
-        spec.generator, spec.initial_regime, grid.delta, k, uniforms
-    )
-    return brownian, poisson, regimes
+    states = spec.initial_regime
+    # one block of no steps when k = 0: the regime at node 0
+    for start in range(0, max(k, 1), size):
+        width = min(size, k - start)
+        brownian, uniforms = np.empty((p, width)), np.empty((p, width))
+        poisson = np.empty((p, width), dtype=np.int64)
+        for row, path in enumerate(streams):
+            draw_increments(path, sqrt_dt, mean_jumps, brownian[row], poisson[row])
+            path.chain.random(out=uniforms[row])
+        regimes = sample_chain_paths_batch(
+            spec.generator, states, grid.delta, width, uniforms
+        )
+        # a copy: a view would keep this block's regimes alive
+        states = regimes[:, -1].copy()
+        del uniforms
+        yield brownian, poisson, regimes
+        del brownian, poisson, regimes
 
 
 def initial_values(spec: ModelSpec, grid: Grid) -> np.ndarray:
@@ -112,12 +181,14 @@ def initial_values(spec: ModelSpec, grid: Grid) -> np.ndarray:
     return np.array([spec.initial_segment.eval(float(t)) for t in ts])
 
 
-def _march(spec, grid, tables, brownian, poisson, regimes, step) -> np.ndarray:
+def _march(spec, grid, tables, noise, step) -> np.ndarray:
     """Block loop shared by the TEM and BEM schemes: the method of steps.
 
-    The delay spans M steps, so the delayed values of the next ``B <= M``
-    steps are nodes already computed. Each block evaluates the volatility
-    on the (P, B) delayed slice once, gathers the regime coefficients once,
+    Pulls the noise from ``noise`` (:class:`NoiseBlocks`) one block at a
+    time and steps through each in march blocks of ``B <= M`` steps: the
+    delay spans M steps, so the delayed values of the next B steps are
+    nodes already computed. Each march block evaluates the volatility on
+    the (P, B) delayed slice once, gathers the regime coefficients once,
     and copies its noise into contiguous (B, P) scratch. Then
     ``step(x, rows, j, phi, d_b, d_n, node)`` maps the length-P state ``x``
     at ``node`` (step j of the block, coefficients ``rows``) to the next
@@ -127,8 +198,9 @@ def _march(spec, grid, tables, brownian, poisson, regimes, step) -> np.ndarray:
     transposed copy.
     """
     m, k = grid.tau_steps, grid.num_steps
-    num_paths = brownian.shape[0]
-    _check_shapes(brownian, poisson, regimes, num_paths, k)
+    num_paths = noise.shape[0]
+    if noise.shape[1] != k:
+        raise ValueError(f"noise covers {noise.shape[1]} steps, the grid {k}")
 
     values = np.empty((num_paths, m + k + 1))
     values[:, : m + 1] = initial_values(spec, grid)[None, :]
@@ -138,21 +210,34 @@ def _march(spec, grid, tables, brownian, poisson, regimes, step) -> np.ndarray:
     d_n = np.empty((size, num_paths))
     block = np.empty((size, num_paths))
     x = values[:, m].copy()
+    start = 0
     # overflow to inf is caught by the callers' finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, k, size):
-            stop = min(start + size, k)
-            phi = spec.volatility.evaluate_many(
-                values[:, start:stop], regimes[:, start:stop])
-            phi = np.ascontiguousarray(phi.T)
-            rows = tables.gather(np.ascontiguousarray(regimes[:, start:stop].T) - 1)
-            np.copyto(d_b[: stop - start], brownian[:, start:stop].T)
-            np.copyto(d_n[: stop - start], poisson[:, start:stop].T)
-            jumps = d_n[: stop - start].any(axis=1).tolist()
-            for j, (phi_j, d_b_j, d_n_j, jumped) in enumerate(zip(phi, d_b, d_n, jumps)):
-                x = step(x, rows, j, phi_j, d_b_j, d_n_j if jumped else None, start + j)
-                block[j] = x
-            values[:, m + start + 1 : m + stop + 1] = block[: stop - start].T
+        for brownian, poisson, regimes in noise:
+            width = np.shape(brownian)[-1]
+            _check_shapes(brownian, poisson, regimes, num_paths, width)
+            for lo in range(0, width, size):
+                hi = min(lo + size, width)
+                phi = spec.volatility.evaluate_many(
+                    values[:, start:start + hi - lo], regimes[:, lo:hi])
+                phi = np.ascontiguousarray(phi.T)
+                rows = tables.gather(np.ascontiguousarray(regimes[:, lo:hi].T) - 1)
+                np.copyto(d_b[: hi - lo], brownian[:, lo:hi].T)
+                np.copyto(d_n[: hi - lo], poisson[:, lo:hi].T)
+                jumps = d_n[: hi - lo].any(axis=1).tolist()
+                for j, (phi_j, d_b_j, d_n_j, jumped) in enumerate(
+                        zip(phi, d_b, d_n, jumps)):
+                    x = step(x, rows, j, phi_j, d_b_j, d_n_j if jumped else None,
+                             start + j)
+                    block[j] = x
+                values[:, m + start + 1 : m + start + hi - lo + 1] = block[: hi - lo].T
+                start += hi - lo
+            # no reference to a spent block while the next one is drawn,
+            # here or in a generator feeding this loop: a chunk holds one block
+            del brownian, poisson, regimes
+    if start != k:
+        # a drawn source is spent by the first run through it
+        raise ValueError(f"noise blocks covered {start} of {k} steps")
     return values
 
 
@@ -181,14 +266,13 @@ def simulate_tem_batch(
     spec: ModelSpec,
     policy: TruncationPolicy,
     grid: Grid,
-    brownian: np.ndarray,
-    poisson: np.ndarray,
-    regimes: np.ndarray,
+    noise: NoiseBlocks,
     *,
     seed: Optional[int] = None,
     path_indices: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Truncated EM trajectories, shape (P, M+K+1); column j is node j - M.
+    """Truncated EM trajectories, shape (P, M+K+1); column j is node j - M,
+    driven by ``noise`` (:class:`NoiseBlocks`).
 
     Each step is :func:`tem_update`, with the volatility at the value one
     delay back.
@@ -196,8 +280,7 @@ def simulate_tem_batch(
     # 0-d arrays: the same products as Python floats, cheaper ufunc operands
     lower, upper = map(np.asarray, truncation_band(grid.delta, policy))
     step = partial(tem_update, delta=np.asarray(grid.delta), lower=lower, upper=upper)
-    values = _march(spec, grid, CoefficientTables(spec), brownian, poisson,
-                    regimes, step)
+    values = _march(spec, grid, CoefficientTables(spec), noise, step)
     _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)
     return values
 
@@ -205,14 +288,13 @@ def simulate_tem_batch(
 def simulate_bem_batch(
     spec: ModelSpec,
     grid: Grid,
-    brownian: np.ndarray,
-    poisson: np.ndarray,
-    regimes: np.ndarray,
+    noise: NoiseBlocks,
     *,
     seed: Optional[int] = None,
     path_indices: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Backward (drift-implicit) EM trajectories with explicit noise terms.
+    """Backward (drift-implicit) EM trajectories with explicit noise terms,
+    driven by ``noise`` (:class:`NoiseBlocks`).
 
     Each step solves ``z - delta * f(z, r) = x + phi * g(x) * dB + h(x) * dN``
     for z. With the inverse drift term present the root is confined to
@@ -235,7 +317,7 @@ def simulate_bem_batch(
     step = partial(bem_update, delta=grid.delta,
                    positive_domain=spec.include_inverse_drift,
                    seed=seed, path_indices=path_indices)
-    values = _march(spec, grid, tables, brownian, poisson, regimes, step)
+    values = _march(spec, grid, tables, noise, step)
     _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)
     return values
 
@@ -373,7 +455,8 @@ def coarsen_batch(
 
     Brownian and Poisson increments are sums over blocks of ``factor``
     steps, so the total jump count is kept exactly; the regime at a coarse
-    node is the fine regime at the same node.
+    node is the fine regime at the same node. The results are new arrays,
+    so coarse noise does not keep its fine noise alive.
     """
     if factor == 1:
         return brownian, poisson, regimes
@@ -383,5 +466,5 @@ def coarsen_batch(
     return (
         brownian.reshape(*brownian.shape[:-1], k // factor, factor).sum(axis=-1),
         poisson.reshape(*poisson.shape[:-1], k // factor, factor).sum(axis=-1),
-        regimes[:, ::factor],
+        regimes[:, ::factor].copy(),
     )

@@ -9,6 +9,7 @@ completion order.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -91,24 +92,44 @@ def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
     return [worker(r) for r in ranges]
 
 
-def _chunk(spec, policy, grid, seed, reduce, path_range):
-    """The chunk pipeline of every estimator: draw the noise of the paths in
-    ``path_range``, run TEM on ``grid`` and return ``reduce(values, rerun)``.
-    ``rerun(level, bem)`` reruns that noise on a ``(grid, factor)`` level of
-    :func:`_coupled_grids`, or through BEM."""
+def _chunk(spec, policy, grid, seed, reduce, path_range, factors=(), keep=False):
+    """The chunk pipeline of every estimator: run TEM on ``grid`` over the
+    noise of the paths in ``path_range``, drawn one block at a time, and
+    return ``reduce(values, rerun)``.
+
+    The noise is kept only as ``rerun`` needs it. ``rerun(level)`` runs TEM
+    on a ``(grid, factor)`` level of :func:`_coupled_grids`, one of
+    ``factors``, from the coarse noise each block was summed into as it was
+    drawn; ``rerun(bem=True)`` runs BEM on the noise the TEM run drew,
+    kept when ``keep``.
+    """
     indices = np.arange(*path_range)
-    noise = engine.draw_batch_noise(spec, grid, seed, indices)
     ids = dict(seed=seed, path_indices=indices)
+    # a draw block of whole coarse steps at every level; noise that is kept
+    # is drawn whole, as blocks would save only the chain uniforms
+    lcm = math.lcm(*factors)
+    steps = max(grid.num_steps, 1) if keep else -(-engine.DRAW_STEPS // lcm) * lcm
+    noise = engine.draw_batch_noise(spec, grid, seed, indices, steps)
+    kept = []
+    coarse = {factor: [] for factor in factors}
+
+    def keep_block(block):
+        if keep:
+            kept.append(block)
+        for factor, blocks in coarse.items():
+            blocks.append(engine.coarsen_batch(*block, factor))
+
+    values = engine.simulate_tem_batch(spec, policy, grid, noise.tap(keep_block), **ids)
 
     def rerun(level=None, bem=False):
-        coarse, channels = grid, noise
-        if level is not None:
-            coarse, channels = level[0], engine.coarsen_batch(*noise, level[1])
         if bem:
-            return engine.simulate_bem_batch(spec, coarse, *channels, **ids)
-        return engine.simulate_tem_batch(spec, policy, coarse, *channels, **ids)
+            return engine.simulate_bem_batch(
+                spec, grid, engine.NoiseBlocks(noise.shape, kept), **ids)
+        level_grid, factor = level
+        return engine.simulate_tem_batch(spec, policy, level_grid, engine.NoiseBlocks(
+            (len(indices), level_grid.num_steps), coarse[factor]), **ids)
 
-    return reduce(rerun(), rerun)
+    return reduce(values, rerun)
 
 
 def _discount(grid, values, _rerun) -> np.ndarray:
@@ -189,7 +210,7 @@ def scheme_comparison(
     """Pathwise sup-distance between TEM and BEM under shared noise."""
     grid = resolve_grid(spec.tau, delta, horizon)
     worker = partial(_chunk, spec, policy, grid, master_seed,
-                     partial(_tem_bem_distance, grid))
+                     partial(_tem_bem_distance, grid), keep=True)
     distances = np.concatenate(_run_chunks(worker, num_paths, threads))
     base = EstimatorResult.from_samples(distances)
     qs = (0.1, 0.5, 0.9)
@@ -228,10 +249,16 @@ def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
     return ref, levels
 
 
+def _coarse_factors(levels) -> tuple[int, ...]:
+    """The factors of the levels a reduction reruns: all but the reference's."""
+    return tuple(sorted({factor for _, factor in levels if factor > 1}))
+
+
 def _sup_errors(ref_grid, levels, fine, rerun) -> np.ndarray:
     sups = np.empty((len(levels), fine.shape[0]))
     for row, (grid, factor) in enumerate(levels):
-        coarse = rerun((grid, factor))
+        # a level at the reference step is the pipeline's own run
+        coarse = fine if factor == 1 else rerun((grid, factor))
         fine_at_nodes = fine[:, ref_grid.tau_steps::factor]
         sups[row] = np.abs(coarse[:, grid.tau_steps:] - fine_at_nodes).max(axis=1)
     return sups
@@ -267,7 +294,8 @@ def strong_error(
     deltas_desc = [float(coarse_deltas[i]) for i in order]
     ref_grid, levels = _coupled_grids(spec, deltas_desc, reference_delta, horizon)
     worker = partial(_chunk, spec, policy, ref_grid, master_seed,
-                     partial(_sup_errors, ref_grid, levels))
+                     partial(_sup_errors, ref_grid, levels),
+                     factors=_coarse_factors(levels))
     sups = np.concatenate(_run_chunks(worker, num_paths, threads), axis=1)
 
     powered = sups**p
@@ -328,7 +356,7 @@ def moment_curves(
     finest = min(deltas)
     fine_grid, levels = _coupled_grids(spec, list(deltas), finest, horizon)
     worker = partial(_chunk, spec, policy, fine_grid, master_seed,
-                     partial(_moments, levels, p))
+                     partial(_moments, levels, p), factors=_coarse_factors(levels))
     chunks = _run_chunks(worker, num_paths, threads)
     return {grid.delta: np.concatenate([c[row] for c in chunks]).mean(axis=0)
             for row, (grid, _) in enumerate(levels)}

@@ -112,9 +112,10 @@ def matrix_exponential(generator: GeneratorMatrix, delta: float) -> TransitionMa
     return TransitionMatrix(entries=result, step=float(delta))
 
 
-def _march_chain(transition: TransitionMatrix, initial_state: int,
+def _march_chain(transition: TransitionMatrix, initial_state,
                  uniforms: np.ndarray) -> np.ndarray:
-    """Chain paths of shape (P, K+1) from the (P, K) ``uniforms``.
+    """Chain paths of shape (P, K+1) from the (P, K) ``uniforms``, started
+    in ``initial_state``: one state for every path, or one per path.
 
     From state i, a step moves to the smallest state j whose cumulative row
     probability strictly exceeds the step's uniform u; if u is at or beyond
@@ -123,18 +124,19 @@ def _march_chain(transition: TransitionMatrix, initial_state: int,
     bound of each branch is inclusive).
     """
     n = transition.num_states
-    if not 1 <= initial_state <= n:
-        raise ValueError(f"state {initial_state} outside 1..{n}")
     num_paths, num_steps = uniforms.shape
     paths = np.empty((num_paths, num_steps + 1), dtype=np.int64)
     paths[:, 0] = initial_state
+    outside = (paths[:, 0] < 1) | (paths[:, 0] > n)
+    if outside.any():
+        raise ValueError(f"state {paths[outside, 0][0]} outside 1..{n}")
     if num_steps == 0:
         return paths
     cum = transition._cumulative[:, : n - 1]
     # 0-based states; per block, tabulate each step's successor of every
     # state at once (the count of partial sums <= u), so a step is one
     # lookup in contiguous (block, P) rows
-    states = np.full(num_paths, initial_state - 1, dtype=np.int64)
+    states = paths[:, 0] - 1
     cols = np.arange(num_paths)
     size = min(num_steps, BLOCK_STEPS)
     block = np.empty((size, num_paths), dtype=np.int64)
@@ -173,7 +175,7 @@ def sample_chain_path(
 
 def sample_chain_paths_batch(
     generator: GeneratorMatrix,
-    initial_state: int,
+    initial_state,
     delta: float,
     num_steps: int,
     uniforms: np.ndarray,
@@ -182,7 +184,9 @@ def sample_chain_paths_batch(
 
     ``uniforms`` has shape (num_paths, num_steps); the returned array has
     shape (num_paths, num_steps + 1). Path p consumes uniforms[p] exactly as
-    :func:`sample_chain_path` consumes its stream's draws.
+    :func:`sample_chain_path` consumes its stream's draws. ``initial_state``
+    is one state for every path or one per path, so a chain can be marched
+    block by block from where the last block ended.
     """
     if np.ndim(uniforms) != 2 or uniforms.shape[1] != num_steps:
         raise ValueError("uniforms must have shape (num_paths, num_steps)")

@@ -121,7 +121,7 @@ def simulate_tem_path(
     """
     grid, noise, rows = _resolve_run(spec, delta, horizon, seed, path_index, noise)
     return _path_state(grid, noise, engine.simulate_tem_batch(
-        spec, policy, grid, *rows, seed=seed, path_indices=[path_index]))
+        spec, policy, grid, rows, seed=seed, path_indices=[path_index]))
 
 
 def simulate_bem_path(
@@ -135,29 +135,28 @@ def simulate_bem_path(
     """Backward-EM companion to :func:`simulate_tem_path` (no truncation)."""
     grid, noise, rows = _resolve_run(spec, delta, horizon, seed, path_index, noise)
     return _path_state(grid, noise, engine.simulate_bem_batch(
-        spec, grid, *rows, seed=seed, path_indices=[path_index]))
+        spec, grid, rows, seed=seed, path_indices=[path_index]))
 
 
 def _resolve_run(spec, delta, horizon, seed, path_index, noise):
-    """The grid, the noise record and its width-1 engine rows (Brownian,
-    Poisson, regimes)."""
+    """The grid, the noise record and its width-1 engine noise."""
     if seed is None and noise is None:
         raise ValueError("pass exactly one of seed or noise")
     grid = resolve_grid(spec.tau, delta, horizon)
     if noise is None:
-        rows = engine.draw_batch_noise(spec, grid, seed, [path_index])
-        return grid, NoiseIncrements(grid.delta, *(row[0] for row in rows)), rows
-    if abs(noise.delta - grid.delta) > 1e-12 * grid.delta:
+        rows = engine.draw_batch_noise(spec, grid, seed, [path_index]).arrays()
+        noise = NoiseIncrements(grid.delta, *(row[0] for row in rows))
+    elif abs(noise.delta - grid.delta) > 1e-12 * grid.delta:
         raise ValueError(
             f"noise recorded at delta {noise.delta:g} but the grid resolves "
             f"to {grid.delta:g}"
         )
-    if noise.num_steps != grid.num_steps:
+    elif noise.num_steps != grid.num_steps:
         raise ValueError(
             f"noise has {noise.num_steps} steps but the horizon needs "
             f"{grid.num_steps}"
         )
-    if noise.regimes is None:
+    elif noise.regimes is None:
         raise ValueError("path simulation needs a regime trajectory in the noise record")
-    return grid, noise, (noise.brownian[None, :], noise.poisson[None, :],
-                         noise.regimes[None, :])
+    return grid, noise, engine.noise_blocks(
+        noise.brownian[None, :], noise.poisson[None, :], noise.regimes[None, :])

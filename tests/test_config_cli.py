@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -8,7 +9,7 @@ import yaml
 
 from temsim import export
 from temsim.cli import main
-from temsim.config import ConfigError, load_config, resolve_config
+from temsim.config import MODEL_PRESETS, ConfigError, load_config, resolve_config
 from temsim.model import InitialSegment, ModelSpec, VolatilitySpec, two_regime_demo
 from temsim.regime import GeneratorMatrix
 
@@ -154,6 +155,46 @@ class TestResolveConfig:
         cfg = {"model": {"preset": "two_regime_demo",
                          "volatility": {"name": "mystery"}}}
         with pytest.raises(ConfigError, match="model.volatility"):
+            resolve_config(cfg)
+
+    @pytest.mark.parametrize("preset", [True, False], ids=["preset", "explicit"])
+    @pytest.mark.parametrize("path", [
+        ("model", "include_inverse_drift"),
+        ("truncation", "mu"),
+        ("model", "volatility"),
+        ("model", "initial_segment"),
+        ("model", "initial_segment", "kind"),
+    ], ids=".".join)
+    def test_null_field_means_default(self, path, preset):
+        """A null field reads as its default, whether the model comes from a
+        preset or is written out in full."""
+        model = {"preset": "two_regime_demo"} if preset else \
+            copy.deepcopy(MODEL_PRESETS["two_regime_demo"])
+        raw = {"model": model, "truncation": {"psi_exponent": 2.0 / 3.0}}
+        *parents, key = path
+        section = raw
+        for name in parents:
+            section = section.setdefault(name, {})
+        section.pop(key, None)
+        absent = copy.deepcopy(raw)
+        section[key] = None
+        assert resolve_config(raw).resolved == resolve_config(absent).resolved
+
+    @pytest.mark.parametrize("name", ["sigmoid_s5", "zero"])
+    @pytest.mark.parametrize("level", [-1.0, 0.3])
+    def test_level_applies_only_to_constant(self, name, level):
+        cfg = {"model": {"preset": "two_regime_demo",
+                         "volatility": {"name": name, "level": level}}}
+        with pytest.raises(ConfigError, match=r"model\.volatility\.level: applies "
+                           r"only to the 'constant' volatility"):
+            resolve_config(cfg)
+        cfg["model"]["volatility"]["level"] = None
+        assert resolve_config(cfg).resolved["model"]["volatility"] == {"name": name}
+
+    def test_constant_level_is_range_checked(self):
+        cfg = {"model": {"preset": "two_regime_demo",
+                         "volatility": {"name": "constant", "level": -1.0}}}
+        with pytest.raises(ConfigError, match=r"model\.volatility\.level: must be >= 0"):
             resolve_config(cfg)
 
     def test_resolved_echo_contains_defaults(self, tmp_path):

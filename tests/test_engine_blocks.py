@@ -30,6 +30,7 @@ from temsim.engine import (
     draw_batch_noise,
     implicit_drift_solve,
     initial_values,
+    noise_blocks,
     simulate_bem_batch,
     simulate_tem_batch,
 )
@@ -222,11 +223,11 @@ SHAPES = [(1, 5), (7, 23), (256, 700), (257, 300), (1000, 600)]
 
 def run_pair(spec, policy, m, k, num_paths, seed):
     grid = Grid(delta=spec.tau / m, tau_steps=m, num_steps=k)
-    noise = draw_batch_noise(spec, grid, seed, np.arange(num_paths))
-    tem = simulate_tem_batch(spec, policy, grid, *noise)
+    noise = draw_batch_noise(spec, grid, seed, np.arange(num_paths)).arrays()
+    tem = simulate_tem_batch(spec, policy, grid, noise_blocks(*noise))
     assert np.array_equal(tem, reference_tem(spec, policy, grid, *noise),
                           equal_nan=True)
-    bem = simulate_bem_batch(spec, grid, *noise)
+    bem = simulate_bem_batch(spec, grid, noise_blocks(*noise))
     assert np.array_equal(bem, reference_bem(spec, grid, *noise), equal_nan=True)
     return tem
 
@@ -420,12 +421,13 @@ def test_results_do_not_depend_on_array_layout(layout, num_paths, m, k, seed, in
     spec = two_regime_demo(include_inverse_drift=inverse, tau=0.01 * m)
     policy = default_mu_for(spec, psi_exponent=2.0 / 3.0, mu_preset="3u2")
     grid = Grid(delta=spec.tau / m, tau_steps=m, num_steps=k)
-    noise = draw_batch_noise(spec, grid, seed, np.arange(num_paths))
-    moved = [relayout(a, layout) for a in noise]
-    assert np.array_equal(simulate_tem_batch(spec, policy, grid, *moved),
-                          simulate_tem_batch(spec, policy, grid, *noise))
-    assert np.array_equal(simulate_bem_batch(spec, grid, *moved),
-                          simulate_bem_batch(spec, grid, *noise))
+    arrays = draw_batch_noise(spec, grid, seed, np.arange(num_paths)).arrays()
+    noise = noise_blocks(*arrays)
+    moved = noise_blocks(*[relayout(a, layout) for a in arrays])
+    assert np.array_equal(simulate_tem_batch(spec, policy, grid, moved),
+                          simulate_tem_batch(spec, policy, grid, noise))
+    assert np.array_equal(simulate_bem_batch(spec, grid, moved),
+                          simulate_bem_batch(spec, grid, noise))
     uniforms = np.random.default_rng(seed).random((num_paths, k))
     assert np.array_equal(
         sample_chain_paths_batch(spec.generator, 2, grid.delta, k,

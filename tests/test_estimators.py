@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from temsim import estimators
+from temsim import engine, estimators
 from temsim.engine import SimulationError
 from temsim.estimators import (
     ConvergenceReport,
@@ -161,8 +161,8 @@ class TestBarrierOption:
         chunks = []
         for lo in range(0, 200, 128):
             idx = np.arange(lo, min(lo + 128, 200))
-            b, p, r = engine.draw_batch_noise(DEMO, grid, 9, idx)
-            values = engine.simulate_tem_batch(DEMO, POLICY, grid, b, p, r)
+            noise = engine.draw_batch_noise(DEMO, grid, 9, idx)
+            values = engine.simulate_tem_batch(DEMO, POLICY, grid, noise)
             chunks.append(values[:, -1])
         terminal = np.concatenate(chunks)
         assert result.estimate == terminal.mean()
@@ -282,8 +282,8 @@ class TestMomentCurves:
         from temsim import engine
         curves = moment_curves(DEMO, POLICY, [1e-2], 0.5, 4.0, 40, 8)
         grid = engine.resolve_grid(DEMO.tau, 1e-2, 0.5)
-        b, p, r = engine.draw_batch_noise(DEMO, grid, 8, np.arange(40))
-        values = engine.simulate_tem_batch(DEMO, POLICY, grid, b, p, r)
+        noise = engine.draw_batch_noise(DEMO, grid, 8, np.arange(40))
+        values = engine.simulate_tem_batch(DEMO, POLICY, grid, noise)
         direct = (np.abs(values[:, grid.tau_steps:]) ** 4).mean(axis=0)
         assert np.array_equal(curves[grid.delta], direct)
 
@@ -322,11 +322,14 @@ def comparable(result):
 def test_results_do_not_depend_on_chunk_size(estimate, spec, psi_exponent, monkeypatch):
     """A path's result must not depend on the batch it runs in, although the
     implicit solve iterates until every row of its batch has settled, and
-    every reduction runs over per-path rows in path order."""
+    every reduction runs over per-path rows in path order. Nor may it depend
+    on the block its noise is drawn in (rounded up to whole coarse steps)."""
     policy = default_mu_for(spec, psi_exponent=psi_exponent)
     results = []
-    for size in (1, 7, 128, 1000):
+    for size, draw_steps in ((1, 1), (7, 7), (128, 1000), (1000, 48)):
         monkeypatch.setattr(estimators, "CHUNK_SIZE", size)
+        monkeypatch.setattr(engine, "DRAW_STEPS", draw_steps)
         results.append(comparable(estimate(spec, policy, 1e-2, 0.5, 130, 21)))
+    monkeypatch.undo()
     results.append(comparable(estimate(spec, policy, 1e-2, 0.5, 130, 21, threads=2)))
     assert all(result == results[0] for result in results[1:])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from temsim.engine import (
     CoefficientTables,
     draw_batch_noise,
+    noise_blocks,
     resolve_grid,
     simulate_bem_batch,
     simulate_tem_batch,
@@ -130,9 +131,10 @@ def test_step_views_equal_batch_bitwise(case):
     spec, policy = case
     grid = resolve_grid(spec.tau, 0.02, 1.0)
     m = grid.tau_steps
-    brownian, poisson, regimes = draw_batch_noise(spec, grid, 7, np.arange(12))
-    tem = simulate_tem_batch(spec, policy, grid, brownian, poisson, regimes)
-    bem = simulate_bem_batch(spec, grid, brownian, poisson, regimes)
+    brownian, poisson, regimes = draw_batch_noise(spec, grid, 7, np.arange(12)).arrays()
+    noise = noise_blocks(brownian, poisson, regimes)
+    tem = simulate_tem_batch(spec, policy, grid, noise)
+    bem = simulate_bem_batch(spec, grid, noise)
 
     def state(values, p):
         return PathState(delta=grid.delta, tau_steps=m, values=values[p], regimes=regimes[p])

@@ -208,7 +208,7 @@ class TestSimulateTem:
         # the single path draws row p of the run's batch noise, bit for bit,
         # and replaying that record reproduces the values
         grid = resolve_grid(DEMO.tau, 0.021, 0.5)  # snaps to tau / 48
-        rows = engine.draw_batch_noise(DEMO, grid, 31, np.arange(5))
+        rows = engine.draw_batch_noise(DEMO, grid, 31, np.arange(5)).arrays()
         for idx in (0, 4):
             state = simulate_tem_path(DEMO, POLICY, 0.021, 0.5, seed=31, path_index=idx)
             for got, batch in zip((state.noise.brownian, state.noise.poisson,
@@ -234,10 +234,8 @@ class TestSimulateTem:
 
     def test_batch_equals_single_paths_bitwise(self):
         grid = resolve_grid(DEMO.tau, 1e-2, 0.5)
-        brownian, poisson, regimes = engine.draw_batch_noise(DEMO, grid, 99,
-                                                             np.arange(6))
-        batch = engine.simulate_tem_batch(DEMO, POLICY, grid, brownian, poisson,
-                                          regimes)
+        noise = engine.draw_batch_noise(DEMO, grid, 99, np.arange(6))
+        batch = engine.simulate_tem_batch(DEMO, POLICY, grid, noise)
         for idx in range(6):
             single = simulate_tem_path(DEMO, POLICY, 1e-2, 0.5,
                                        seed=99, path_index=idx)
@@ -247,8 +245,8 @@ class TestSimulateTem:
         # p = 4 moments of the full jump model stay finite and NaN-free
         for delta in (1e-2, 1e-3):
             grid = resolve_grid(DEMO.tau, delta, 2.0)
-            b, p, r = engine.draw_batch_noise(DEMO, grid, 17, np.arange(64))
-            values = engine.simulate_tem_batch(DEMO, POLICY, grid, b, p, r)
+            noise = engine.draw_batch_noise(DEMO, grid, 17, np.arange(64))
+            values = engine.simulate_tem_batch(DEMO, POLICY, grid, noise)
             assert np.isfinite(values).all()
             assert np.isfinite((np.abs(values) ** 4).mean())
 
@@ -300,8 +298,8 @@ class TestBem:
 
     def test_batch_equals_single_bitwise(self):
         grid = resolve_grid(DEMO.tau, 1e-2, 0.5)
-        b, p, r = engine.draw_batch_noise(DEMO, grid, 4, np.arange(3))
-        batch = engine.simulate_bem_batch(DEMO, grid, b, p, r)
+        noise = engine.draw_batch_noise(DEMO, grid, 4, np.arange(3))
+        batch = engine.simulate_bem_batch(DEMO, grid, noise)
         for idx in range(3):
             single = simulate_bem_path(DEMO, 1e-2, 0.5,
                                        seed=4, path_index=idx)
@@ -340,9 +338,9 @@ class TestNonFiniteDetection:
         )
         policy = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
         grid = resolve_grid(1.0, 1e-2, 2.0)
-        b, p, r = engine.draw_batch_noise(spec, grid, 55, np.arange(2))
+        noise = engine.draw_batch_noise(spec, grid, 55, np.arange(2))
         with pytest.raises(SimulationError) as err:
-            engine.simulate_tem_batch(spec, policy, grid, b, p, r, seed=55,
+            engine.simulate_tem_batch(spec, policy, grid, noise, seed=55,
                                       path_indices=np.arange(2))
         assert err.value.seed == 55
         assert err.value.path_index in (0, 1)
@@ -361,7 +359,7 @@ class TestNonFiniteDetection:
         )
         policy = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
         grid = resolve_grid(1.0, 1e-2, 2.0)
-        b, p, r = engine.draw_batch_noise(spec, grid, 55, [3])
+        b, p, r = engine.draw_batch_noise(spec, grid, 55, [3]).arrays()
         fobj = io.BytesIO()
         save_noise(NoiseIncrements(grid.delta, b[0], p[0], r[0]), fobj, seed=55,
                    path_index=3, tau_steps=grid.tau_steps, jump_intensity=2000.0)
