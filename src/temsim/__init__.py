@@ -30,20 +30,17 @@ from .model import (
     two_regime_demo,
     validate_assumptions,
 )
-from .noise import NoiseIncrements, make_noise
+from .noise import make_noise
 from .regime import (
     GeneratorMatrix,
     TransitionMatrix,
     matrix_exponential,
     sample_chain_path,
-    sample_chain_step,
-    stationary_distribution,
 )
-from .rng import PathStreams, path_streams, substream
+from .rng import path_streams, substream
 from .schemes import (
     PathState,
     bem_step,
-    simulate_bem_path,
     simulate_tem_path,
     tem_step,
 )
@@ -69,9 +66,7 @@ __all__ = [
     "Grid",
     "InitialSegment",
     "ModelSpec",
-    "NoiseIncrements",
     "PathState",
-    "PathStreams",
     "RegimeParams",
     "SchemeComparison",
     "SimulationError",
@@ -99,12 +94,9 @@ __all__ = [
     "psi",
     "resolve_grid",
     "sample_chain_path",
-    "sample_chain_step",
     "scheme_comparison",
     "sigmoid_volatility",
-    "simulate_bem_path",
     "simulate_tem_path",
-    "stationary_distribution",
     "strong_error",
     "substream",
     "tem_step",

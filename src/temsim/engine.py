@@ -10,6 +10,7 @@ draws it one block of steps at a time as the schemes consume it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
@@ -70,8 +71,9 @@ def resolve_grid(tau: float, delta: float, horizon: float) -> Grid:
     rounded to the nearest ``tau / M`` and the horizon to the nearest
     multiple of the effective step.
     """
-    if delta <= 0.0 or horizon < 0.0:
-        raise ValueError("need delta > 0 and horizon >= 0")
+    if not (0.0 < delta < math.inf and 0.0 <= horizon < math.inf):
+        raise ValueError(f"need a finite delta > 0 and a finite horizon >= 0, "
+                         f"got delta={delta!r}, horizon={horizon!r}")
     m = max(1, round(tau / delta))
     eff = tau / m
     k = round(horizon / eff)

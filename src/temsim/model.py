@@ -139,6 +139,9 @@ class ModelSpec:
         object.__setattr__(self, "regimes", tuple(self.regimes))
         if not self.regimes:
             raise ValueError("at least one regime is required")
+        for name in ("rho", "theta", "tau", "jump_intensity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rho <= 1.0:
             raise ValueError("rho must exceed 1")
         if self.theta <= 1.0:

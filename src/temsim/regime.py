@@ -152,12 +152,6 @@ def _march_chain(transition: TransitionMatrix, initial_state,
     return paths
 
 
-def sample_chain_step(current: int, transition: TransitionMatrix, u: float) -> int:
-    """Next state from state ``current`` (1-based) given a uniform ``u`` in [0,1):
-    one step of the batch sampler's selection rule."""
-    return int(_march_chain(transition, current, np.array([[u]], dtype=float))[0, 1])
-
-
 def sample_chain_path(
     generator: GeneratorMatrix,
     initial_state: int,
@@ -192,23 +186,3 @@ def sample_chain_paths_batch(
         raise ValueError("uniforms must have shape (num_paths, num_steps)")
     return _march_chain(matrix_exponential(generator, delta), initial_state, uniforms)
 
-
-def stationary_distribution(generator: GeneratorMatrix) -> np.ndarray:
-    """Probability vector pi with ``pi @ generator = 0`` and ``sum(pi) = 1``.
-
-    Solved by replacing one balance equation with the normalization row;
-    raises for reducible or otherwise singular chains.
-    """
-    n = generator.num_states
-    a = generator.entries.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise GeneratorError(f"no unique stationary distribution: {exc}") from exc
-    if np.any(pi < -1e-10):
-        raise GeneratorError("stationary solve produced negative mass (reducible chain?)")
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()

@@ -4,6 +4,11 @@ The exported observable of a simulation is the piecewise-constant step
 process: constant on each ``[t_k, t_{k+1})`` with the grid value at its
 left end. Delay lookups are pure integer shifts (``k - M``), never
 interpolation, because the step always divides the delay exactly.
+
+A single path is row ``path_index`` of its run's batch draw, so the
+coordinates ``(seed, path, delta)`` that a :class:`SimulationError` names
+replay it: ``simulate_tem_path(spec, policy, delta, horizon, seed=seed,
+path_index=path)`` draws the same noise and fails at the same node.
 """
 
 from __future__ import annotations
@@ -15,21 +20,23 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .engine import Grid, resolve_grid
+from .engine import resolve_grid
 from .model import CoefficientTables, ModelSpec
-from .noise import NoiseIncrements
 from .truncation import TruncationPolicy, truncation_band
 
 
 @dataclass(frozen=True)
 class PathState:
-    """A simulated trajectory on the grid k = -M..K (column j is node j - M)."""
+    """A simulated trajectory on the grid k = -M..K (column j is node j - M),
+    with the increments ``brownian[k]``, ``poisson[k]`` of step k to k+1
+    when it was simulated from drawn noise."""
 
     delta: float
     tau_steps: int
     values: np.ndarray
     regimes: np.ndarray
-    noise: Optional[NoiseIncrements] = None
+    brownian: Optional[np.ndarray] = None
+    poisson: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.values.ndim != 1:
@@ -94,69 +101,27 @@ def bem_step(state: PathState, k: int, d_brownian: float, d_poisson: int,
                                    d_n, k, state.delta, spec.include_inverse_drift)[0])
 
 
-def _path_state(grid: Grid, noise: NoiseIncrements, values: np.ndarray) -> PathState:
-    return PathState(delta=grid.delta, tau_steps=grid.tau_steps,
-                     values=values[0], regimes=noise.regimes, noise=noise)
-
-
 def simulate_tem_path(
     spec: ModelSpec,
     policy: TruncationPolicy,
     delta: float,
     horizon: float,
-    seed: Optional[int] = None,
+    seed: int,
     path_index: int = 0,
-    noise: Optional[NoiseIncrements] = None,
 ) -> PathState:
-    """Simulate one truncated-EM path on [-tau, horizon].
-
-    Pass ``seed`` to draw path ``path_index`` of that run (row
-    ``path_index`` of its batch draw), or ``noise`` (with regimes) to
-    replay a recorded path; the result is a pure function of the noise
-    record. With both, the noise drives the path and the seed only labels
-    errors. A :class:`SimulationError` carries ``seed`` and ``path_index``
-    as its replay coordinates. The step snaps to an exact fraction of the
-    delay and the horizon to a multiple of the step; read the effective
-    values off the returned state.
+    """Simulate one truncated-EM path on [-tau, horizon]: path
+    ``path_index`` of the run seeded ``seed`` (row ``path_index`` of its
+    batch draw), a pure function of those two and the grid. A
+    :class:`SimulationError` carries ``seed`` and ``path_index`` as its
+    replay coordinates. The step snaps to an exact fraction of the delay
+    and the horizon to a multiple of the step; read the effective values
+    off the returned state.
     """
-    grid, noise, rows = _resolve_run(spec, delta, horizon, seed, path_index, noise)
-    return _path_state(grid, noise, engine.simulate_tem_batch(
-        spec, policy, grid, rows, seed=seed, path_indices=[path_index]))
-
-
-def simulate_bem_path(
-    spec: ModelSpec,
-    delta: float,
-    horizon: float,
-    seed: Optional[int] = None,
-    path_index: int = 0,
-    noise: Optional[NoiseIncrements] = None,
-) -> PathState:
-    """Backward-EM companion to :func:`simulate_tem_path` (no truncation)."""
-    grid, noise, rows = _resolve_run(spec, delta, horizon, seed, path_index, noise)
-    return _path_state(grid, noise, engine.simulate_bem_batch(
-        spec, grid, rows, seed=seed, path_indices=[path_index]))
-
-
-def _resolve_run(spec, delta, horizon, seed, path_index, noise):
-    """The grid, the noise record and its width-1 engine noise."""
-    if seed is None and noise is None:
-        raise ValueError("pass exactly one of seed or noise")
     grid = resolve_grid(spec.tau, delta, horizon)
-    if noise is None:
-        rows = engine.draw_batch_noise(spec, grid, seed, [path_index]).arrays()
-        noise = NoiseIncrements(grid.delta, *(row[0] for row in rows))
-    elif abs(noise.delta - grid.delta) > 1e-12 * grid.delta:
-        raise ValueError(
-            f"noise recorded at delta {noise.delta:g} but the grid resolves "
-            f"to {grid.delta:g}"
-        )
-    elif noise.num_steps != grid.num_steps:
-        raise ValueError(
-            f"noise has {noise.num_steps} steps but the horizon needs "
-            f"{grid.num_steps}"
-        )
-    elif noise.regimes is None:
-        raise ValueError("path simulation needs a regime trajectory in the noise record")
-    return grid, noise, engine.noise_blocks(
-        noise.brownian[None, :], noise.poisson[None, :], noise.regimes[None, :])
+    brownian, poisson, regimes = engine.draw_batch_noise(
+        spec, grid, seed, [path_index]).arrays()
+    values = engine.simulate_tem_batch(
+        spec, policy, grid, engine.noise_blocks(brownian, poisson, regimes),
+        seed=seed, path_indices=[path_index])
+    return PathState(delta=grid.delta, tau_steps=grid.tau_steps, values=values[0],
+                     regimes=regimes[0], brownian=brownian[0], poisson=poisson[0])

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,8 +11,10 @@ import yaml
 from temsim import export
 from temsim.cli import main
 from temsim.config import MODEL_PRESETS, ConfigError, load_config, resolve_config
+from temsim.engine import SimulationError
 from temsim.model import InitialSegment, ModelSpec, VolatilitySpec, two_regime_demo
 from temsim.regime import GeneratorMatrix
+from temsim.schemes import simulate_tem_path
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -349,7 +352,8 @@ class TestCliCommands:
 
     def test_simulate_failure_carries_replay_coordinates(self, tmp_path, capsys):
         # jumps of 2x the state at rate 2000 overflow within two time units;
-        # the message must name the coordinates price-bond would name
+        # every command names (seed, path, delta), and regenerating that
+        # path from Python fails at the node the message names
         cfg = {
             "model": {
                 "regimes": [{"alpha_m1": 0.0, "alpha_0": 0.0, "alpha_1": 0.0,
@@ -361,11 +365,29 @@ class TestCliCommands:
             "truncation": {"psi_exponent": 2.0 / 3.0, "mu": "power_fit"},
             "simulation": {"delta": 0.01, "horizon": 2.0, "num_paths": 4,
                            "seed": 55, "threads": 1},
+            "experiment": {"strike": 0.01, "barrier": 1.5,
+                           "step_ladder": [0.04, 0.02], "reference_delta": 0.005},
         }
         path = write_config(tmp_path, cfg)
-        for command in ("simulate", "price-bond"):
-            assert self.run_cli([command, "--config", path]) == 4
-            assert "replay: seed=55, path=0, delta=0.01" in capsys.readouterr().err
+        run = resolve_config(load_config(path))
+        replays = {}
+        for command in ("simulate", "price-bond", "price-barrier",
+                        "compare-schemes", "converge"):
+            assert self.run_cli([command, "--config", path]) == 4, command
+            err = capsys.readouterr().err
+            found = re.search(r"at node (\d+) of path \d+ \(replay: seed=(\d+), "
+                              r"path=(\d+), delta=([^)]+)\)", err)
+            assert found, (command, err)
+            node, seed, path_index = map(int, found.groups()[:3])
+            delta = float(found.group(4))
+            replays[command] = (node, seed, path_index, delta)
+            with pytest.raises(SimulationError) as replayed:
+                simulate_tem_path(run.spec, run.policy, delta, run.horizon,
+                                  seed=seed, path_index=path_index)
+            assert (replayed.value.step, replayed.value.seed,
+                    replayed.value.path_index) == (node, seed, path_index), command
+        assert replays["simulate"] == (192, 55, 0, 0.01)
+        assert replays["converge"] == (237, 55, 0, 0.005)
 
     def test_seed_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, demo_config())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -192,6 +193,14 @@ class TestConstruction:
     def test_tau_positive(self):
         with pytest.raises(ValueError):
             make_spec(tau=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["rho", "theta", "tau", "jump_intensity"])
+    def test_non_finite_scalars_rejected(self, name, value):
+        # NaN passes every `<=` check, and tau = inf used to fail only later,
+        # converting the delay to a step count
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dataclasses.replace(DEMO, **{name: value})
 
     def test_initial_regime_in_space(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,10 @@ from temsim.regime import (
     GeneratorError,
     GeneratorMatrix,
     TransitionMatrix,
+    _march_chain,
     matrix_exponential,
     sample_chain_path,
     sample_chain_paths_batch,
-    sample_chain_step,
-    stationary_distribution,
 )
 from temsim.rng import substream
 from test_engine_blocks import reference_chain
@@ -22,6 +21,11 @@ def demo_transition_closed_form(delta: float) -> np.ndarray:
     # exp(delta G) = I + (1 - exp(-3 delta))/3 * G
     g = DEMO_GENERATOR.entries
     return np.eye(2) + (1.0 - np.exp(-3.0 * delta)) / 3.0 * g
+
+
+def one_step(state: int, transition: TransitionMatrix, u: float) -> int:
+    """The sampler's next state from ``state`` on the single uniform ``u``."""
+    return int(_march_chain(transition, state, np.array([[u]]))[0, 1])
 
 
 def random_generator(rng, n: int) -> GeneratorMatrix:
@@ -111,25 +115,25 @@ class TestTransitionMatrix:
 class TestChainSampling:
     def test_selection_rule_demo(self):
         p = matrix_exponential(DEMO_GENERATOR, 1e-3)
-        assert sample_chain_step(1, p, 0.5) == 1
-        assert sample_chain_step(1, p, 0.999) == 2
-        assert sample_chain_step(2, p, 0.0) == 1
+        assert one_step(1, p, 0.5) == 1
+        assert one_step(1, p, 0.999) == 2
+        assert one_step(2, p, 0.0) == 1
 
     def test_identity_matrix_absorbs(self):
         p = TransitionMatrix(entries=np.eye(3), step=0.1)
         for state in (1, 2, 3):
             for u in (0.0, 0.3, 0.999999):
-                assert sample_chain_step(state, p, u) == state
+                assert one_step(state, p, u) == state
 
     def test_boundary_equality_moves_to_next_state(self):
         # cumulative sums are [0.3, 1.0]: u exactly 0.3 selects state 2
         p = TransitionMatrix(entries=np.array([[0.3, 0.7], [0.5, 0.5]]), step=0.1)
-        assert sample_chain_step(1, p, 0.3) == 2
-        assert sample_chain_step(1, p, 0.2999999999) == 1
+        assert one_step(1, p, 0.3) == 2
+        assert one_step(1, p, 0.2999999999) == 1
 
     def test_deterministic_in_inputs(self):
         p = matrix_exponential(DEMO_GENERATOR, 0.01)
-        assert all(sample_chain_step(1, p, 0.42) == sample_chain_step(1, p, 0.42)
+        assert all(one_step(1, p, 0.42) == one_step(1, p, 0.42)
                    for _ in range(5))
 
     def test_path_length_zero(self):
@@ -167,8 +171,6 @@ class TestChainSampling:
             sample_chain_paths_batch(DEMO_GENERATOR, state, 0.01, 5, uniforms)
         with pytest.raises(ValueError, match="outside 1..2"):
             sample_chain_path(DEMO_GENERATOR, state, 0.01, 5, substream(0, 0, 2))
-        with pytest.raises(ValueError, match="outside 1..2"):
-            sample_chain_step(state, matrix_exponential(DEMO_GENERATOR, 0.01), 0.5)
 
     @pytest.mark.parametrize("shape", [(5,), (1, 2, 5), (2, 4)])
     def test_uniforms_shape_rejected(self, shape):
@@ -190,30 +192,3 @@ class TestChainSampling:
                 se = np.sqrt(prob * (1.0 - prob) / n)
                 assert abs(freq - prob) <= 3.0 * se + 1e-12
 
-
-class TestStationaryDistribution:
-    def test_demo(self):
-        pi = stationary_distribution(DEMO_GENERATOR)
-        np.testing.assert_allclose(pi, [1 / 3, 2 / 3], atol=1e-12)
-
-    def test_symmetric(self):
-        g = GeneratorMatrix(np.array([[-0.7, 0.7], [0.7, -0.7]]))
-        np.testing.assert_allclose(stationary_distribution(g), [0.5, 0.5],
-                                   atol=1e-12)
-
-    def test_single_state(self):
-        pi = stationary_distribution(GeneratorMatrix(np.zeros((1, 1))))
-        np.testing.assert_allclose(pi, [1.0])
-
-    def test_reducible_rejected(self):
-        with pytest.raises(GeneratorError):
-            stationary_distribution(GeneratorMatrix(np.zeros((2, 2))))
-
-    def test_balance_equation(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            g = random_generator(rng, int(rng.integers(2, 6)))
-            pi = stationary_distribution(g)
-            np.testing.assert_allclose(pi @ g.entries, np.zeros(g.num_states),
-                                       atol=1e-12)
-            assert pi.sum() == pytest.approx(1.0, abs=1e-12)

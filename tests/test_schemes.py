@@ -1,5 +1,5 @@
-import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,12 +14,10 @@ from temsim.model import (
     constant_segment,
     two_regime_demo,
 )
-from temsim.noise import NoiseIncrements, load_noise, save_noise
 from temsim.regime import GeneratorMatrix
 from temsim.schemes import (
     PathState,
     bem_step,
-    simulate_bem_path,
     simulate_tem_path,
     tem_step,
 )
@@ -41,6 +39,11 @@ def degenerate_spec(alpha_3=(0.0, 2.0), include_inverse=False):
         generator=GeneratorMatrix(np.zeros((len(alpha_3), len(alpha_3)))),
         initial_regime=1, include_inverse_drift=include_inverse,
     )
+
+
+def one_path_noise(spec, grid, seed, path_index):
+    """Path ``path_index``'s noise arrays, one row each, as drawn in its run."""
+    return engine.draw_batch_noise(spec, grid, seed, [path_index]).arrays()
 
 
 def single_regime_ode_spec(initial=1.0):
@@ -79,6 +82,13 @@ class TestResolveGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             resolve_grid(1.0, -0.1, 1.0)
+
+    @pytest.mark.parametrize("delta, horizon", [
+        (math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)])
+    def test_non_finite_step_or_horizon_rejected(self, delta, horizon):
+        # an infinite step used to run silently at delta = tau
+        with pytest.raises(ValueError, match="finite delta > 0 and a finite horizon"):
+            resolve_grid(1.0, delta, horizon)
 
 
 class TestPathState:
@@ -158,8 +168,8 @@ class TestTemStep:
         state = simulate_tem_path(DEMO, POLICY, 1e-2, 0.5,
                                   seed=99, path_index=0)
         for k in range(state.num_steps):
-            nxt = tem_step(state, k, float(state.noise.brownian[k]),
-                           int(state.noise.poisson[k]), DEMO, POLICY)
+            nxt = tem_step(state, k, float(state.brownian[k]),
+                           int(state.poisson[k]), DEMO, POLICY)
             assert nxt == state.value(k + 1)
 
 
@@ -178,59 +188,53 @@ class TestSimulateTem:
         np.testing.assert_array_equal(a.regimes, b.regimes)
 
     def test_replay_from_noise_record(self):
+        # the noise rows a path carries drive the engine to its values
         a = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, seed=5, path_index=7)
-        b = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, noise=a.noise)
-        np.testing.assert_array_equal(a.values, b.values)
+        grid = resolve_grid(DEMO.tau, 1e-3, 1.0)
+        b = engine.simulate_tem_batch(DEMO, POLICY, grid, engine.noise_blocks(
+            a.brownian[None, :], a.poisson[None, :], a.regimes[None, :]))
+        assert b[0].tobytes() == a.values.tobytes()
 
     def test_pure_function_of_noise(self):
-        noise = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
-                                  seed=1, path_index=1).noise
-        runs = [simulate_tem_path(DEMO, POLICY, 1e-2, 1.0, noise=noise).values
+        grid = resolve_grid(DEMO.tau, 1e-2, 1.0)
+        noise = engine.noise_blocks(*one_path_noise(DEMO, grid, 1, 1))
+        runs = [engine.simulate_tem_batch(DEMO, POLICY, grid, noise)
                 for _ in range(3)]
         assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[1], runs[2])
 
-    def test_requires_exactly_one_noise_source(self):
-        with pytest.raises(ValueError, match="pass exactly one of seed or noise"):
-            simulate_tem_path(DEMO, POLICY, 1e-2, 1.0)
-        # with both, the record drives the path and the seed only labels errors
-        state = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0, seed=0, path_index=0)
-        labelled = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
-                                     seed=9, path_index=4, noise=state.noise)
-        assert labelled.values.tobytes() == state.values.tobytes()
-
     def test_noise_grid_mismatch_rejected(self):
-        noise = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
-                                  seed=0, path_index=0).noise
-        with pytest.raises(ValueError):
-            simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, noise=noise)
+        noise = engine.draw_batch_noise(DEMO, resolve_grid(DEMO.tau, 1e-2, 1.0), 0, [0])
+        with pytest.raises(ValueError, match="noise covers 100 steps, the grid 1000"):
+            engine.simulate_tem_batch(DEMO, POLICY, resolve_grid(DEMO.tau, 1e-3, 1.0),
+                                      noise)
 
     def test_single_path_is_row_of_batch_draw(self):
         # the single path draws row p of the run's batch noise, bit for bit,
-        # and replaying that record reproduces the values
+        # and regenerating it from (seed, path, delta) reproduces the values
         grid = resolve_grid(DEMO.tau, 0.021, 0.5)  # snaps to tau / 48
         rows = engine.draw_batch_noise(DEMO, grid, 31, np.arange(5)).arrays()
         for idx in (0, 4):
             state = simulate_tem_path(DEMO, POLICY, 0.021, 0.5, seed=31, path_index=idx)
-            for got, batch in zip((state.noise.brownian, state.noise.poisson,
-                                   state.noise.regimes), rows):
+            for got, batch in zip((state.brownian, state.poisson, state.regimes), rows):
                 assert got.tobytes() == batch[idx].tobytes()
-            assert state.noise.delta == grid.delta
-            replay = simulate_tem_path(DEMO, POLICY, 0.021, 0.5, noise=state.noise)
+            assert state.delta == grid.delta
+            replay = simulate_tem_path(DEMO, POLICY, state.delta, 0.5,
+                                       seed=31, path_index=idx)
             assert replay.values.tobytes() == state.values.tobytes()
 
     def test_zero_noise_equals_explicit_euler(self):
         spec = single_regime_ode_spec()
         policy = default_mu_for(spec, psi_exponent=2 / 3)
         k = 64
-        noise = NoiseIncrements(delta=1.0 / 64, brownian=np.zeros(k),
-                                poisson=np.zeros(k, dtype=np.int64),
-                                regimes=np.ones(k + 1, dtype=np.int64))
-        state = simulate_tem_path(spec, policy, 1.0 / 64, 1.0, noise=noise)
+        grid = resolve_grid(spec.tau, 1.0 / 64, 1.0)
+        values = engine.simulate_tem_batch(spec, policy, grid, engine.noise_blocks(
+            np.zeros((1, k)), np.zeros((1, k), dtype=np.int64),
+            np.ones((1, k + 1), dtype=np.int64)))[0]
         from temsim.truncation import truncated_drift
         x = 1.0
         for k_idx in range(64):
-            x = x + truncated_drift(x, 1, state.delta, spec, policy) * state.delta
-            assert state.value(k_idx + 1) == x
+            x = x + truncated_drift(x, 1, grid.delta, spec, policy) * grid.delta
+            assert values[grid.tau_steps + k_idx + 1] == x
 
     def test_batch_equals_single_paths_bitwise(self):
         grid = resolve_grid(DEMO.tau, 1e-2, 0.5)
@@ -293,17 +297,19 @@ class TestBem:
                                                                  rel=1e-12)
 
     def test_positivity_with_inverse_drift(self):
-        state = simulate_bem_path(DEMO, 1e-3, 1.0, seed=21, path_index=0)
-        assert np.all(state.values > 0.0)
+        grid = resolve_grid(DEMO.tau, 1e-3, 1.0)
+        values = engine.simulate_bem_batch(
+            DEMO, grid, engine.draw_batch_noise(DEMO, grid, 21, [0]))
+        assert np.all(values > 0.0)
 
     def test_batch_equals_single_bitwise(self):
         grid = resolve_grid(DEMO.tau, 1e-2, 0.5)
         noise = engine.draw_batch_noise(DEMO, grid, 4, np.arange(3))
         batch = engine.simulate_bem_batch(DEMO, grid, noise)
         for idx in range(3):
-            single = simulate_bem_path(DEMO, 1e-2, 0.5,
-                                       seed=4, path_index=idx)
-            np.testing.assert_array_equal(batch[idx], single.values)
+            single = engine.simulate_bem_batch(
+                DEMO, grid, engine.draw_batch_noise(DEMO, grid, 4, [idx]))
+            np.testing.assert_array_equal(batch[idx], single[0])
 
     def test_step_size_guard(self):
         spec = ModelSpec(
@@ -315,14 +321,17 @@ class TestBem:
             initial_regime=1, include_inverse_drift=True,
         )
         # delta = tau/M snaps to 1/3 > 1/alpha_1 = 1/4
+        grid = resolve_grid(spec.tau, 1 / 3, 1.0)
         with pytest.raises(SimulationError):
-            simulate_bem_path(spec, 1 / 3, 1.0, seed=0, path_index=0)
+            engine.simulate_bem_batch(spec, grid,
+                                      engine.draw_batch_noise(spec, grid, 0, [0]))
 
     def test_shared_noise_with_tem_small_gap(self):
-        tem = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0,
-                                seed=8, path_index=0)
-        bem = simulate_bem_path(DEMO, 1e-3, 1.0, noise=tem.noise)
-        gap = np.abs(tem.values - bem.values).max()
+        grid = resolve_grid(DEMO.tau, 1e-3, 1.0)
+        noise = engine.noise_blocks(*one_path_noise(DEMO, grid, 8, 0))
+        tem = engine.simulate_tem_batch(DEMO, POLICY, grid, noise)
+        bem = engine.simulate_bem_batch(DEMO, grid, noise)
+        gap = np.abs(tem - bem).max()
         assert 0.0 < gap < 0.2
 
 
@@ -347,8 +356,8 @@ class TestNonFiniteDetection:
         assert "replay" in str(err.value)
 
     def test_replayed_record_names_its_seed(self):
-        # a record replayed with the seed it was drawn from fails with the
-        # same replay coordinates as the seeded run
+        # the coordinates a batch failure names regenerate the failing
+        # path, which fails at the same node with the same message
         spec = ModelSpec(
             regimes=(RegimeParams(0.0, 0.0, 0.0, 0.0, 2.0),),
             rho=2.0, theta=1.25, tau=1.0, jump_intensity=2000.0,
@@ -359,18 +368,17 @@ class TestNonFiniteDetection:
         )
         policy = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
         grid = resolve_grid(1.0, 1e-2, 2.0)
-        b, p, r = engine.draw_batch_noise(spec, grid, 55, [3]).arrays()
-        fobj = io.BytesIO()
-        save_noise(NoiseIncrements(grid.delta, b[0], p[0], r[0]), fobj, seed=55,
-                   path_index=3, tau_steps=grid.tau_steps, jump_intensity=2000.0)
-        fobj.seek(0)
-        record, header = load_noise(fobj)
-        messages = []
-        for kwargs in ({"seed": 55}, {"seed": header["seed"], "noise": record}):
-            with pytest.raises(SimulationError) as err:
-                simulate_tem_path(spec, policy, 0.01, 2.0,
-                                  path_index=header["path_index"], **kwargs)
-            assert (err.value.seed, err.value.path_index) == (55, 3)
-            messages.append(str(err.value))
-        assert "(replay: seed=55, path=3, delta=0.01)" in messages[0]
-        assert messages[1] == messages[0]
+        indices = np.arange(3, 6)
+        with pytest.raises(SimulationError) as batch_err:
+            engine.simulate_tem_batch(spec, policy, grid,
+                                      engine.draw_batch_noise(spec, grid, 55, indices),
+                                      seed=55, path_indices=indices)
+        seed, path, delta = re.search(r"\(replay: seed=(\d+), path=(\d+), delta=([^)]+)\)",
+                                      str(batch_err.value)).groups()
+        assert (int(seed), int(path)) == (55, 3)
+        with pytest.raises(SimulationError) as err:
+            simulate_tem_path(spec, policy, float(delta), 2.0,
+                              seed=int(seed), path_index=int(path))
+        assert (err.value.seed, err.value.path_index, err.value.step) == \
+            (55, 3, batch_err.value.step)
+        assert str(err.value) == str(batch_err.value)
