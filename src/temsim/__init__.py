@@ -21,11 +21,7 @@ from .model import (
     VolatilitySpec,
     build_volatility,
     constant_segment,
-    diffusion_g,
-    drift_f,
-    jump_h,
     khasminskii_check,
-    khasminskii_integrand,
     sigmoid_volatility,
     two_regime_demo,
     validate_assumptions,
@@ -38,21 +34,13 @@ from .regime import (
     sample_chain_path,
 )
 from .rng import path_streams, substream
-from .schemes import (
-    PathState,
-    bem_step,
-    simulate_tem_path,
-    tem_step,
-)
+from .schemes import PathState, simulate_tem_path
 from .truncation import (
     StepProfileWarning,
     TruncationError,
     TruncationPolicy,
     default_mu_for,
-    delta_star_search,
     psi,
-    truncated_diffusion,
-    truncated_drift,
     truncation_band,
 )
 
@@ -76,17 +64,11 @@ __all__ = [
     "TruncationPolicy",
     "VolatilitySpec",
     "barrier_option_price",
-    "bem_step",
     "bond_price",
     "build_volatility",
     "constant_segment",
     "default_mu_for",
-    "delta_star_search",
-    "diffusion_g",
-    "drift_f",
-    "jump_h",
     "khasminskii_check",
-    "khasminskii_integrand",
     "make_noise",
     "matrix_exponential",
     "moment_curves",
@@ -99,9 +81,6 @@ __all__ = [
     "simulate_tem_path",
     "strong_error",
     "substream",
-    "tem_step",
-    "truncated_diffusion",
-    "truncated_drift",
     "truncation_band",
     "two_regime_demo",
     "validate_assumptions",

@@ -1,11 +1,12 @@
 """Vectorized path-simulation engine.
 
 Simulates batches of paths on a shared uniform grid. One path is the
-special case of a batch of width one, so the scalar convenience wrappers
-in :mod:`temsim.schemes` and the Monte Carlo estimators all run through
-the same arithmetic. Each path draws its noise from its own counter-based
-substreams, so results are independent of batch boundaries, and a batch
-draws it one block of steps at a time as the schemes consume it.
+special case of a batch of width one, so a single path
+(:func:`temsim.schemes.simulate_tem_path`) and the Monte Carlo estimators
+all run through the same arithmetic. Each path draws its noise from its
+own counter-based substreams, so results are independent of batch
+boundaries, and a batch draws it one block of steps at a time as the
+schemes consume it.
 """
 
 from __future__ import annotations
@@ -380,13 +381,8 @@ def implicit_drift_solve(
                 return end
             end = np.where(bad, grow(end), end)
             res = residual(end)
-        row = int(np.argmax(fails(res)))
-        idx = row if path_indices is None else int(np.asarray(path_indices)[row])
-        raise SimulationError(
-            f"implicit solve found no {kind} bracket end at step {step} of "
-            f"path {idx} (replay: seed={seed}, path={idx}, delta={delta:g})",
-            path_index=idx, step=step, seed=seed, delta=delta,
-        )
+        raise _path_error(f"implicit solve found no {kind} bracket end at step {step}",
+                          int(np.argmax(fails(res))), path_indices, step, seed, delta)
 
     abs_target = np.abs(target)
     if positive_domain:
@@ -439,12 +435,19 @@ def _check_finite(values, m, seed, delta, path_indices):
     if finite.all():
         return
     row, col = np.argwhere(~finite)[0]
+    node = int(col) - m
+    raise _path_error(f"non-finite value at node {node}", row, path_indices, node,
+                      seed, delta)
+
+
+def _path_error(what, row, path_indices, step, seed, delta) -> SimulationError:
+    """The error ``what`` of batch row ``row``, named by its path index, with
+    the replay coordinates when the run has a seed: without one they would
+    replay nothing."""
     idx = int(row) if path_indices is None else int(np.asarray(path_indices)[row])
-    raise SimulationError(
-        f"non-finite value at node {int(col) - m} of path {idx}"
-        + (f" (replay: seed={seed}, path={idx}, delta={delta:g})" if seed is not None else ""),
-        path_index=idx, step=int(col) - m, seed=seed, delta=delta,
-    )
+    replay = "" if seed is None else f" (replay: seed={seed}, path={idx}, delta={delta:g})"
+    return SimulationError(f"{what} of path {idx}{replay}", path_index=idx, step=step,
+                           seed=seed, delta=delta)
 
 
 def coarsen_batch(

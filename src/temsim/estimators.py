@@ -100,16 +100,15 @@ def _chunk(spec, policy, grid, seed, reduce, path_range, factors=(), keep=False)
     The noise is kept only as ``rerun`` needs it. ``rerun(level)`` runs TEM
     on a ``(grid, factor)`` level of :func:`_coupled_grids`, one of
     ``factors``, from the coarse noise each block was summed into as it was
-    drawn; ``rerun(bem=True)`` runs BEM on the noise the TEM run drew,
+    drawn; ``rerun(bem=True)`` runs BEM on the blocks the TEM run drew,
     kept when ``keep``.
     """
     indices = np.arange(*path_range)
     ids = dict(seed=seed, path_indices=indices)
-    # a draw block of whole coarse steps at every level; noise that is kept
-    # is drawn whole, as blocks would save only the chain uniforms
+    # a draw block of whole coarse steps at every level
     lcm = math.lcm(*factors)
-    steps = max(grid.num_steps, 1) if keep else -(-engine.DRAW_STEPS // lcm) * lcm
-    noise = engine.draw_batch_noise(spec, grid, seed, indices, steps)
+    noise = engine.draw_batch_noise(spec, grid, seed, indices,
+                                    -(-engine.DRAW_STEPS // lcm) * lcm)
     kept = []
     coarse = {factor: [] for factor in factors}
 

@@ -11,7 +11,8 @@ delayed-argument volatility multiplier and a Poisson jump term:
 All coefficient functions are extended off the positive half-line so that
 every scheme step is total: g and h vanish for x < 0, the volatility
 multiplier at a negative delayed value equals its value at zero, and x^rho
-is read as sign(x)|x|^rho for direct calls with negative arguments.
+is read as sign(x)|x|^rho at negative arguments. :class:`CoefficientTables`
+is the one definition of f, f', g and h, evaluated over arrays.
 """
 
 from __future__ import annotations
@@ -168,18 +169,16 @@ class ModelSpec:
     def num_regimes(self) -> int:
         return len(self.regimes)
 
-    def regime(self, i: int) -> RegimeParams:
-        if not 1 <= i <= len(self.regimes):
-            raise ValueError(f"regime {i} outside 1..{len(self.regimes)}")
-        return self.regimes[i - 1]
-
 
 class CoefficientTables:
     """The coefficient kernel: f, f', g, h and their truncations over arrays.
 
-    This is the only definition of the coefficients. The simulation engine
-    steps on it, and the scalar functions below are width-1 views of it.
-    ``ridx`` holds 0-based regime indices.
+    This is the only definition of the coefficients: the simulation engine
+    steps on it, and ``validate`` and the growth check evaluate it. ``ridx``
+    holds 0-based regime indices. A value at one point is the kernel on a
+    width-1 array, as in ``tables.drift(np.array([x]), np.array([i - 1]))[0]``:
+    that runs the numpy loops of a simulation's rows, where a 0-d operand
+    would take numpy's scalar ``pow``, whose last bit can differ.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -246,38 +245,6 @@ class CoefficientTables:
 # ufunc calls (a Python float operand costs a conversion on every call)
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
-
-
-def point_value(kernel: Callable, x: float, *args) -> float:
-    """``kernel(x, *args)`` at one point, evaluated on a width-1 array.
-
-    A width-1 array runs the same numpy loops as a simulation's rows; a 0-d
-    operand would take numpy's scalar ``pow``, whose last bit can differ.
-    """
-    return float(kernel(np.array([x], dtype=float), *args)[0])
-
-
-def _check_drift_point(x: float, i: int, spec: ModelSpec) -> None:
-    spec.regime(i)
-    if spec.include_inverse_drift and x == 0.0:
-        raise ValueError("drift with inverse term undefined at x = 0")
-
-
-def drift_f(x: float, i: int, spec: ModelSpec) -> float:
-    """Regime-``i`` drift at ``x``; requires x != 0 when the 1/x term is on."""
-    _check_drift_point(x, i, spec)
-    return point_value(CoefficientTables(spec).drift, x, i - 1)
-
-
-def diffusion_g(x: float, spec: ModelSpec) -> float:
-    """State factor of the diffusion: x^theta for x >= 0, zero below."""
-    return point_value(CoefficientTables(spec).diffusion, x)
-
-
-def jump_h(x: float, i: int, spec: ModelSpec) -> float:
-    """Jump size per Poisson count: alpha_3(i) x for x >= 0, zero below."""
-    spec.regime(i)
-    return point_value(CoefficientTables(spec).jump, x, i - 1)
 
 
 # -- built-in volatility functions -------------------------------------------
@@ -490,13 +457,6 @@ def _growth_functional(x, spec: ModelSpec, y, ridx, p: float) -> np.ndarray:
     tables = CoefficientTables(spec)
     phi = spec.volatility.evaluate_many(*np.broadcast_arrays(y, ridx + 1))
     return x * tables.drift(x, ridx) + 0.5 * (p - 1.0) * (phi * tables.diffusion(x)) ** 2
-
-
-def khasminskii_integrand(x: float, y: float, i: int, p: float, spec: ModelSpec) -> float:
-    """x f(x,i) + (p-1)/2 * (phi(y,i) g(x))^2, the one-sided growth functional."""
-    _check_drift_point(x, i, spec)
-    return point_value(_growth_functional, x, spec, np.array([y], dtype=float),
-                       np.array([i - 1]), p)
 
 
 def khasminskii_check(

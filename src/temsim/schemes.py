@@ -1,9 +1,9 @@
-"""Time steppers and single-path simulation.
+"""Single-path simulation and the step process it exports.
 
 The exported observable of a simulation is the piecewise-constant step
 process: constant on each ``[t_k, t_{k+1})`` with the grid value at its
-left end. Delay lookups are pure integer shifts (``k - M``), never
-interpolation, because the step always divides the delay exactly.
+left end. The step always divides the delay exactly, so the engine's delay
+lookups are integer shifts (``k - M``), never interpolation.
 
 A single path is row ``path_index`` of its run's batch draw, so the
 coordinates ``(seed, path, delta)`` that a :class:`SimulationError` names
@@ -21,8 +21,8 @@ import numpy as np
 
 from . import engine
 from .engine import resolve_grid
-from .model import CoefficientTables, ModelSpec
-from .truncation import TruncationPolicy, truncation_band
+from .model import ModelSpec
+from .truncation import TruncationPolicy
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,6 @@ class PathState:
             raise IndexError(f"node {k} outside -{self.tau_steps}..{self.num_steps}")
         return float(self.values[k + self.tau_steps])
 
-    def delayed_value(self, k: int) -> float:
-        """Value one delay back from node k (exact index shift by M)."""
-        return self.value(k - self.tau_steps)
-
-    def regime(self, k: int) -> int:
-        if not 0 <= k <= self.num_steps:
-            raise IndexError(f"node {k} outside 0..{self.num_steps}")
-        return int(self.regimes[k])
-
     def step_value(self, t: float) -> float:
         """The step process at time t in [-tau, horizon]."""
         if t < -self.tau_steps * self.delta - 1e-12 or t > self.horizon + 1e-12:
@@ -73,32 +64,6 @@ class PathState:
     @property
     def horizon(self) -> float:
         return self.num_steps * self.delta
-
-
-def _step_inputs(state: PathState, k: int, d_poisson: int, spec: ModelSpec):
-    """Width-1 state, regime index, volatility and jump count of node k, for
-    the step rules (a count of zero is a step without jumps)."""
-    r = state.regime(k)
-    spec.regime(r)
-    phi = spec.volatility.evaluate_many(np.array([state.delayed_value(k)]), np.array([r]))
-    return np.array([state.value(k)]), r - 1, phi, float(d_poisson) if d_poisson else None
-
-
-def tem_step(state: PathState, k: int, d_brownian: float, d_poisson: int,
-             spec: ModelSpec, policy: TruncationPolicy) -> float:
-    """One truncated-EM update from node k given the step's increments."""
-    x, ridx, phi, d_n = _step_inputs(state, k, d_poisson, spec)
-    lower, upper = truncation_band(state.delta, policy)
-    return float(engine.tem_update(x, CoefficientTables(spec), ridx, phi, d_brownian,
-                                   d_n, k, state.delta, lower, upper)[0])
-
-
-def bem_step(state: PathState, k: int, d_brownian: float, d_poisson: int,
-             spec: ModelSpec) -> float:
-    """One backward-EM update: drift implicit, diffusion and jump explicit."""
-    x, ridx, phi, d_n = _step_inputs(state, k, d_poisson, spec)
-    return float(engine.bem_update(x, CoefficientTables(spec), ridx, phi, d_brownian,
-                                   d_n, k, state.delta, spec.include_inverse_drift)[0])
 
 
 def simulate_tem_path(

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CoefficientTables, ModelSpec, point_value
+from .model import CoefficientTables, ModelSpec
 
 
 class TruncationError(ValueError):
@@ -105,23 +105,6 @@ def truncation_band(delta: float, policy: TruncationPolicy) -> tuple[float, floa
     return 1.0 / upper, upper
 
 
-def truncated_drift(x: float, i: int, delta: float, spec: ModelSpec,
-                    policy: TruncationPolicy) -> float:
-    """Drift evaluated at ``x`` clamped into the band for this step size."""
-    spec.regime(i)
-    lower, upper = truncation_band(delta, policy)
-    tables = CoefficientTables(spec)
-    return point_value(lambda xs: tables.truncated(xs, i - 1, lower, upper)[0], x)
-
-
-def truncated_diffusion(x: float, delta: float, spec: ModelSpec,
-                        policy: TruncationPolicy) -> float:
-    """Diffusion factor with only the upper clamp; zero for negative x."""
-    lower, upper = truncation_band(delta, policy)
-    tables = CoefficientTables(spec)
-    return point_value(lambda xs: tables.truncated(xs, 0, lower, upper)[1], x)
-
-
 def _band_sups(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Grid edges ``r`` >= 1 and the sup of |f| and g over each band [1/r, r]:
     the grid is symmetric in log about x = 1 and the bands are nested, so
@@ -145,11 +128,6 @@ def _verify_domination(mu: Callable, r: np.ndarray, band_sup: np.ndarray) -> Non
             f"mu({r[k]:g}) = {float(mu(r[k])):g} does not dominate the "
             f"coefficient sup {band_sup[k + 1]:g} on [1/{r[k + 1]:g}, {r[k + 1]:g}]"
         )
-
-
-def delta_star_search(spec: ModelSpec, policy: TruncationPolicy) -> float:
-    """Largest admissible step bound for this model under the policy's mu/psi."""
-    return _delta_star_search(spec, policy.mu.inverse, policy.psi_exponent)
 
 
 def _delta_star_search(spec: ModelSpec, mu_inverse: Callable[[float], float],

@@ -22,6 +22,7 @@ from temsim.estimators import (
     strong_error,
 )
 from temsim.model import (
+    CoefficientTables,
     ModelSpec,
     RegimeParams,
     build_volatility,
@@ -35,14 +36,7 @@ from temsim.regime import (
 )
 from temsim.rng import substream
 from temsim.schemes import simulate_tem_path
-from temsim.truncation import (
-    StepProfileWarning,
-    default_mu_for,
-    psi,
-    truncation_band,
-    truncated_diffusion,
-    truncated_drift,
-)
+from temsim.truncation import StepProfileWarning, default_mu_for, truncation_band
 
 warnings.simplefilter("ignore", StepProfileWarning)
 
@@ -133,6 +127,7 @@ def test_criterion_3_markov_chain_correctness():
 
 def test_criterion_4_truncation_cap():
     spec = two_regime_demo()
+    tables = CoefficientTables(spec)
     rng = np.random.default_rng(31415)
     ok = True
     for q, samples in ((2.0 / 3.0, 100_000), (0.25, 20_000)):
@@ -140,24 +135,18 @@ def test_criterion_4_truncation_cap():
         xs = rng.uniform(-100.0, 100.0, samples)
         regimes = rng.integers(1, 3, samples)
         deltas = rng.uniform(1e-6, policy.delta_star, samples)
-        for x, i, d in zip(xs, regimes, deltas):
-            cap = psi(float(d), policy) * (1.0 + 1e-12)
-            fd = abs(truncated_drift(float(x), int(i), float(d), spec, policy))
-            gd = truncated_diffusion(float(x), float(d), spec, policy)
-            if max(fd, gd) > cap:
-                ok = False
-                break
+        # each sample against the band and psi(delta) = delta^-q of its own step
+        caps = deltas ** -q
+        uppers = policy.mu.inverse(caps)
+        fd, gd = tables.truncated(xs, regimes - 1, 1.0 / uppers, uppers)
+        ok &= bool(np.all(np.maximum(np.abs(fd), gd) <= caps * (1.0 + 1e-12)))
         # band-interior identity with the raw coefficients, exact
-        from temsim.model import diffusion_g, drift_f
         lower, upper = truncation_band(1e-3, policy)
-        for x in np.linspace(lower * 1.001, upper * 0.999, 23):
-            for i in (1, 2):
-                if truncated_drift(float(x), i, 1e-3, spec, policy) != \
-                        drift_f(float(x), i, spec):
-                    ok = False
-            if truncated_diffusion(float(x), 1e-3, spec, policy) != \
-                    diffusion_g(float(x), spec):
-                ok = False
+        inside = np.linspace(lower * 1.001, upper * 0.999, 23)
+        for ridx in (0, 1):
+            fd, gd = tables.truncated(inside, ridx, lower, upper)
+            ok &= np.array_equal(fd, tables.drift(inside, ridx))
+            ok &= np.array_equal(gd, tables.diffusion(inside))
     assert report(4, "truncated coefficients capped by psi(delta), "
                      "identity inside the band", ok)
 

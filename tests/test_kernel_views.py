@@ -1,49 +1,38 @@
-"""The scalar coefficient and step functions are width-1 views of the kernel.
+"""Width-1 evaluations of the kernel equal its rows, bit for bit.
 
-The simulation engine steps on ``CoefficientTables`` over whole rows of
-paths. Every scalar function must return exactly (``==``) what the kernel
-gives for the same point inside such a row, so that ``validate`` and the
-scalar API check the arithmetic the simulations run. The property test
-checks the truncation cap ``max(|f_delta|, g_delta) <= psi(delta)`` of the
-kernel for random models, not only the demo.
+The simulation engine steps on ``CoefficientTables`` and the step rules
+``tem_update``/``bem_update`` over whole rows of paths. A value at one
+point is the same kernel on a one-element array, and it must be exactly
+(``==``) what the kernel gives for that point inside a row, so that a
+point value, ``validate`` and the growth check see the arithmetic the
+simulations run.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from temsim.engine import (
     CoefficientTables,
+    bem_update,
     draw_batch_noise,
     noise_blocks,
     resolve_grid,
     simulate_bem_batch,
     simulate_tem_batch,
+    tem_update,
 )
 from temsim.model import (
     ModelSpec,
     RegimeParams,
+    _growth_functional,
     build_volatility,
     constant_segment,
-    diffusion_g,
-    drift_f,
-    jump_h,
-    khasminskii_integrand,
     two_regime_demo,
 )
 from temsim.regime import GeneratorMatrix
-from temsim.schemes import PathState, bem_step, tem_step
-from temsim.truncation import (
-    StepProfileWarning,
-    default_mu_for,
-    psi,
-    truncated_diffusion,
-    truncated_drift,
-    truncation_band,
-)
+from temsim.truncation import StepProfileWarning, default_mu_for, truncation_band
 
 DELTA = 1e-3
 
@@ -93,8 +82,9 @@ def probe_points(lower, upper):
                            edges, -edges])
 
 
-def scalar(fn, xs, *args):
-    return np.array([fn(float(x), *args) for x in xs])
+def width1(fn, xs, *args):
+    """``fn`` at each point of ``xs``, each on its own one-element array."""
+    return np.array([fn(np.array([x]), *args)[0] for x in xs])
 
 
 def test_coefficient_views_equal_kernel_bitwise(case):
@@ -102,32 +92,44 @@ def test_coefficient_views_equal_kernel_bitwise(case):
     lower, upper = truncation_band(DELTA, policy)
     xs = probe_points(lower, upper)
     tables = CoefficientTables(spec)
-    assert np.array_equal(scalar(diffusion_g, xs, spec), tables.diffusion(xs))
-    assert np.array_equal(scalar(truncated_diffusion, xs, DELTA, spec, policy),
-                          tables.diffusion(np.minimum(xs, upper)))
-    for i in range(1, spec.num_regimes + 1):
-        ridx = np.full(xs.size, i - 1)
-        assert np.array_equal(scalar(drift_f, xs, i, spec), tables.drift(xs, ridx))
-        assert np.array_equal(scalar(jump_h, xs, i, spec), tables.jump(xs, ridx))
+    assert np.array_equal(width1(tables.diffusion, xs), tables.diffusion(xs))
+    for i in range(spec.num_regimes):
+        ridx = np.full(xs.size, i)
+        one = np.array([i])
+        assert np.array_equal(width1(tables.drift, xs, one), tables.drift(xs, ridx))
+        assert np.array_equal(width1(tables.jump, xs, one), tables.jump(xs, ridx))
+        fd, gd = tables.truncated(xs, ridx, lower, upper)
         clamped = np.minimum(np.maximum(xs, lower), upper)
-        assert np.array_equal(scalar(truncated_drift, xs, i, DELTA, spec, policy),
-                              tables.drift(clamped, ridx))
+        assert np.array_equal(fd, tables.drift(clamped, ridx))
+        assert np.array_equal(gd, tables.diffusion(np.minimum(xs, upper)))
+        assert np.array_equal(
+            width1(lambda x: tables.truncated(x, one, lower, upper)[0], xs), fd)
+        assert np.array_equal(
+            width1(lambda x: tables.truncated(x, one, lower, upper)[1], xs), gd)
 
 
 def test_khasminskii_integrand_equals_kernel_bitwise(case):
+    # the growth functional at one point, on the grid khasminskii_check
+    # reduces, and from the kernel's coefficients
     spec, _ = case
     xs = np.geomspace(1e-2, 1e2, 301)
+    ys = np.array([-1.0, 0.0, 1.44])
     tables = CoefficientTables(spec)
-    for i in range(1, spec.num_regimes + 1):
-        ridx = np.full(xs.size, i - 1)
-        for y in (-1.0, 0.0, 1.44):
+    grid = _growth_functional(xs[:, None, None], spec, ys[None, None, :],
+                              np.arange(spec.num_regimes)[None, :, None], 4.0)
+    for i in range(spec.num_regimes):
+        ridx = np.full(xs.size, i)
+        for j, y in enumerate(ys):
             phi = spec.volatility.evaluate_many(np.full(xs.size, y), ridx + 1)
             expected = xs * tables.drift(xs, ridx) + 0.5 * 3.0 * (phi * tables.diffusion(xs)) ** 2
-            got = scalar(khasminskii_integrand, xs, y, i, 4.0, spec)
+            got = width1(_growth_functional, xs, spec, np.array([y]), np.array([i]), 4.0)
             assert np.array_equal(got, expected)
+            assert np.array_equal(grid[:, i, j], expected)
 
 
 def test_step_views_equal_batch_bitwise(case):
+    # each step rule on one path's width-1 row reproduces that path's row
+    # of the batch
     spec, policy = case
     grid = resolve_grid(spec.tau, 0.02, 1.0)
     m = grid.tau_steps
@@ -135,88 +137,20 @@ def test_step_views_equal_batch_bitwise(case):
     noise = noise_blocks(brownian, poisson, regimes)
     tem = simulate_tem_batch(spec, policy, grid, noise)
     bem = simulate_bem_batch(spec, grid, noise)
+    tables = CoefficientTables(spec)
+    lower, upper = truncation_band(grid.delta, policy)
 
-    def state(values, p):
-        return PathState(delta=grid.delta, tau_steps=m, values=values[p], regimes=regimes[p])
+    def row_step(update, values, p, k, *args):
+        node = slice(k, k + 1)
+        phi = spec.volatility.evaluate_many(values[p, node], regimes[p, node])
+        d_n = poisson[p, node].astype(float) if poisson[p, k] else None
+        return update(values[p, m + k:m + k + 1], tables, regimes[p, node] - 1, phi,
+                      brownian[p, node], d_n, k, grid.delta, *args)[0]
 
     for p in range(12):
-        got = [tem_step(state(tem, p), k, brownian[p, k], poisson[p, k], spec, policy)
-               for k in range(grid.num_steps)]
+        got = [row_step(tem_update, tem, p, k, lower, upper) for k in range(grid.num_steps)]
         assert np.array_equal(got, tem[p, m + 1:])
     for p in range(4):
-        got = [bem_step(state(bem, p), k, brownian[p, k], poisson[p, k], spec)
+        got = [row_step(bem_update, bem, p, k, spec.include_inverse_drift)
                for k in range(grid.num_steps)]
         assert np.array_equal(got, bem[p, m + 1:])
-
-
-def test_views_keep_named_errors():
-    spec = two_regime_demo()
-    policy = _policy(spec, "3u2")
-    with pytest.raises(ValueError, match="regime 0"):
-        jump_h(1.0, 0, spec)
-    with pytest.raises(ValueError, match="regime 3"):
-        truncated_drift(1.0, 3, DELTA, spec, policy)
-    with pytest.raises(ValueError, match="x = 0"):
-        khasminskii_integrand(0.0, 0.0, 1, 2.0, spec)
-
-
-coefficient = st.floats(0.01, 2.0)
-
-
-@st.composite
-def models(draw):
-    regimes = draw(st.lists(
-        st.builds(RegimeParams, coefficient, coefficient, coefficient, coefficient,
-                  st.floats(0.0, 2.0)),
-        min_size=1, max_size=3))
-    n = len(regimes)
-    generator = np.ones((n, n)) - n * np.eye(n)
-    spec = ModelSpec(
-        regimes=tuple(regimes),
-        rho=draw(st.floats(1.05, 3.0)),
-        theta=draw(st.floats(1.01, 2.5)),
-        tau=1.0, jump_intensity=1.0,
-        volatility=build_volatility("constant", 0.3),
-        initial_segment=constant_segment(0.5),
-        generator=GeneratorMatrix(generator),
-        include_inverse_drift=draw(st.booleans()),
-    )
-    policy = default_mu_for(spec, psi_exponent=draw(st.sampled_from([0.25, 0.5, 2.0 / 3.0])),
-                            mu_preset=draw(st.sampled_from(["auto", "power_fit"])))
-    return spec, policy
-
-
-def steep_power_fit_model():
-    """A model whose coefficient sup outgrows c u^m just above u = 1.27.
-
-    Fitting c on the edges of a 200-point band grid missed that peak
-    between two edges, and the truncated drift exceeded psi(delta) by 0.5 %.
-    """
-    spec = ModelSpec(
-        regimes=(RegimeParams(1.15, 0.33, 1.45, 1.8, 0.9),
-                 RegimeParams(1.75, 1.2, 0.5, 2.0, 1.5)),
-        rho=3.0, theta=1.6, tau=1.0, jump_intensity=1.0,
-        volatility=build_volatility("constant", 0.3),
-        initial_segment=constant_segment(0.5),
-        generator=GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]])),
-    )
-    return spec, default_mu_for(spec, psi_exponent=0.5, mu_preset="power_fit")
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(model=models(), xs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20))
-@example(model=steep_power_fit_model(), xs=[1.0])
-def test_truncation_cap_holds_for_random_models(model, xs):
-    # every step on a dense log grid up to delta_star, at the band edges of
-    # that step (where the cap is tightest) and at the drawn points
-    spec, policy = model
-    deltas = np.geomspace(1e-6, policy.delta_star, 2000)
-    bands = np.array([truncation_band(d, policy) for d in deltas])
-    caps = np.array([psi(d, policy) for d in deltas])[:, None]
-    lower, upper = bands[:, :1], bands[:, 1:]
-    points = np.hstack([bands, np.broadcast_to(xs, (deltas.size, len(xs)))])
-    tables = CoefficientTables(spec)
-    for r in range(spec.num_regimes):
-        drift, diffusion = tables.truncated(points, r, lower, upper)
-        assert np.all(diffusion <= caps * (1.0 + 1e-12))
-        assert np.all(np.abs(drift) <= caps * (1.0 + 1e-12))

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from temsim.model import (
+    CoefficientTables,
     ModelSpec,
     RegimeParams,
     VolatilitySpec,
+    _growth_functional,
     build_volatility,
     constant_segment,
-    diffusion_g,
-    drift_f,
-    jump_h,
     khasminskii_check,
-    khasminskii_integrand,
     sigmoid_volatility,
     sigmoid_volatility_vec,
     two_regime_demo,
@@ -23,6 +21,20 @@ from temsim.model import (
 from temsim.regime import GeneratorMatrix
 
 DEMO = two_regime_demo()
+
+
+# the coefficients at one point: the kernel on a width-1 array, regime i
+# 1-based
+def drift(x, i, spec=DEMO):
+    return float(CoefficientTables(spec).drift(np.array([x]), np.array([i - 1]))[0])
+
+
+def diffusion(x, spec=DEMO):
+    return float(CoefficientTables(spec).diffusion(np.array([x]))[0])
+
+
+def jump(x, i, spec=DEMO):
+    return float(CoefficientTables(spec).jump(np.array([x]), np.array([i - 1]))[0])
 
 
 def make_spec(**overrides):
@@ -46,60 +58,52 @@ def make_spec(**overrides):
 class TestDrift:
     def test_demo_regime1_at_one(self):
         # 0.3 - 0.2 + 0.1 - 0.5
-        assert drift_f(1.0, 1, DEMO) == pytest.approx(-0.3, abs=1e-15)
+        assert drift(1.0, 1, DEMO) == pytest.approx(-0.3, abs=1e-15)
 
     def test_demo_regime1_small_argument(self):
         expected = 0.3 / 0.02 - 0.2 + 0.1 * 0.02 - 0.5 * 0.02**2
-        assert drift_f(0.02, 1, DEMO) == pytest.approx(expected, rel=1e-14)
-        assert drift_f(0.02, 1, DEMO) == pytest.approx(14.8018, rel=1e-10)
+        assert drift(0.02, 1, DEMO) == pytest.approx(expected, rel=1e-14)
+        assert drift(0.02, 1, DEMO) == pytest.approx(14.8018, rel=1e-10)
 
     def test_symmetric_cancellation(self):
         spec = make_spec(regimes=(RegimeParams(0.7, 0.7, 0.7, 0.7, 0.0),),
                          generator=GeneratorMatrix(np.array([[0.0]])))
-        assert drift_f(1.0, 1, spec) == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_with_inverse_raises(self):
-        with pytest.raises(ValueError):
-            drift_f(0.0, 1, DEMO)
+        assert drift(1.0, 1, spec) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_without_inverse(self):
         spec = two_regime_demo(include_inverse_drift=False)
-        assert drift_f(0.0, 1, spec) == pytest.approx(-0.2)
+        assert drift(0.0, 1, spec) == pytest.approx(-0.2)
 
     def test_negative_argument_sign_extension(self):
         # 0.3/(-1) - 0.2 + 0.1*(-1) - 0.5*sign(-1)*1
-        assert drift_f(-1.0, 1, DEMO) == pytest.approx(-0.1, abs=1e-15)
+        assert drift(-1.0, 1, DEMO) == pytest.approx(-0.1, abs=1e-15)
 
     def test_asymptotic_signs_every_regime(self):
         for i in (1, 2):
-            assert drift_f(1e6, i, DEMO) < 0.0
-            assert drift_f(1e-6, i, DEMO) > 0.0
-
-    def test_regime_index_validated(self):
-        with pytest.raises(ValueError):
-            drift_f(1.0, 3, DEMO)
+            assert drift(1e6, i, DEMO) < 0.0
+            assert drift(1e-6, i, DEMO) > 0.0
 
 
 class TestDiffusionAndJump:
     def test_unit(self):
-        assert diffusion_g(1.0, DEMO) == 1.0
+        assert diffusion(1.0, DEMO) == 1.0
 
     def test_small_argument(self):
         expected = math.exp(1.25 * math.log(0.02))
-        assert diffusion_g(0.02, DEMO) == pytest.approx(expected, rel=1e-13)
+        assert diffusion(0.02, DEMO) == pytest.approx(expected, rel=1e-13)
 
     def test_negative_branch_vanishes(self):
-        assert diffusion_g(-0.5, DEMO) == 0.0
-        assert jump_h(-1.0, 1, DEMO) == 0.0
+        assert diffusion(-0.5, DEMO) == 0.0
+        assert jump(-1.0, 1, DEMO) == 0.0
         for x in (-10.0, -1e-9, -1e6):
-            assert diffusion_g(x, DEMO) == 0.0
-            assert jump_h(x, 2, DEMO) == 0.0
+            assert diffusion(x, DEMO) == 0.0
+            assert jump(x, 2, DEMO) == 0.0
 
     def test_jump_scale_regime2(self):
-        assert jump_h(0.5, 2, DEMO) == pytest.approx(1.0, abs=1e-15)
+        assert jump(0.5, 2, DEMO) == pytest.approx(1.0, abs=1e-15)
 
     def test_jump_at_zero(self):
-        assert jump_h(0.0, 1, DEMO) == 0.0
+        assert jump(0.0, 1, DEMO) == 0.0
 
 
 class TestSigmoidVolatility:
@@ -285,8 +289,8 @@ class TestValidateAssumptions:
 class TestKhasminskii:
     def test_integrand_hand_value(self):
         # 1 * f(1,1) + ((2-1)/2) * (phi(0,1) * g(1))^2 = -0.3 + 0.03125
-        value = khasminskii_integrand(1.0, 0.0, 1, 2.0, DEMO)
-        assert value == pytest.approx(-0.26875, abs=1e-14)
+        value = _growth_functional(np.array([1.0]), DEMO, np.array([0.0]), np.array([0]), 2.0)
+        assert value[0] == pytest.approx(-0.26875, abs=1e-14)
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 8.0])
     def test_demo_holds(self, p):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import temsim.engine as engine
-from temsim.engine import Grid, SimulationError, resolve_grid
+from temsim.engine import CoefficientTables, Grid, SimulationError, resolve_grid
 from temsim.model import (
     ModelSpec,
     RegimeParams,
@@ -15,13 +15,8 @@ from temsim.model import (
     two_regime_demo,
 )
 from temsim.regime import GeneratorMatrix
-from temsim.schemes import (
-    PathState,
-    bem_step,
-    simulate_tem_path,
-    tem_step,
-)
-from temsim.truncation import StepProfileWarning, default_mu_for
+from temsim.schemes import PathState, simulate_tem_path
+from temsim.truncation import StepProfileWarning, default_mu_for, truncation_band
 
 warnings.simplefilter("ignore", StepProfileWarning)
 
@@ -44,6 +39,29 @@ def degenerate_spec(alpha_3=(0.0, 2.0), include_inverse=False):
 def one_path_noise(spec, grid, seed, path_index):
     """Path ``path_index``'s noise arrays, one row each, as drawn in its run."""
     return engine.draw_batch_noise(spec, grid, seed, [path_index]).arrays()
+
+
+def tem_from(state, k, d_brownian, d_poisson, spec=DEMO, policy=POLICY):
+    """The TEM step from node k of ``state``: ``engine.tem_update`` on its
+    width-1 row, with the volatility at node k - M."""
+    m, node = state.tau_steps, slice(k, k + 1)
+    phi = spec.volatility.evaluate_many(state.values[node], state.regimes[node])
+    d_n = np.array([float(d_poisson)]) if d_poisson else None
+    return engine.tem_update(
+        state.values[m + k:m + k + 1], CoefficientTables(spec), state.regimes[node] - 1,
+        phi, np.array([d_brownian]), d_n, k, state.delta,
+        *truncation_band(state.delta, policy))[0]
+
+
+def one_step(spec, delta, d_poisson=0, regime=1, policy=None):
+    """Node 1 of one path stepped once from its initial segment, without a
+    Brownian increment: TEM under ``policy``, or BEM without one."""
+    grid = resolve_grid(spec.tau, delta, delta)
+    noise = engine.noise_blocks(np.zeros((1, 1)), np.full((1, 1), d_poisson),
+                                np.full((1, 2), regime))
+    if policy is None:
+        return engine.simulate_bem_batch(spec, grid, noise)[0, -1]
+    return engine.simulate_tem_batch(spec, policy, grid, noise)[0, -1]
 
 
 def single_regime_ode_spec(initial=1.0):
@@ -103,12 +121,8 @@ class TestPathState:
         assert state.value(-2) == 0.02
         assert state.value(0) == 0.02
         assert state.value(3) == 0.04
-        assert state.delayed_value(1) == state.value(-1)
-        assert state.regime(1) == 2
         with pytest.raises(IndexError):
             state.value(4)
-        with pytest.raises(IndexError):
-            state.regime(-1)
 
     def test_step_process_left_continuous_grid(self):
         state = self.make_state()
@@ -126,19 +140,18 @@ class TestPathState:
         state = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
                                   seed=3, path_index=0)
         for k in range(0, 40):
-            assert state.delayed_value(k) == 0.02
+            assert state.value(k - state.tau_steps) == 0.02
 
 
 class TestTemStep:
     def test_zero_noise_is_pure_drift(self):
         state = simulate_tem_path(DEMO, POLICY, 1e-3, 0.1,
                                   seed=1, path_index=0)
-        from temsim.truncation import truncated_drift
+        m, band = state.tau_steps, truncation_band(state.delta, POLICY)
         for k in (0, 10, 50):
-            x = state.value(k)
-            expected = x + truncated_drift(x, state.regime(k), state.delta,
-                                           DEMO, POLICY) * state.delta
-            assert tem_step(state, k, 0.0, 0, DEMO, POLICY) == expected
+            x = state.values[m + k:m + k + 1]
+            drift = CoefficientTables(DEMO).truncated(x, state.regimes[k:k + 1] - 1, *band)[0]
+            assert tem_from(state, k, 0.0, 0) == (x + drift * state.delta)[0]
 
     def test_golden_composition(self):
         # independent re-derivation: clamp band sqrt(psi/3) at delta=1e-3,
@@ -152,24 +165,19 @@ class TestTemStep:
         y = 0.02
         phi = 0.5 * (1.0 + (math.exp(y) - math.exp(-y))) / (math.exp(y) + math.exp(-y))
         expected = 0.02 + fd * 1e-3 + phi * gd * 0.01
-        got = tem_step(state, 0, 0.01, 0, DEMO, POLICY)
+        got = tem_from(state, 0, 0.01, 0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.021553922591485482, rel=1e-12)
 
     def test_isolated_jump_channel(self):
         # zeroed drift/volatility, regime 2 doubles per count: 0.5 + 2*(2*0.5)
-        spec = degenerate_spec()
-        values = np.full(7, 0.5)
-        regimes = np.array([2, 2, 2])
-        state = PathState(delta=0.1, tau_steps=4, values=values, regimes=regimes)
-        assert tem_step(state, 0, 0.0, 2, spec, POLICY) == 2.5
+        assert one_step(degenerate_spec(), 0.1, d_poisson=2, regime=2, policy=POLICY) == 2.5
 
     def test_matches_engine_recursion(self):
         state = simulate_tem_path(DEMO, POLICY, 1e-2, 0.5,
                                   seed=99, path_index=0)
         for k in range(state.num_steps):
-            nxt = tem_step(state, k, float(state.brownian[k]),
-                           int(state.poisson[k]), DEMO, POLICY)
+            nxt = tem_from(state, k, state.brownian[k], state.poisson[k])
             assert nxt == state.value(k + 1)
 
 
@@ -230,11 +238,11 @@ class TestSimulateTem:
         values = engine.simulate_tem_batch(spec, policy, grid, engine.noise_blocks(
             np.zeros((1, k)), np.zeros((1, k), dtype=np.int64),
             np.ones((1, k + 1), dtype=np.int64)))[0]
-        from temsim.truncation import truncated_drift
-        x = 1.0
+        tables, band = CoefficientTables(spec), truncation_band(grid.delta, policy)
+        x = np.array([1.0])
         for k_idx in range(64):
-            x = x + truncated_drift(x, 1, grid.delta, spec, policy) * grid.delta
-            assert values[grid.tau_steps + k_idx + 1] == x
+            x = x + tables.truncated(x, np.array([0]), *band)[0] * grid.delta
+            assert values[grid.tau_steps + k_idx + 1] == x[0]
 
     def test_batch_equals_single_paths_bitwise(self):
         grid = resolve_grid(DEMO.tau, 1e-2, 0.5)
@@ -257,11 +265,7 @@ class TestSimulateTem:
 
 class TestBem:
     def test_zero_drift_fixed_point(self):
-        spec = degenerate_spec()
-        values = np.full(7, 0.5)
-        state = PathState(delta=0.25, tau_steps=4, values=values,
-                          regimes=np.array([1, 1, 1]))
-        assert bem_step(state, 0, 0.0, 0, spec) == 0.5
+        assert one_step(degenerate_spec(), 0.25) == 0.5
 
     def test_quadratic_drift_closed_form(self):
         # f(z) = -z^2: implicit equation z + delta z^2 = x has the root
@@ -274,11 +278,8 @@ class TestBem:
             generator=GeneratorMatrix(np.zeros((1, 1))),
             initial_regime=1, include_inverse_drift=False,
         )
-        values = np.full(5, 1.0)
-        state = PathState(delta=0.1, tau_steps=2, values=values,
-                          regimes=np.array([1, 1, 1]))
         expected = (-1.0 + math.sqrt(1.0 + 4.0 * 0.1 * 1.0)) / (2.0 * 0.1)
-        assert bem_step(state, 0, 0.0, 0, spec) == pytest.approx(expected, rel=1e-10)
+        assert one_step(spec, 0.1) == pytest.approx(expected, rel=1e-10)
 
     def test_linear_pull_matches_backward_euler(self):
         # with only alpha_0 active the update is z = x - delta alpha_0
@@ -290,11 +291,7 @@ class TestBem:
             generator=GeneratorMatrix(np.zeros((1, 1))),
             initial_regime=1, include_inverse_drift=False,
         )
-        values = np.full(5, 1.0)
-        state = PathState(delta=0.1, tau_steps=2, values=values,
-                          regimes=np.array([1, 1, 1]))
-        assert bem_step(state, 0, 0.0, 0, spec) == pytest.approx(1.0 - 0.03,
-                                                                 rel=1e-12)
+        assert one_step(spec, 0.1) == pytest.approx(1.0 - 0.03, rel=1e-12)
 
     def test_positivity_with_inverse_drift(self):
         grid = resolve_grid(DEMO.tau, 1e-3, 1.0)
@@ -354,6 +351,33 @@ class TestNonFiniteDetection:
         assert err.value.seed == 55
         assert err.value.path_index in (0, 1)
         assert "replay" in str(err.value)
+
+    @pytest.mark.parametrize("scheme", ["tem", "bem"])
+    def test_replay_coordinates_only_with_a_seed(self, scheme):
+        # a NaN Brownian increment in row 1: without a seed there is nothing
+        # to replay, so neither the non-finite check nor the implicit solve's
+        # bracket search may name coordinates
+        grid = resolve_grid(DEMO.tau, 0.01, 0.1)
+        brownian = np.zeros((2, grid.num_steps))
+        brownian[1, 3] = math.nan
+        poisson = np.zeros(brownian.shape, dtype=np.int64)
+        regimes = np.ones((2, grid.num_steps + 1), dtype=np.int64)
+
+        def run(rows, **ids):
+            noise = engine.noise_blocks(brownian[rows], poisson[rows], regimes[rows])
+            with pytest.raises(SimulationError) as err:
+                if scheme == "tem":
+                    engine.simulate_tem_batch(DEMO, POLICY, grid, noise, **ids)
+                else:
+                    engine.simulate_bem_batch(DEMO, grid, noise, **ids)
+            return err.value
+
+        unseeded = run(slice(None))
+        assert unseeded.path_index == 1
+        assert "of path 1" in str(unseeded) and "replay:" not in str(unseeded)
+        seeded = run(slice(1, 2), seed=3, path_indices=[5])
+        assert (seeded.seed, seeded.path_index) == (3, 5)
+        assert str(seeded).endswith(" of path 5 (replay: seed=3, path=5, delta=0.01)")
 
     def test_replayed_record_names_its_seed(self):
         # the coordinates a batch failure names regenerate the failing

@@ -30,8 +30,8 @@ from temsim.engine import (
     implicit_drift_solve,
     tem_update,
 )
-from temsim.model import diffusion_g, two_regime_demo
-from temsim.truncation import default_mu_for, truncated_diffusion, truncation_band
+from temsim.model import two_regime_demo
+from temsim.truncation import default_mu_for, truncation_band
 
 DELTA = 1e-3
 
@@ -199,10 +199,11 @@ def test_non_finite_states_stay_non_finite(rows):
 @pytest.mark.parametrize("spec,band", CASES[:2])
 def test_diffusion_is_nan_at_nan(spec, band):
     # g(x) = max(x, 0)^theta propagates NaN; the masked form returned 0.0
-    assert math.isnan(diffusion_g(math.nan, spec))
     policy = default_mu_for(spec, psi_exponent=0.5)
-    assert math.isnan(truncated_diffusion(math.nan, DELTA, spec, policy))
     tables = CoefficientTables(spec)
+    nan = np.array([math.nan])
+    assert math.isnan(tables.diffusion(nan)[0])
+    assert math.isnan(tables.truncated(nan, 0, *truncation_band(DELTA, policy))[1][0])
     xs = np.array([math.nan, -math.inf, -1.0, -0.0, 0.0, TINY, 1.0, math.inf])
     got = tables.diffusion(xs)
     assert math.isnan(got[0])

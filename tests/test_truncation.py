@@ -3,23 +3,24 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from temsim.model import RegimeParams, build_volatility, constant_segment, drift_f, \
-    diffusion_g, two_regime_demo, ModelSpec
+from temsim.engine import CoefficientTables
+from temsim.model import RegimeParams, build_volatility, constant_segment, \
+    two_regime_demo, ModelSpec
 from temsim.regime import GeneratorMatrix
 from temsim.truncation import (
     StepProfileWarning,
     TruncationError,
     TruncationPolicy,
     default_mu_for,
-    delta_star_search,
     psi,
-    truncated_diffusion,
-    truncated_drift,
     truncation_band,
 )
 
 DEMO = two_regime_demo()
+TABLES = CoefficientTables(DEMO)
 
 
 def demo_policy(q=2 / 3):
@@ -29,6 +30,30 @@ def demo_policy(q=2 / 3):
 
 
 POLICY = demo_policy()
+
+
+def drift(x, i):
+    """The demo's regime-``i`` drift at ``x``, on a width-1 array."""
+    return float(TABLES.drift(np.array([x]), np.array([i - 1]))[0])
+
+
+def truncated(x, i, delta, policy=POLICY):
+    """The demo's truncated drift and diffusion factor at ``x`` in regime
+    ``i``, on a width-1 array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepProfileWarning)
+        band = truncation_band(delta, policy)
+    fd, gd = TABLES.truncated(np.array([x]), np.array([i - 1]), *band)
+    return float(fd[0]), float(gd[0])
+
+
+def capped(xs, ridx, deltas, policy, tables=TABLES):
+    """Whether ``max(|f_delta|, g_delta) <= psi(delta)`` at every sample, each
+    with the band of its own step."""
+    caps = deltas ** -policy.psi_exponent
+    uppers = policy.mu.inverse(caps)
+    fd, gd = tables.truncated(xs, ridx, 1.0 / uppers, uppers)
+    return bool(np.all(np.maximum(np.abs(fd), gd) <= caps * (1.0 + 1e-12)))
 
 
 class TestDefaultMu:
@@ -43,9 +68,9 @@ class TestDefaultMu:
 
     def test_domination_at_band_one(self):
         # sup over [1,1] is max(|f(1,1)|, |f(1,2)|, g(1)) = max(0.3, 0.5, 1.0)
-        assert abs(drift_f(1.0, 1, DEMO)) == pytest.approx(0.3)
-        assert abs(drift_f(1.0, 2, DEMO)) == pytest.approx(0.5)
-        assert diffusion_g(1.0, DEMO) == 1.0
+        assert abs(drift(1.0, 1)) == pytest.approx(0.3)
+        assert abs(drift(1.0, 2)) == pytest.approx(0.5)
+        assert TABLES.diffusion(np.array([1.0]))[0] == 1.0
         assert POLICY.mu(1.0) == pytest.approx(3.0)
         assert max(0.3, 0.5, 1.0) <= POLICY.mu(1.0)
 
@@ -57,10 +82,8 @@ class TestDefaultMu:
         xs = np.geomspace(1e-2, 1e2, 200)
         for r in (1.5, 4.0, 50.0):
             band = xs[(xs >= 1.0 / r) & (xs <= r)]
-            sup = max(
-                max(abs(drift_f(float(x), i, DEMO)) for x in band for i in (1, 2)),
-                max(diffusion_g(float(x), DEMO) for x in band),
-            )
+            sup = max(np.abs(TABLES.drift(band, np.array([[0], [1]]))).max(),
+                      TABLES.diffusion(band).max())
             assert sup <= policy.mu(r) * (1.0 + 1e-9)
 
     def test_unknown_preset(self):
@@ -102,35 +125,33 @@ class TestTruncatedCoefficients:
     def test_drift_above_band(self):
         upper = math.sqrt(100.0 / 3.0)
         expected = 0.3 / upper - 0.2 + 0.1 * upper - 0.5 * upper**2
-        assert truncated_drift(10.0, 1, 1e-3, DEMO, POLICY) == pytest.approx(
-            expected, rel=1e-13)
+        assert truncated(10.0, 1, 1e-3)[0] == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(-16.237, abs=5e-4)
 
     def test_drift_inside_band_unchanged(self):
-        assert truncated_drift(1.0, 1, 1e-3, DEMO, POLICY) == drift_f(1.0, 1, DEMO)
+        assert truncated(1.0, 1, 1e-3)[0] == drift(1.0, 1)
 
     def test_drift_below_band_clamps_positive(self):
         lower = 1.0 / math.sqrt(100.0 / 3.0)
-        expected = drift_f(lower, 1, DEMO)
-        assert truncated_drift(-5.0, 1, 1e-3, DEMO, POLICY) == pytest.approx(
-            expected, rel=1e-13)
+        expected = drift(lower, 1)
+        assert truncated(-5.0, 1, 1e-3)[0] == pytest.approx(expected, rel=1e-13)
         assert expected > 0.0
 
     def test_diffusion_upper_clamp(self):
         upper = math.sqrt(100.0 / 3.0)
-        assert truncated_diffusion(10.0, 1e-3, DEMO, POLICY) == pytest.approx(
+        assert truncated(10.0, 1, 1e-3)[1] == pytest.approx(
             math.exp(1.25 * math.log(upper)), rel=1e-13)
 
     def test_diffusion_negative_and_inside(self):
-        assert truncated_diffusion(-0.3, 1e-3, DEMO, POLICY) == 0.0
-        assert truncated_diffusion(1.0, 1e-3, DEMO, POLICY) == 1.0
+        assert truncated(-0.3, 1, 1e-3)[1] == 0.0
+        assert truncated(1.0, 1, 1e-3)[1] == 1.0
 
     def test_no_lower_clamp_for_diffusion(self):
-        assert truncated_diffusion(0.01, 1e-3, DEMO, POLICY) == diffusion_g(0.01, DEMO)
+        assert truncated(0.01, 1, 1e-3)[1] == TABLES.diffusion(np.array([0.01]))[0]
 
     def test_step_beyond_delta_star_rejected(self):
         with pytest.raises(TruncationError):
-            truncated_drift(1.0, 1, 0.5, DEMO, POLICY)
+            truncated(1.0, 1, 0.5)
 
     def test_cap_property_randomized(self):
         # |f_delta| v g_delta <= psi(delta) on random arguments, both profiles
@@ -140,13 +161,7 @@ class TestTruncatedCoefficients:
             xs = rng.uniform(-100.0, 100.0, 50_000)
             regimes = rng.integers(1, 3, 50_000)
             deltas = rng.uniform(1e-6, policy.delta_star, 50_000)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", StepProfileWarning)
-                for x, i, d in zip(xs[:2000], regimes[:2000], deltas[:2000]):
-                    cap = psi(float(d), policy) * (1.0 + 1e-12)
-                    fd = abs(truncated_drift(float(x), int(i), float(d), DEMO, policy))
-                    gd = truncated_diffusion(float(x), float(d), DEMO, policy)
-                    assert max(fd, gd) <= cap
+            assert capped(xs[:2000], regimes[:2000] - 1, deltas[:2000], policy)
 
     def test_band_monotone_in_delta(self):
         with warnings.catch_warnings():
@@ -160,8 +175,8 @@ class TestTruncatedCoefficients:
             warnings.simplefilter("ignore", StepProfileWarning)
             lower, upper = truncation_band(1e-3, POLICY)
         for edge in (lower, upper):
-            left = truncated_drift(edge - 1e-9, 1, 1e-3, DEMO, POLICY)
-            right = truncated_drift(edge + 1e-9, 1, 1e-3, DEMO, POLICY)
+            left = truncated(edge - 1e-9, 1, 1e-3)[0]
+            right = truncated(edge + 1e-9, 1, 1e-3)[0]
             assert abs(left - right) < 1e-6
 
 
@@ -170,7 +185,6 @@ class TestDeltaStar:
         # band condition: psi(d) > mu(1) = 3, i.e. d < 3^(-3/2); drift
         # positivity near zero is slacker for the demo coefficients
         assert POLICY.delta_star == pytest.approx(3.0**-1.5, abs=1e-5)
-        assert delta_star_search(DEMO, POLICY) == pytest.approx(3.0**-1.5, abs=1e-5)
 
     def test_quarter_profile(self):
         policy = demo_policy(q=0.25)
@@ -215,14 +229,11 @@ class TestGrowthPreservation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepProfileWarning)
             for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-                worst = -np.inf
-                for x in xs:
-                    for i in (1, 2):
-                        fd = truncated_drift(float(x), i, delta, DEMO, POLICY)
-                        gd = truncated_diffusion(float(x), delta, DEMO, POLICY)
-                        val = x * fd + 0.5 * (p - 1.0) * (sigma * gd) ** 2
-                        worst = max(worst, val / (1.0 + x * x))
-                k5.append(worst)
+                # rows: regimes 1 and 2
+                fd, gd = TABLES.truncated(xs, np.array([[0], [1]]),
+                                          *truncation_band(delta, POLICY))
+                val = xs * fd + 0.5 * (p - 1.0) * (sigma * gd) ** 2
+                k5.append((val / (1.0 + xs * xs)).max())
         k5 = np.array(k5)
         assert np.all(np.isfinite(k5))
         assert k5.max() < 5.0
@@ -236,3 +247,65 @@ class TestPolicyType:
             TruncationPolicy(mu=POLICY.mu, psi_exponent=0.0, delta_star=0.1)
         with pytest.raises(TruncationError):
             TruncationPolicy(mu=POLICY.mu, psi_exponent=0.25, delta_star=1.5)
+
+
+coefficient = st.floats(0.01, 2.0)
+
+
+@st.composite
+def models(draw):
+    regimes = draw(st.lists(
+        st.builds(RegimeParams, coefficient, coefficient, coefficient, coefficient,
+                  st.floats(0.0, 2.0)),
+        min_size=1, max_size=3))
+    n = len(regimes)
+    generator = np.ones((n, n)) - n * np.eye(n)
+    spec = ModelSpec(
+        regimes=tuple(regimes),
+        rho=draw(st.floats(1.05, 3.0)),
+        theta=draw(st.floats(1.01, 2.5)),
+        tau=1.0, jump_intensity=1.0,
+        volatility=build_volatility("constant", 0.3),
+        initial_segment=constant_segment(0.5),
+        generator=GeneratorMatrix(generator),
+        include_inverse_drift=draw(st.booleans()),
+    )
+    policy = default_mu_for(spec, psi_exponent=draw(st.sampled_from([0.25, 0.5, 2.0 / 3.0])),
+                            mu_preset=draw(st.sampled_from(["auto", "power_fit"])))
+    return spec, policy
+
+
+def steep_power_fit_model():
+    """A model whose coefficient sup outgrows c u^m just above u = 1.27.
+
+    Fitting c on the edges of a 200-point band grid missed that peak
+    between two edges, and the truncated drift exceeded psi(delta) by 0.5 %.
+    """
+    spec = ModelSpec(
+        regimes=(RegimeParams(1.15, 0.33, 1.45, 1.8, 0.9),
+                 RegimeParams(1.75, 1.2, 0.5, 2.0, 1.5)),
+        rho=3.0, theta=1.6, tau=1.0, jump_intensity=1.0,
+        volatility=build_volatility("constant", 0.3),
+        initial_segment=constant_segment(0.5),
+        generator=GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]])),
+    )
+    return spec, default_mu_for(spec, psi_exponent=0.5, mu_preset="power_fit")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(model=models(), xs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20))
+@example(model=steep_power_fit_model(), xs=[1.0])
+def test_truncation_cap_holds_for_random_models(model, xs):
+    # every step on a dense log grid up to delta_star, at the band edges of
+    # that step (where the cap is tightest) and at the drawn points
+    spec, policy = model
+    deltas = np.geomspace(1e-6, policy.delta_star, 2000)
+    bands = np.array([truncation_band(d, policy) for d in deltas])
+    caps = np.array([psi(d, policy) for d in deltas])[:, None]
+    lower, upper = bands[:, :1], bands[:, 1:]
+    points = np.hstack([bands, np.broadcast_to(xs, (deltas.size, len(xs)))])
+    tables = CoefficientTables(spec)
+    for r in range(spec.num_regimes):
+        drift, diffusion = tables.truncated(points, r, lower, upper)
+        assert np.all(diffusion <= caps * (1.0 + 1e-12))
+        assert np.all(np.abs(drift) <= caps * (1.0 + 1e-12))
