@@ -2,6 +2,7 @@
 Ait-Sahalia-type rate model with delayed volatility and Poisson jumps.
 """
 
+from .config import two_regime_demo
 from .engine import Grid, SimulationError, resolve_grid
 from .estimators import (
     ConvergenceReport,
@@ -23,13 +24,11 @@ from .model import (
     constant_segment,
     khasminskii_check,
     sigmoid_volatility,
-    two_regime_demo,
     validate_assumptions,
 )
 from .noise import make_noise
 from .regime import (
     GeneratorMatrix,
-    TransitionMatrix,
     matrix_exponential,
     sample_chain_path,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "SchemeComparison",
     "SimulationError",
     "StepProfileWarning",
-    "TransitionMatrix",
     "TruncationError",
     "TruncationPolicy",
     "VolatilitySpec",

@@ -108,6 +108,14 @@ def _section(raw: dict, name: str, required: bool = False, **flags) -> dict:
     return {**value, **{key: v for key, v in flags.items() if v is not None}}
 
 
+def _only(section: dict, path: str, known) -> None:
+    """Reject a key of ``section`` outside ``known``, such as a mistyped field."""
+    for key in section:
+        if key not in known:
+            where = f"{path}.{key}" if path else str(key)
+            raise ConfigError(where, f"unknown field; known: {', '.join(known)}")
+
+
 def _number(section: dict, key, path: str, default=_REQUIRED, minimum=None,
             exclusive=False, maximum=None, integer=False):
     """The finite number at ``section[key]`` (an integer key names a list
@@ -165,12 +173,13 @@ def _merge_preset(model_raw: dict) -> dict:
             f"unknown preset {preset_name!r}; known: {sorted(MODEL_PRESETS)}",
         )
     merged = copy.deepcopy(MODEL_PRESETS[preset_name])
-    # a null field keeps the preset's value, its default
+    # null keeps a preset field's value; any other field stays, to be read or rejected
     for key, value in model_raw.items():
-        if key == "preset" or value is None:
+        if key == "preset" or (value is None and key in merged):
             continue
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key].update((k, v) for k, v in value.items() if v is not None)
+            merged[key].update((k, v) for k, v in value.items()
+                               if v is not None or k not in merged[key])
         else:
             merged[key] = value
     return merged
@@ -187,9 +196,9 @@ def _parse_regimes(model: dict) -> list[RegimeParams]:
         path = f"model.regimes[{idx}]"
         if not isinstance(entry, dict):
             raise ConfigError(path, "expected a mapping of coefficients")
-        kwargs = {}
-        for name in ("alpha_m1", "alpha_0", "alpha_1", "alpha_2", "alpha_3"):
-            kwargs[name] = _number(entry, name, path, minimum=0.0)
+        names = ("alpha_m1", "alpha_0", "alpha_1", "alpha_2", "alpha_3")
+        _only(entry, path, names)
+        kwargs = {name: _number(entry, name, path, minimum=0.0) for name in names}
         try:
             regimes.append(RegimeParams(**kwargs))
         except ValueError as exc:
@@ -201,7 +210,11 @@ def _parse_generator(model: dict, num_regimes: int) -> GeneratorMatrix:
     raw = model.get("generator")
     if raw is None:
         raise ConfigError("model.generator", "field is required")
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, a mapping
+        raise ConfigError("model.generator",
+                          f"expected a matrix of numbers, got {raw!r}") from exc
     if arr.ndim == 1:
         if arr.size != num_regimes * num_regimes:
             raise ConfigError(
@@ -227,6 +240,7 @@ def _parse_volatility(model: dict):
         vol = {"name": "sigmoid_s5"}
     if not isinstance(vol, dict):
         raise ConfigError("model.volatility", "expected a mapping with a 'name'")
+    _only(vol, "model.volatility", ("name", "level", "bound"))
     name = vol.get("name")
     if not isinstance(name, str):
         raise ConfigError("model.volatility.name", "field is required")
@@ -271,28 +285,14 @@ def _parse_segment(model: dict) -> tuple[InitialSegment, dict]:
                  maximum=1.0)
     segment = InitialSegment(eval=segment.eval, holder_constant=hc,
                              holder_exponent=he, name=segment.name)
-    return segment, {"kind": "constant", "value": value,
-                     "holder_constant": hc, "holder_exponent": he}
+    echo = {"kind": "constant", "value": value,
+            "holder_constant": hc, "holder_exponent": he}
+    _only(seg, "model.initial_segment", echo)
+    return segment, echo
 
 
-def resolve_config(
-    raw: dict,
-    *,
-    seed: Optional[int] = None,
-    threads: Optional[int] = None,
-    no_inverse_drift: bool = False,
-    psi_exponent: Optional[float] = None,
-) -> RunConfig:
-    """Materialize a raw config dict into validated model/policy/run objects.
-
-    Keyword arguments are command-line overrides: each is written over its
-    file field and read by the same rules, so flags take precedence over
-    the file and file values over defaults. The values read are the echo
-    in ``RunConfig.resolved``.
-    """
-    model_raw = _merge_preset(_section(
-        raw, "model", required=True,
-        include_inverse_drift=False if no_inverse_drift else None))
+def _read_model(model_raw: dict) -> tuple[ModelSpec, dict]:
+    """The model and its echo from a ``model`` section with its preset merged in."""
     regimes = _parse_regimes(model_raw)
     volatility, vol_echo = _parse_volatility(model_raw)
     segment, seg_echo = _parse_segment(model_raw)
@@ -317,8 +317,45 @@ def resolve_config(
     model = {**scalars, "regimes": [asdict(r) for r in regimes],
              "volatility": vol_echo, "initial_segment": seg_echo,
              "generator": generator.entries.tolist()}
+    _only(model_raw, "model", ("preset", *model))
+    return spec, model
+
+
+def two_regime_demo(include_inverse_drift: Optional[bool] = None,
+                    tau: Optional[float] = None, jump_intensity: Optional[float] = None,
+                    initial_value: Optional[float] = None) -> ModelSpec:
+    """The built-in two-regime instance of the docs and tests: the
+    ``two_regime_demo`` preset, read as a config file's model is. A given
+    argument is written over its field (``initial_value`` over
+    ``initial_segment.value``); None keeps the preset's value."""
+    return _read_model(_merge_preset({
+        "preset": "two_regime_demo", "include_inverse_drift": include_inverse_drift,
+        "tau": tau, "jump_intensity": jump_intensity,
+        "initial_segment": {"value": initial_value}}))[0]
+
+
+def resolve_config(
+    raw: dict,
+    *,
+    seed: Optional[int] = None,
+    threads: Optional[int] = None,
+    no_inverse_drift: bool = False,
+    psi_exponent: Optional[float] = None,
+) -> RunConfig:
+    """Materialize a raw config dict into validated model/policy/run objects.
+
+    Keyword arguments are command-line overrides: each is written over its
+    file field and read by the same rules, so flags take precedence over
+    the file and file values over defaults. The values read are the echo
+    in ``RunConfig.resolved``.
+    """
+    _only(raw, "", ("model", "truncation", "simulation", "experiment"))
+    spec, model = _read_model(_merge_preset(_section(
+        raw, "model", required=True,
+        include_inverse_drift=False if no_inverse_drift else None)))
 
     trunc = _section(raw, "truncation", psi_exponent=psi_exponent)
+    _only(trunc, "truncation", ("psi_exponent", "mu", "delta_star"))
     q = _number(trunc, "psi_exponent", "truncation", default=0.25, minimum=0.0,
                 exclusive=True)
     mu_preset = trunc.get("mu")
@@ -347,6 +384,7 @@ def resolve_config(
         "threads": _integer(sim, "threads", "simulation",
                             default=os.cpu_count() or 1, minimum=1),
     }
+    _only(sim, "simulation", simulation)
 
     exp = _section(raw, "experiment")
     ladder = exp.get("step_ladder")
@@ -363,6 +401,7 @@ def resolve_config(
                                    minimum=0.0, exclusive=True),
         "p": _number(exp, "p", "experiment", default=2.0, minimum=1.0),
     }
+    _only(exp, "experiment", experiment)
 
     return RunConfig(
         spec=spec, policy=policy, **simulation,

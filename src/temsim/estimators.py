@@ -76,62 +76,56 @@ class SchemeComparison:
     quantiles: dict[float, float]
 
 
-def _chunk_ranges(num_paths: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK_SIZE, num_paths))
-            for lo in range(0, num_paths, CHUNK_SIZE)]
-
-
 def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
     """Apply a picklable chunk worker to every path range, in order."""
     if num_paths < 1:
         raise ValueError(f"num_paths must be at least 1, got {num_paths}")
-    ranges = _chunk_ranges(num_paths)
+    ranges = [(lo, min(lo + CHUNK_SIZE, num_paths))
+              for lo in range(0, num_paths, CHUNK_SIZE)]
     if threads > 1 and len(ranges) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
             return list(pool.map(worker, ranges))
     return [worker(r) for r in ranges]
 
 
-def _chunk(spec, policy, grid, seed, reduce, path_range, factors=(), keep=False):
+def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
     """The chunk pipeline of every estimator: run TEM on ``grid`` over the
     noise of the paths in ``path_range``, drawn one block at a time, and
-    return ``reduce(values, rerun)``.
+    return ``reduce(values, runs)``.
 
-    The noise is kept only as ``rerun`` needs it. ``rerun(level)`` runs TEM
-    on a ``(grid, factor)`` level of :func:`_coupled_grids`, one of
-    ``factors``, from the coarse noise each block was summed into as it was
-    drawn; ``rerun(bem=True)`` runs BEM on the blocks the TEM run drew,
-    kept when ``keep``.
+    ``levels`` declares the further runs on that noise as ``(simulate,
+    factor)`` pairs: each noise block is coarsened by ``factor`` for its
+    level as the TEM run draws it (factor 1 keeps the block itself), and
+    ``runs`` yields ``simulate(noise, seed=, path_indices=)`` of each level
+    in order, so a reduction holds one level's values at a time.
     """
     indices = np.arange(*path_range)
     ids = dict(seed=seed, path_indices=indices)
     # a draw block of whole coarse steps at every level
-    lcm = math.lcm(*factors)
+    lcm = math.lcm(*(factor for _, factor in levels))
     noise = engine.draw_batch_noise(spec, grid, seed, indices,
                                     -(-engine.DRAW_STEPS // lcm) * lcm)
-    kept = []
-    coarse = {factor: [] for factor in factors}
+    kept = [[] for _ in levels]
 
     def keep_block(block):
-        if keep:
-            kept.append(block)
-        for factor, blocks in coarse.items():
+        for blocks, (_, factor) in zip(kept, levels):
             blocks.append(engine.coarsen_batch(*block, factor))
 
     values = engine.simulate_tem_batch(spec, policy, grid, noise.tap(keep_block), **ids)
-
-    def rerun(level=None, bem=False):
-        if bem:
-            return engine.simulate_bem_batch(
-                spec, grid, engine.NoiseBlocks(noise.shape, kept), **ids)
-        level_grid, factor = level
-        return engine.simulate_tem_batch(spec, policy, level_grid, engine.NoiseBlocks(
-            (len(indices), level_grid.num_steps), coarse[factor]), **ids)
-
-    return reduce(values, rerun)
+    runs = (simulate(engine.NoiseBlocks((len(indices), grid.num_steps // factor),
+                                        blocks), **ids)
+            for (simulate, factor), blocks in zip(levels, kept))
+    return reduce(values, runs)
 
 
-def _discount(grid, values, _rerun) -> np.ndarray:
+def _samples(spec, policy, grid, seed, reduce, levels, num_paths, threads,
+             axis=0) -> np.ndarray:
+    """The samples of :func:`_chunk` over ``num_paths`` paths, in path order."""
+    worker = partial(_chunk, spec, policy, grid, seed, reduce, levels)
+    return np.concatenate(_run_chunks(worker, num_paths, threads), axis=axis)
+
+
+def _discount(grid, values, _runs) -> np.ndarray:
     m, k = grid.tau_steps, grid.num_steps
     integrals = values[:, m:m + k].sum(axis=1) * grid.delta
     return np.exp(-integrals)
@@ -152,12 +146,12 @@ def bond_price(
     values times the step, so a constant path prices to exp(-x T) exactly.
     """
     grid = resolve_grid(spec.tau, delta, horizon)
-    worker = partial(_chunk, spec, policy, grid, master_seed, partial(_discount, grid))
-    samples = np.concatenate(_run_chunks(worker, num_paths, threads))
-    return EstimatorResult.from_samples(samples)
+    return EstimatorResult.from_samples(_samples(
+        spec, policy, grid, master_seed, partial(_discount, grid), (), num_paths,
+        threads))
 
 
-def _knock_out(grid, strike, barrier, values, _rerun) -> np.ndarray:
+def _knock_out(grid, strike, barrier, values, _runs) -> np.ndarray:
     m, k = grid.tau_steps, grid.num_steps
     running_max = values[:, m:m + k + 1].max(axis=1)
     payoff = np.maximum(values[:, m + k] - strike, 0.0)
@@ -186,15 +180,14 @@ def barrier_option_price(
     if barrier <= 0.0:
         raise ValueError("barrier must be positive")
     grid = resolve_grid(spec.tau, delta, horizon)
-    worker = partial(_chunk, spec, policy, grid, master_seed,
-                     partial(_knock_out, grid, strike, barrier))
-    samples = np.concatenate(_run_chunks(worker, num_paths, threads))
-    return EstimatorResult.from_samples(samples)
+    return EstimatorResult.from_samples(_samples(
+        spec, policy, grid, master_seed, partial(_knock_out, grid, strike, barrier),
+        (), num_paths, threads))
 
 
-def _tem_bem_distance(grid, tem, rerun) -> np.ndarray:
+def _tem_bem_distance(grid, tem, runs) -> np.ndarray:
     m = grid.tau_steps
-    return np.abs(tem[:, m:] - rerun(bem=True)[:, m:]).max(axis=1)
+    return np.abs(tem[:, m:] - next(runs)[:, m:]).max(axis=1)
 
 
 def scheme_comparison(
@@ -208,9 +201,10 @@ def scheme_comparison(
 ) -> SchemeComparison:
     """Pathwise sup-distance between TEM and BEM under shared noise."""
     grid = resolve_grid(spec.tau, delta, horizon)
-    worker = partial(_chunk, spec, policy, grid, master_seed,
-                     partial(_tem_bem_distance, grid), keep=True)
-    distances = np.concatenate(_run_chunks(worker, num_paths, threads))
+    # BEM on the blocks the TEM run drew, kept whole (factor 1)
+    bem = (partial(engine.simulate_bem_batch, spec, grid), 1)
+    distances = _samples(spec, policy, grid, master_seed,
+                         partial(_tem_bem_distance, grid), (bem,), num_paths, threads)
     base = EstimatorResult.from_samples(distances)
     qs = (0.1, 0.5, 0.9)
     return SchemeComparison(
@@ -226,38 +220,41 @@ def scheme_comparison(
 
 def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
                    reference_delta: float, horizon: float) -> tuple[Grid, list[tuple[Grid, int]]]:
-    """Reference grid plus (coarse grid, coarsening factor) per level."""
+    """Reference grid plus (coarse grid, coarsening factor) per level; no
+    two levels may share a grid."""
     ref = resolve_grid(spec.tau, reference_delta, horizon)
-    levels = []
+    levels, given = [], {}
     for delta in coarse_deltas:
         snapped = resolve_grid(spec.tau, delta, horizon)
+        if snapped.tau_steps in given:
+            raise ValueError(f"steps {given[snapped.tau_steps]:g} and {delta:g} both "
+                             f"snap to tau/{snapped.tau_steps} = {snapped.delta:g}")
+        given[snapped.tau_steps] = delta
         if ref.tau_steps % snapped.tau_steps:
-            raise ValueError(
-                f"step {delta:g} (tau/{snapped.tau_steps}) is not an integer "
-                f"multiple of the reference step tau/{ref.tau_steps}"
-            )
+            raise ValueError(f"step {delta:g} (tau/{snapped.tau_steps}) is not an integer "
+                             f"multiple of the reference step tau/{ref.tau_steps}")
         factor = ref.tau_steps // snapped.tau_steps
         if ref.num_steps % factor:
-            raise ValueError(
-                f"horizon {horizon:g} does not align step {delta:g} with the "
-                f"reference grid"
-            )
+            raise ValueError(f"horizon {horizon:g} does not align step {delta:g} with "
+                             "the reference grid")
         grid = Grid(delta=snapped.delta, tau_steps=snapped.tau_steps,
                     num_steps=ref.num_steps // factor)
         levels.append((grid, factor))
     return ref, levels
 
 
-def _coarse_factors(levels) -> tuple[int, ...]:
-    """The factors of the levels a reduction reruns: all but the reference's."""
-    return tuple(sorted({factor for _, factor in levels if factor > 1}))
+def _tem_runs(spec, policy, levels) -> tuple:
+    """The declared runs of the levels coarser than the reference: TEM on
+    each level's grid, in level order."""
+    return tuple((partial(engine.simulate_tem_batch, spec, policy, grid), factor)
+                 for grid, factor in levels if factor > 1)
 
 
-def _sup_errors(ref_grid, levels, fine, rerun) -> np.ndarray:
+def _sup_errors(ref_grid, levels, fine, runs) -> np.ndarray:
     sups = np.empty((len(levels), fine.shape[0]))
     for row, (grid, factor) in enumerate(levels):
         # a level at the reference step is the pipeline's own run
-        coarse = fine if factor == 1 else rerun((grid, factor))
+        coarse = fine if factor == 1 else next(runs)
         fine_at_nodes = fine[:, ref_grid.tau_steps::factor]
         sups[row] = np.abs(coarse[:, grid.tau_steps:] - fine_at_nodes).max(axis=1)
     return sups
@@ -289,13 +286,11 @@ def strong_error(
     if num_paths < 2:
         raise ValueError(
             f"num_paths must be at least 2 for a standard error, got {num_paths}")
-    order = np.argsort(-np.asarray(coarse_deltas, dtype=float))
-    deltas_desc = [float(coarse_deltas[i]) for i in order]
+    deltas_desc = sorted(map(float, coarse_deltas), reverse=True)
     ref_grid, levels = _coupled_grids(spec, deltas_desc, reference_delta, horizon)
-    worker = partial(_chunk, spec, policy, ref_grid, master_seed,
-                     partial(_sup_errors, ref_grid, levels),
-                     factors=_coarse_factors(levels))
-    sups = np.concatenate(_run_chunks(worker, num_paths, threads), axis=1)
+    sups = _samples(spec, policy, ref_grid, master_seed,
+                    partial(_sup_errors, ref_grid, levels),
+                    _tem_runs(spec, policy, levels), num_paths, threads, axis=1)
 
     powered = sups**p
     mean_powered = powered.mean(axis=1)
@@ -325,11 +320,11 @@ def strong_error(
     )
 
 
-def _moments(levels, p, fine, rerun) -> list[np.ndarray]:
+def _moments(levels, p, fine, runs) -> list[np.ndarray]:
     rows = []
     for grid, factor in levels:
         # the finest level (factor 1) is the pipeline's own run
-        values = fine if factor == 1 else rerun((grid, factor))
+        values = fine if factor == 1 else next(runs)
         rows.append(np.abs(values[:, grid.tau_steps:]) ** p)
     return rows
 
@@ -355,7 +350,7 @@ def moment_curves(
     finest = min(deltas)
     fine_grid, levels = _coupled_grids(spec, list(deltas), finest, horizon)
     worker = partial(_chunk, spec, policy, fine_grid, master_seed,
-                     partial(_moments, levels, p), factors=_coarse_factors(levels))
+                     partial(_moments, levels, p), _tem_runs(spec, policy, levels))
     chunks = _run_chunks(worker, num_paths, threads)
     return {grid.delta: np.concatenate([c[row] for c in chunks]).mean(axis=0)
             for row, (grid, _) in enumerate(levels)}

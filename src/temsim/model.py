@@ -325,35 +325,6 @@ def build_volatility(name: str, level: float = 0.25,
                      "known: sigmoid_s5, constant, zero")
 
 
-def two_regime_demo(
-    include_inverse_drift: bool = True,
-    tau: float = 1.0,
-    jump_intensity: float = 1.0,
-    initial_value: float = 0.02,
-) -> ModelSpec:
-    """The built-in two-regime instance used throughout the docs and tests.
-
-    Regime 1: 0.3/x - 0.2 + 0.1 x - 0.5 x^2 with unit jump scale; regime 2:
-    0.2/x - 0.3 + 0.2 x - 0.6 x^2 with jump scale 2; sigmoid volatility,
-    rho = 2, theta = 5/4, generator [[-2, 2], [1, -1]], flat initial history.
-    """
-    return ModelSpec(
-        regimes=(
-            RegimeParams(0.3, 0.2, 0.1, 0.5, 1.0),
-            RegimeParams(0.2, 0.3, 0.2, 0.6, 2.0),
-        ),
-        rho=2.0,
-        theta=1.25,
-        tau=tau,
-        jump_intensity=jump_intensity,
-        volatility=build_volatility("sigmoid_s5"),
-        initial_segment=constant_segment(initial_value),
-        generator=GeneratorMatrix(np.array([[-2.0, 2.0], [1.0, -1.0]])),
-        initial_regime=1,
-        include_inverse_drift=include_inverse_drift,
-    )
-
-
 # -- assumption validation ----------------------------------------------------
 
 @dataclass(frozen=True)

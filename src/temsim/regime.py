@@ -9,7 +9,7 @@ each step consumes a single uniform draw via cumulative-row selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,37 +51,8 @@ class GeneratorMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic one-step matrix together with the step it was built for."""
-
-    entries: np.ndarray
-    step: float
-    # cumulative row sums, precomputed for the sampler
-    _cumulative: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        p = np.asarray(self.entries, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        if np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:
-            raise ValueError("transition-matrix rows must sum to 1")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "entries", p)
-        cum = np.cumsum(p, axis=1)
-        cum.flags.writeable = False
-        object.__setattr__(self, "_cumulative", cum)
-
-    @property
-    def num_states(self) -> int:
-        return self.entries.shape[0]
-
-
-def matrix_exponential(generator: GeneratorMatrix, delta: float) -> TransitionMatrix:
-    """One-step transition matrix ``exp(delta * generator)``.
+def matrix_exponential(generator: GeneratorMatrix, delta: float) -> np.ndarray:
+    """One-step transition matrix ``exp(delta * generator)``, row-stochastic.
 
     Uses scaling-and-squaring with a fixed 13-term Taylor series after the
     scaled matrix has sup-norm at most 1/2, which keeps the truncation error
@@ -104,15 +75,15 @@ def matrix_exponential(generator: GeneratorMatrix, delta: float) -> TransitionMa
     for _ in range(squarings):
         result = result @ result
     # exact arithmetic preserves row sums and nonnegativity; roundoff can
-    # leave eps-scale violations, which we repair before validating
+    # leave eps-scale violations, which we repair
     result = np.clip(result, 0.0, None)
     rows = result.sum(axis=1)
     if np.abs(rows - 1.0).max() > 1e-12:
         result = result / rows[:, None]
-    return TransitionMatrix(entries=result, step=float(delta))
+    return result
 
 
-def _march_chain(transition: TransitionMatrix, initial_state,
+def _march_chain(transition: np.ndarray, initial_state,
                  uniforms: np.ndarray) -> np.ndarray:
     """Chain paths of shape (P, K+1) from the (P, K) ``uniforms``, started
     in ``initial_state``: one state for every path, or one per path.
@@ -123,7 +94,7 @@ def _march_chain(transition: TransitionMatrix, initial_state,
     Equality with a partial sum therefore moves to the next state (the lower
     bound of each branch is inclusive).
     """
-    n = transition.num_states
+    n = transition.shape[0]
     num_paths, num_steps = uniforms.shape
     paths = np.empty((num_paths, num_steps + 1), dtype=np.int64)
     paths[:, 0] = initial_state
@@ -132,7 +103,7 @@ def _march_chain(transition: TransitionMatrix, initial_state,
         raise ValueError(f"state {paths[outside, 0][0]} outside 1..{n}")
     if num_steps == 0:
         return paths
-    cum = transition._cumulative[:, : n - 1]
+    cum = np.cumsum(transition, axis=1)[:, : n - 1]
     # 0-based states; per block, tabulate each step's successor of every
     # state at once (the count of partial sums <= u), so a step is one
     # lookup in contiguous (block, P) rows

@@ -8,11 +8,17 @@ import numpy as np
 import pytest
 import yaml
 
-from temsim import export
+from temsim import estimators, export
 from temsim.cli import main
-from temsim.config import MODEL_PRESETS, ConfigError, load_config, resolve_config
+from temsim.config import (
+    MODEL_PRESETS,
+    ConfigError,
+    load_config,
+    resolve_config,
+    two_regime_demo,
+)
 from temsim.engine import SimulationError
-from temsim.model import InitialSegment, ModelSpec, VolatilitySpec, two_regime_demo
+from temsim.model import InitialSegment, ModelSpec, VolatilitySpec
 from temsim.regime import GeneratorMatrix
 from temsim.schemes import simulate_tem_path
 
@@ -305,6 +311,21 @@ class TestCliCommands:
         assert self.run_cli(["converge", "--config", path]) == 2
         assert "0.3" in capsys.readouterr().err
 
+    def test_converge_steps_on_one_grid_rejected_before_any_path(
+            self, tmp_path, capsys, monkeypatch):
+        def no_paths(*_args):
+            raise AssertionError("paths simulated before the ladder was checked")
+
+        monkeypatch.setattr(estimators, "_run_chunks", no_paths)
+        cfg = demo_config()
+        # the first two steps both snap to tau/128
+        cfg["experiment"] = {"step_ladder": [0.0078125, 0.0078, 0.00390625],
+                             "reference_delta": 0.0009765625}
+        path = write_config(tmp_path, cfg)
+        assert self.run_cli(["converge", "--config", path]) == 2
+        assert ("config error: experiment.step_ladder: steps 0.0078125 and 0.0078 "
+                "both snap to tau/128 = 0.0078125") in capsys.readouterr().err
+
     def test_converge_single_path_rejected(self, tmp_path, capsys):
         cfg = demo_config(num_paths=1)
         cfg["experiment"] = {"step_ladder": [0.0625], "reference_delta": 0.015625}
@@ -456,6 +477,36 @@ class TestCliCommands:
         path = write_config(tmp_path, cfg)
         assert self.run_cli(["price-barrier", "--config", path, *flags]) == 2
         assert f"config error: {field}: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generator", [
+        [[-2.0, 2.0], [1.0]], "abc", [["x", 2.0], [1.0, -1.0]], {"rows": 2},
+    ], ids=["ragged", "string", "string-entry", "mapping"])
+    def test_malformed_generator_exit_code(self, tmp_path, capsys, generator):
+        cfg = demo_config()
+        cfg["model"]["generator"] = generator
+        path = write_config(tmp_path, cfg)
+        assert self.run_cli(["simulate", "--config", path]) == 2
+        assert "config error: model.generator: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where,key", [
+        ("", "simulaton"), ("model", "jump_intensty"), ("truncation", "psi_exponnet"),
+        ("simulation", "dleta"), ("experiment", "stirke"), ("model.regimes[1]", "alpha3"),
+        ("model.volatility", "levle"), ("model.initial_segment", "vaule"),
+    ])
+    def test_unknown_field_exit_code(self, tmp_path, capsys, where, key):
+        """A mistyped field is a config error, not a run on its default."""
+        cfg = demo_config()
+        cfg["model"]["regimes"] = copy.deepcopy(MODEL_PRESETS["two_regime_demo"]["regimes"])
+        node = cfg
+        for name in filter(None, re.split(r"[.\[\]]", where)):
+            node = node[int(name)] if name.isdigit() else node.setdefault(name, {})
+        field = f"{where}.{key}" if where else key
+        for value in (0.5, None):  # a null typo is no default either
+            node[key] = value
+            path = write_config(tmp_path, cfg)
+            assert self.run_cli(["simulate", "--config", path]) == 2
+            assert f"config error: {field}: unknown field; known: " in \
+                capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["file", "flag"])
     def test_seed_read_exactly(self, tmp_path, capsys, where):

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from temsim.config import two_regime_demo
 from temsim.engine import (
     CoefficientTables,
     Grid,
@@ -34,7 +35,7 @@ from temsim.engine import (
     simulate_bem_batch,
     simulate_tem_batch,
 )
-from temsim.model import RegimeParams, VolatilitySpec, two_regime_demo
+from temsim.model import RegimeParams, VolatilitySpec
 from temsim.regime import (
     GeneratorMatrix,
     matrix_exponential,
@@ -203,7 +204,7 @@ def reference_chain(
         return path
     transition = matrix_exponential(generator, delta)
     uniforms = stream.random(num_steps)
-    cum = transition._cumulative[:, : generator.num_states - 1]
+    cum = np.cumsum(transition, axis=1)[:, : generator.num_states - 1]
     state = initial_state
     for k in range(num_steps):
         state = 1 + int(np.count_nonzero(cum[state - 1] <= uniforms[k]))

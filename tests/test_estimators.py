@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from temsim import engine, estimators
+from temsim.config import two_regime_demo
 from temsim.engine import SimulationError
 from temsim.estimators import (
     ConvergenceReport,
@@ -20,7 +21,6 @@ from temsim.model import (
     RegimeParams,
     build_volatility,
     constant_segment,
-    two_regime_demo,
 )
 from temsim.regime import GeneratorMatrix
 from temsim.truncation import default_mu_for
@@ -286,6 +286,12 @@ class TestMomentCurves:
         values = engine.simulate_tem_batch(DEMO, POLICY, grid, noise)
         direct = (np.abs(values[:, grid.tau_steps:]) ** 4).mean(axis=0)
         assert np.array_equal(curves[grid.delta], direct)
+
+    def test_steps_on_one_grid_rejected(self):
+        # 1/0.0078 rounds to 128 steps per delay, the grid of 0.0078125
+        with pytest.raises(ValueError, match=r"steps 0.0078 and 0.0078125 both snap "
+                                             r"to tau/128 = 0.0078125"):
+            moment_curves(DEMO, POLICY, [0.0078, 0.0078125], 0.5, 2.0, 4, 0)
 
 
 NO_INVERSE = two_regime_demo(include_inverse_drift=False)

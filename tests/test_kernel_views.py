@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from temsim.config import two_regime_demo
 from temsim.engine import (
     CoefficientTables,
     bem_update,
@@ -29,7 +30,6 @@ from temsim.model import (
     _growth_functional,
     build_volatility,
     constant_segment,
-    two_regime_demo,
 )
 from temsim.regime import GeneratorMatrix
 from temsim.truncation import StepProfileWarning, default_mu_for, truncation_band

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from temsim.config import two_regime_demo
 from temsim.model import (
     CoefficientTables,
     ModelSpec,
@@ -15,7 +16,6 @@ from temsim.model import (
     khasminskii_check,
     sigmoid_volatility,
     sigmoid_volatility_vec,
-    two_regime_demo,
     validate_assumptions,
 )
 from temsim.regime import GeneratorMatrix

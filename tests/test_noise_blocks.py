@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temsim import engine, estimators, rng
+from temsim.config import two_regime_demo
 from temsim.engine import Grid, NoiseBlocks, coarsen_batch, draw_batch_noise
-from temsim.model import two_regime_demo
 from temsim.regime import BLOCK_STEPS, sample_chain_paths_batch
 from temsim.truncation import default_mu_for
 
@@ -131,11 +131,11 @@ def test_converge_chunk_holds_blocks_not_paths():
     num_paths, m, k = 16, 2048, 4096
     ref, levels = estimators._coupled_grids(
         spec, [spec.tau * f / m for f in (64, 32, 16, 8)], spec.tau / m, 2 * spec.tau)
-    factors = estimators._coarse_factors(levels)
-    assert (ref.tau_steps, ref.num_steps, factors) == (m, k, (8, 16, 32, 64))
+    runs = estimators._tem_runs(spec, policy, levels)
+    factors = [factor for _, factor in runs]
+    assert (ref.tau_steps, ref.num_steps, factors) == (m, k, [64, 32, 16, 8])
     chunk = partial(estimators._chunk, spec, policy, ref, 3,
-                    partial(estimators._sup_errors, ref, levels), (0, num_paths),
-                    factors=factors)
+                    partial(estimators._sup_errors, ref, levels), runs, (0, num_paths))
     chunk()  # first-call allocations that stay
     tracemalloc.start()
     try:

@@ -18,8 +18,8 @@ import yaml
 
 import temsim
 from temsim.cli import main
+from temsim.config import two_regime_demo
 from temsim.engine import resolve_grid
-from temsim.model import two_regime_demo
 
 LAYERS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 

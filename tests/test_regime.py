@@ -4,7 +4,6 @@ import pytest
 from temsim.regime import (
     GeneratorError,
     GeneratorMatrix,
-    TransitionMatrix,
     _march_chain,
     matrix_exponential,
     sample_chain_path,
@@ -23,7 +22,7 @@ def demo_transition_closed_form(delta: float) -> np.ndarray:
     return np.eye(2) + (1.0 - np.exp(-3.0 * delta)) / 3.0 * g
 
 
-def one_step(state: int, transition: TransitionMatrix, u: float) -> int:
+def one_step(state: int, transition: np.ndarray, u: float) -> int:
     """The sampler's next state from ``state`` on the single uniform ``u``."""
     return int(_march_chain(transition, state, np.array([[u]]))[0, 1])
 
@@ -52,12 +51,12 @@ class TestGeneratorMatrix:
 class TestMatrixExponential:
     def test_demo_against_closed_form(self):
         result = matrix_exponential(DEMO_GENERATOR, 1e-3)
-        np.testing.assert_allclose(result.entries,
+        np.testing.assert_allclose(result,
                                    demo_transition_closed_form(1e-3),
                                    rtol=0.0, atol=1e-9)
 
     def test_printed_demo_digits(self):
-        result = matrix_exponential(DEMO_GENERATOR, 1e-3).entries
+        result = matrix_exponential(DEMO_GENERATOR, 1e-3)
         expected = np.array([[0.9980030, 0.0019970], [0.0009985, 0.9990015]])
         np.testing.assert_allclose(result, expected, atol=5e-8)
 
@@ -70,24 +69,24 @@ class TestMatrixExponential:
             term = term @ a / k
             series = series + term
         result = matrix_exponential(DEMO_GENERATOR, delta)
-        np.testing.assert_allclose(result.entries, series, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(result, series, rtol=0.0, atol=1e-13)
 
     def test_tiny_step_is_identity(self):
         result = matrix_exponential(DEMO_GENERATOR, 1e-12)
-        np.testing.assert_allclose(result.entries, np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(result, np.eye(2), atol=1e-10)
 
     def test_zero_generator_exact_identity(self):
         result = matrix_exponential(GeneratorMatrix(np.zeros((3, 3))), 1.0)
-        assert np.array_equal(result.entries, np.eye(3))
+        assert np.array_equal(result, np.eye(3))
 
     def test_rows_stochastic(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             n = int(rng.integers(1, 6))
             p = matrix_exponential(random_generator(rng, n), rng.uniform(0.01, 2.0))
-            assert np.all(p.entries >= 0.0)
-            assert np.all(p.entries <= 1.0)
-            np.testing.assert_allclose(p.entries.sum(axis=1), 1.0, atol=1e-12)
+            assert np.all(p >= 0.0)
+            assert np.all(p <= 1.0)
+            np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(11)
@@ -95,21 +94,13 @@ class TestMatrixExponential:
             n = int(rng.integers(2, 6))
             g = random_generator(rng, n)
             d1, d2 = rng.uniform(0.01, 0.5, 2)
-            whole = matrix_exponential(g, d1 + d2).entries
-            split = matrix_exponential(g, d1).entries @ matrix_exponential(g, d2).entries
+            whole = matrix_exponential(g, d1 + d2)
+            split = matrix_exponential(g, d1) @ matrix_exponential(g, d2)
             np.testing.assert_allclose(whole, split, atol=1e-10)
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             matrix_exponential(DEMO_GENERATOR, 0.0)
-
-
-class TestTransitionMatrix:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            TransitionMatrix(entries=np.array([[0.5, 0.6], [0.5, 0.5]]), step=0.1)
-        with pytest.raises(ValueError):
-            TransitionMatrix(entries=np.array([[1.1, -0.1], [0.5, 0.5]]), step=0.1)
 
 
 class TestChainSampling:
@@ -120,14 +111,14 @@ class TestChainSampling:
         assert one_step(2, p, 0.0) == 1
 
     def test_identity_matrix_absorbs(self):
-        p = TransitionMatrix(entries=np.eye(3), step=0.1)
+        p = np.eye(3)
         for state in (1, 2, 3):
             for u in (0.0, 0.3, 0.999999):
                 assert one_step(state, p, u) == state
 
     def test_boundary_equality_moves_to_next_state(self):
         # cumulative sums are [0.3, 1.0]: u exactly 0.3 selects state 2
-        p = TransitionMatrix(entries=np.array([[0.3, 0.7], [0.5, 0.5]]), step=0.1)
+        p = np.array([[0.3, 0.7], [0.5, 0.5]])
         assert one_step(1, p, 0.3) == 2
         assert one_step(1, p, 0.2999999999) == 1
 
@@ -188,7 +179,7 @@ class TestChainSampling:
             nxt = sample_chain_paths_batch(DEMO_GENERATOR, state, 0.3, 1, uniforms)[:, 1]
             for j in (1, 2):
                 freq = np.mean(nxt == j)
-                prob = p.entries[state - 1, j - 1]
+                prob = p[state - 1, j - 1]
                 se = np.sqrt(prob * (1.0 - prob) / n)
                 assert abs(freq - prob) <= 3.0 * se + 1e-12
 

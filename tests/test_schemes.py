@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import temsim.engine as engine
+from temsim.config import two_regime_demo
 from temsim.engine import CoefficientTables, Grid, SimulationError, resolve_grid
 from temsim.model import (
     ModelSpec,
     RegimeParams,
     build_volatility,
     constant_segment,
-    two_regime_demo,
 )
 from temsim.regime import GeneratorMatrix
 from temsim.schemes import PathState, simulate_tem_path

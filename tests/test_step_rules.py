@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from temsim.config import two_regime_demo
 from temsim.engine import (
     CoefficientTables,
     SimulationError,
@@ -30,7 +31,6 @@ from temsim.engine import (
     implicit_drift_solve,
     tem_update,
 )
-from temsim.model import two_regime_demo
 from temsim.truncation import default_mu_for, truncation_band
 
 DELTA = 1e-3

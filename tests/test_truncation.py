@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from temsim.config import two_regime_demo
 from temsim.engine import CoefficientTables
-from temsim.model import RegimeParams, build_volatility, constant_segment, \
-    two_regime_demo, ModelSpec
+from temsim.model import RegimeParams, build_volatility, constant_segment, ModelSpec
 from temsim.regime import GeneratorMatrix
 from temsim.truncation import (
     StepProfileWarning,
