@@ -12,7 +12,7 @@ schemes consume it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -94,11 +94,15 @@ class NoiseBlocks:
     consecutive steps: the increments, shape (P, b), and the regimes at
     the block's b + 1 nodes, its first node through the next block's
     first. A drawn source (:func:`draw_batch_noise`) yields its blocks
-    once; a list of blocks (:func:`noise_blocks`) any number of times.
+    once and carries the ``seed`` and ``path_indices`` it was drawn for,
+    the replay coordinates its runs' errors name; a list of blocks
+    (:func:`noise_blocks`) yields them any number of times and carries none.
     """
 
     shape: tuple[int, int]
     blocks: Iterable
+    seed: Optional[int] = None
+    path_indices: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -115,7 +119,7 @@ class NoiseBlocks:
                 keep(block)
                 yield block
                 del block
-        return NoiseBlocks(self.shape, tapped())
+        return replace(self, blocks=tapped())
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The whole noise: Brownian (P,K), Poisson (P,K), regimes (P,K+1)."""
@@ -151,7 +155,8 @@ def draw_batch_noise(
     """
     streams = [rng.path_streams(master_seed, int(idx)) for idx in path_indices]
     return NoiseBlocks((len(streams), grid.num_steps),
-                       _drawn_blocks(spec, grid, streams, block_steps or DRAW_STEPS))
+                       _drawn_blocks(spec, grid, streams, block_steps or DRAW_STEPS),
+                       master_seed, path_indices)
 
 
 def _drawn_blocks(spec, grid, streams, size):
@@ -255,13 +260,12 @@ def tem_update(x, rows, ridx, phi, d_b, d_n, _node, delta, lower, upper):
     return out
 
 
-def bem_update(x, rows, ridx, phi, d_b, d_n, node, delta, positive_domain,
-               seed=None, path_indices=None):
+def bem_update(x, rows, ridx, phi, d_b, d_n, node, delta, seed=None, path_indices=None):
     """The backward-EM step rule of :func:`_march` (see :func:`simulate_bem_batch`)."""
     target = x + phi * rows.diffusion(x) * d_b
     if d_n is not None:
         target += rows.jump(x, ridx) * d_n
-    return implicit_drift_solve(rows, ridx, target, delta, positive_domain,
+    return implicit_drift_solve(rows, ridx, target, delta,
                                 context=(seed, path_indices, node))
 
 
@@ -270,12 +274,10 @@ def simulate_tem_batch(
     policy: TruncationPolicy,
     grid: Grid,
     noise: NoiseBlocks,
-    *,
-    seed: Optional[int] = None,
-    path_indices: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Truncated EM trajectories, shape (P, M+K+1); column j is node j - M,
-    driven by ``noise`` (:class:`NoiseBlocks`).
+    driven by ``noise`` (:class:`NoiseBlocks`), whose replay coordinates a
+    :class:`SimulationError` names.
 
     Each step is :func:`tem_update`, with the volatility at the value one
     delay back.
@@ -284,7 +286,7 @@ def simulate_tem_batch(
     lower, upper = map(np.asarray, truncation_band(grid.delta, policy))
     step = partial(tem_update, delta=np.asarray(grid.delta), lower=lower, upper=upper)
     values = _march(spec, grid, CoefficientTables(spec), noise, step)
-    _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)
+    _check_finite(values, grid.tau_steps, noise, grid.delta)
     return values
 
 
@@ -292,9 +294,6 @@ def simulate_bem_batch(
     spec: ModelSpec,
     grid: Grid,
     noise: NoiseBlocks,
-    *,
-    seed: Optional[int] = None,
-    path_indices: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Backward (drift-implicit) EM trajectories with explicit noise terms,
     driven by ``noise`` (:class:`NoiseBlocks`).
@@ -315,13 +314,12 @@ def simulate_bem_batch(
         raise SimulationError(
             f"delta = {grid.delta:g} too large for a unique implicit solve "
             f"(needs delta < {1.0 / max_a1:g})",
-            delta=grid.delta, seed=seed,
+            delta=grid.delta, seed=noise.seed,
         )
-    step = partial(bem_update, delta=grid.delta,
-                   positive_domain=spec.include_inverse_drift,
-                   seed=seed, path_indices=path_indices)
+    step = partial(bem_update, delta=grid.delta, seed=noise.seed,
+                   path_indices=noise.path_indices)
     values = _march(spec, grid, tables, noise, step)
-    _check_finite(values, grid.tau_steps, seed, grid.delta, path_indices)
+    _check_finite(values, grid.tau_steps, noise, grid.delta)
     return values
 
 
@@ -330,7 +328,6 @@ def implicit_drift_solve(
     ridx: np.ndarray,
     target: np.ndarray,
     delta: float,
-    positive_domain: bool,
     context: tuple = (None, None, None),
 ) -> np.ndarray:
     """Solve ``z - delta * drift(z, r) = target`` elementwise.
@@ -340,7 +337,8 @@ def implicit_drift_solve(
     residual is strictly increasing in z for admissible deltas, so the
     bracketed root is unique. ``ridx`` indexes the coefficient arrays of
     ``tables``: regime indices, or a row number of gathered tables
-    (:meth:`CoefficientTables.gather`).
+    (:meth:`CoefficientTables.gather`). With the tables' inverse drift term
+    the root lies in (0, inf), else on the whole line (see :func:`simulate_bem_batch`).
 
     Both bracket ends take one residual call, and the iteration stops
     before the slope once every row has settled. A row's iterates do not
@@ -351,7 +349,7 @@ def implicit_drift_solve(
     # ``delta`` stays a float for the error's replay fields
     step_size = np.asarray(delta)
 
-    if positive_domain:
+    if tables.include_inverse:
         # every iterate is +0 or more: the lower bracket end starts
         # positive and only shrinks, and each iterate lies inside the bracket
         def residual(z):
@@ -385,7 +383,7 @@ def implicit_drift_solve(
                           int(np.argmax(fails(res))), path_indices, step, seed, delta)
 
     abs_target = np.abs(target)
-    if positive_domain:
+    if tables.include_inverse:
         # residual -> -inf as z -> 0+ through the a_m1/z term
         lo = np.minimum(np.maximum(abs_target, 1e-8), 0.5)
     else:
@@ -394,7 +392,7 @@ def implicit_drift_solve(
     # one residual call for both ends; the widening loops run only for a
     # batch with a failing row
     at_lo, at_hi = residual(np.stack((lo, hi)))
-    if positive_domain:
+    if tables.include_inverse:
         lo = widen(lo, at_lo, lambda res: ~(res < 0.0),
                    lambda end: end * 0.125, 400, "positive lower")
     else:
@@ -430,14 +428,14 @@ def _check_shapes(brownian, poisson, regimes, num_paths, k):
         raise ValueError("regimes must have shape (num_paths, num_steps + 1)")
 
 
-def _check_finite(values, m, seed, delta, path_indices):
+def _check_finite(values, m, noise, delta):
     finite = np.isfinite(values)
     if finite.all():
         return
     row, col = np.argwhere(~finite)[0]
     node = int(col) - m
-    raise _path_error(f"non-finite value at node {node}", row, path_indices, node,
-                      seed, delta)
+    raise _path_error(f"non-finite value at node {node}", row, noise.path_indices,
+                      node, noise.seed, delta)
 
 
 def _path_error(what, row, path_indices, step, seed, delta) -> SimulationError:

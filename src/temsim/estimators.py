@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -96,11 +96,11 @@ def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
     ``levels`` declares the further runs on that noise as ``(simulate,
     factor)`` pairs: each noise block is coarsened by ``factor`` for its
     level as the TEM run draws it (factor 1 keeps the block itself), and
-    ``runs`` yields ``simulate(noise, seed=, path_indices=)`` of each level
-    in order, so a reduction holds one level's values at a time.
+    ``runs`` yields ``simulate(noise)`` of each level in order, so a
+    reduction holds one level's values at a time. Each level's noise
+    carries the replay coordinates of the drawn noise.
     """
     indices = np.arange(*path_range)
-    ids = dict(seed=seed, path_indices=indices)
     # a draw block of whole coarse steps at every level
     lcm = math.lcm(*(factor for _, factor in levels))
     noise = engine.draw_batch_noise(spec, grid, seed, indices,
@@ -111,9 +111,9 @@ def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
         for blocks, (_, factor) in zip(kept, levels):
             blocks.append(engine.coarsen_batch(*block, factor))
 
-    values = engine.simulate_tem_batch(spec, policy, grid, noise.tap(keep_block), **ids)
-    runs = (simulate(engine.NoiseBlocks((len(indices), grid.num_steps // factor),
-                                        blocks), **ids)
+    values = engine.simulate_tem_batch(spec, policy, grid, noise.tap(keep_block))
+    runs = (simulate(replace(noise, shape=(len(indices), grid.num_steps // factor),
+                             blocks=blocks))
             for (simulate, factor), blocks in zip(levels, kept))
     return reduce(values, runs)
 

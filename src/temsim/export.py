@@ -44,7 +44,7 @@ def render_path_csv(state: PathState, header: Iterable[str]) -> str:
     m, k_max = state.tau_steps, state.num_steps
     for k in range(-m, k_max + 1):
         regime = state.regimes[k] if k >= 0 else state.regimes[0]
-        if state.brownian is not None and 0 <= k < k_max:
+        if 0 <= k < k_max:
             db = state.brownian[k]
             dn = int(state.poisson[k])
         else:

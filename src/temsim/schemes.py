@@ -14,8 +14,7 @@ path_index=path)`` draws the same noise and fails at the same node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,15 +27,14 @@ from .truncation import TruncationPolicy
 @dataclass(frozen=True)
 class PathState:
     """A simulated trajectory on the grid k = -M..K (column j is node j - M),
-    with the increments ``brownian[k]``, ``poisson[k]`` of step k to k+1
-    when it was simulated from drawn noise."""
+    with the increments ``brownian[k]``, ``poisson[k]`` of step k to k+1."""
 
     delta: float
     tau_steps: int
     values: np.ndarray
     regimes: np.ndarray
-    brownian: Optional[np.ndarray] = None
-    poisson: Optional[np.ndarray] = None
+    brownian: np.ndarray
+    poisson: np.ndarray
 
     def __post_init__(self):
         if self.values.ndim != 1:
@@ -83,10 +81,9 @@ def simulate_tem_path(
     off the returned state.
     """
     grid = resolve_grid(spec.tau, delta, horizon)
-    brownian, poisson, regimes = engine.draw_batch_noise(
-        spec, grid, seed, [path_index]).arrays()
-    values = engine.simulate_tem_batch(
-        spec, policy, grid, engine.noise_blocks(brownian, poisson, regimes),
-        seed=seed, path_indices=[path_index])
+    noise = engine.draw_batch_noise(spec, grid, seed, [path_index])
+    brownian, poisson, regimes = whole = noise.arrays()
+    # the whole noise as one block, with the replay coordinates of its draw
+    values = engine.simulate_tem_batch(spec, policy, grid, replace(noise, blocks=[whole]))
     return PathState(delta=grid.delta, tau_steps=grid.tau_steps, values=values[0],
                      regimes=regimes[0], brownian=brownian[0], poisson=poisson[0])

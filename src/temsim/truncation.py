@@ -25,7 +25,8 @@ class TruncationError(ValueError):
 
 
 class StepProfileWarning(UserWarning):
-    """Emitted when psi violates the quarter-power admissibility bound."""
+    """Emitted once, when a policy is built, if psi violates the
+    quarter-power admissibility bound."""
 
 
 class _Mu3U2:
@@ -61,7 +62,9 @@ class TruncationPolicy:
     """Dominating function, step profile exponent, and admissible step bound.
 
     ``mu`` is callable and carries its ``inverse`` and ``name`` (see
-    :class:`_Mu3U2` and :class:`_MuPower`).
+    :class:`_Mu3U2` and :class:`_MuPower`). Building a policy whose profile
+    breaks the quarter-power condition warns (:class:`StepProfileWarning`);
+    a copy unpickled in a worker process does not warn again.
     """
 
     mu: _Mu3U2 | _MuPower
@@ -73,21 +76,23 @@ class TruncationPolicy:
             raise TruncationError("psi_exponent must be positive")
         if not 0.0 < self.delta_star < 1.0:
             raise TruncationError("delta_star must lie in (0, 1)")
+        if not self.quarter_power:
+            warnings.warn(f"psi exponent {self.psi_exponent:g} exceeds 1/4: delta^(1/4) "
+                          "psi(delta) > 1 for every delta < 1", StepProfileWarning,
+                          stacklevel=3)
+
+    @property
+    def quarter_power(self) -> bool:
+        """Whether ``psi = delta^-q`` meets the quarter-power condition
+        ``delta^(1/4) psi(delta) <= 1`` on (0, 1): exactly when q <= 1/4."""
+        return self.psi_exponent <= 0.25
 
 
 def psi(delta: float, policy: TruncationPolicy) -> float:
-    """Step profile ``delta^-q``; warns when ``delta^(1/4) * psi > 1``."""
+    """Step profile ``delta^-q``."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    value = delta ** (-policy.psi_exponent)
-    if delta ** 0.25 * value > 1.0 + 1e-12:
-        warnings.warn(
-            f"psi exponent {policy.psi_exponent:g} exceeds 1/4: "
-            f"delta^(1/4) psi(delta) = {delta**0.25 * value:.4g} > 1 at delta = {delta:g}",
-            StepProfileWarning,
-            stacklevel=2,
-        )
-    return value
+    return delta ** (-policy.psi_exponent)
 
 
 def truncation_band(delta: float, policy: TruncationPolicy) -> tuple[float, float]:
@@ -173,7 +178,7 @@ def default_mu_for(spec: ModelSpec, psi_exponent: float = 0.25,
 
     The default profile exponent 1/4 is the largest satisfying the
     quarter-power step condition; larger values (e.g. 2/3) are accepted but
-    make :func:`psi` warn.
+    make the policy warn once, here.
     """
     r, band_sup = _band_sups(spec)
 

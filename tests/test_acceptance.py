@@ -5,7 +5,6 @@ fixed seeds so the suite is deterministic.
 """
 
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +35,7 @@ from temsim.regime import (
 )
 from temsim.rng import substream
 from temsim.schemes import simulate_tem_path
-from temsim.truncation import StepProfileWarning, default_mu_for, truncation_band
-
-warnings.simplefilter("ignore", StepProfileWarning)
+from temsim.truncation import default_mu_for, truncation_band
 
 TAU = 1.0
 THREADS = 2

@@ -1,6 +1,9 @@
 import copy
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from temsim.regime import GeneratorMatrix
 from temsim.schemes import simulate_tem_path
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, data, name="run.yaml"):
@@ -326,6 +330,17 @@ class TestCliCommands:
         assert ("config error: experiment.step_ladder: steps 0.0078125 and 0.0078 "
                 "both snap to tau/128 = 0.0078125") in capsys.readouterr().err
 
+    def test_converge_inadmissible_step_is_numerical_failure(self, tmp_path, capsys):
+        # the step at fault is the reference step, not the ladder: exit 4,
+        # as every other command does on an inadmissible step
+        cfg = demo_config(delta=0.2, horizon=2.0)
+        cfg["truncation"]["psi_exponent"] = 0.25
+        cfg["experiment"] = {"step_ladder": [0.4, 0.2], "reference_delta": 0.025}
+        path = write_config(tmp_path, cfg)
+        assert self.run_cli(["converge", "--config", path]) == 4
+        assert capsys.readouterr().err.startswith(
+            "numerical error: delta = 0.025 exceeds the admissible bound delta_star")
+
     def test_converge_single_path_rejected(self, tmp_path, capsys):
         cfg = demo_config(num_paths=1)
         cfg["experiment"] = {"step_ladder": [0.0625], "reference_delta": 0.015625}
@@ -409,6 +424,29 @@ class TestCliCommands:
                     replayed.value.path_index) == (node, seed, path_index), command
         assert replays["simulate"] == (192, 55, 0, 0.01)
         assert replays["converge"] == (237, 55, 0, 0.005)
+
+    @pytest.mark.parametrize("command,threads,psi_exponent,expected", [
+        ("validate", 1, 2.0 / 3.0, 1),
+        ("price-bond", 2, 2.0 / 3.0, 1),
+        ("price-bond", 2, 0.25, 0),
+    ])
+    def test_step_profile_warning_once_per_command(self, tmp_path, command, threads,
+                                                   psi_exponent, expected):
+        # the policy warns when it is built; the pool's workers unpickle it,
+        # so neither they nor their chunks (three here) warn again
+        cfg = demo_config(num_paths=300, horizon=0.05)
+        cfg["truncation"]["psi_exponent"] = psi_exponent
+        path = write_config(tmp_path, cfg)
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "temsim.cli", command, "--config", path,
+             "--threads", str(threads)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("StepProfileWarning") == expected, done.stderr
 
     def test_seed_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, demo_config())

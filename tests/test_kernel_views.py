@@ -8,7 +8,6 @@ point value, ``validate`` and the growth check see the arithmetic the
 simulations run.
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from temsim.model import (
     constant_segment,
 )
 from temsim.regime import GeneratorMatrix
-from temsim.truncation import StepProfileWarning, default_mu_for, truncation_band
+from temsim.truncation import default_mu_for, truncation_band
 
 DELTA = 1e-3
 
@@ -55,9 +54,7 @@ def three_regime_spec():
 
 
 def _policy(spec, mu_preset):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepProfileWarning)
-        return default_mu_for(spec, psi_exponent=2.0 / 3.0, mu_preset=mu_preset)
+    return default_mu_for(spec, psi_exponent=2.0 / 3.0, mu_preset=mu_preset)
 
 
 CASES = {

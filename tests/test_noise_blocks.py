@@ -112,6 +112,26 @@ def test_drawn_noise_runs_once():
         engine.simulate_tem_batch(SPEC, policy, grid, noise)
 
 
+def test_replay_coordinates_travel_with_the_noise():
+    """A drawn source, its tap and each level source a chunk builds from it
+    carry the seed and path indices of the draw, which an error in any of
+    their runs names."""
+    grid = Grid(delta=SPEC.tau / 10, tau_steps=10, num_steps=40)
+    policy = default_mu_for(SPEC, psi_exponent=0.25)
+    drawn = draw_batch_noise(SPEC, grid, 9, np.arange(4, 7))
+
+    def coordinates(noise):
+        return noise.seed, list(noise.path_indices)
+
+    tapped = drawn.tap(lambda _block: None)
+    assert coordinates(drawn) == coordinates(tapped) == (9, [4, 5, 6])
+    seen = []
+    estimators._chunk(SPEC, policy, grid, 9, lambda _values, runs: list(runs),
+                      ((seen.append, 1), (seen.append, 4)), (4, 7))
+    assert [noise.shape for noise in seen] == [(3, 40), (3, 10)]
+    assert [coordinates(noise) for noise in seen] == [(9, [4, 5, 6])] * 2
+
+
 def test_noise_must_span_the_grid():
     grid = Grid(delta=SPEC.tau / 10, tau_steps=10, num_steps=30)
     noise = draw_batch_noise(SPEC, Grid(grid.delta, 10, 20), 1, np.arange(2))

@@ -1,6 +1,6 @@
 import math
 import re
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +16,7 @@ from temsim.model import (
 )
 from temsim.regime import GeneratorMatrix
 from temsim.schemes import PathState, simulate_tem_path
-from temsim.truncation import StepProfileWarning, default_mu_for, truncation_band
-
-warnings.simplefilter("ignore", StepProfileWarning)
+from temsim.truncation import default_mu_for, truncation_band
 
 DEMO = two_regime_demo()
 POLICY = default_mu_for(DEMO, psi_exponent=2 / 3)
@@ -113,7 +111,8 @@ class TestPathState:
     def make_state(self):
         values = np.array([0.02, 0.02, 0.02, 0.03, 0.05, 0.04])
         regimes = np.array([1, 2, 2, 1])
-        return PathState(delta=0.5, tau_steps=2, values=values, regimes=regimes)
+        return PathState(delta=0.5, tau_steps=2, values=values, regimes=regimes,
+                         brownian=np.zeros(3), poisson=np.zeros(3, dtype=np.int64))
 
     def test_indexing(self):
         state = self.make_state()
@@ -346,8 +345,7 @@ class TestNonFiniteDetection:
         grid = resolve_grid(1.0, 1e-2, 2.0)
         noise = engine.draw_batch_noise(spec, grid, 55, np.arange(2))
         with pytest.raises(SimulationError) as err:
-            engine.simulate_tem_batch(spec, policy, grid, noise, seed=55,
-                                      path_indices=np.arange(2))
+            engine.simulate_tem_batch(spec, policy, grid, noise)
         assert err.value.seed == 55
         assert err.value.path_index in (0, 1)
         assert "replay" in str(err.value)
@@ -364,12 +362,13 @@ class TestNonFiniteDetection:
         regimes = np.ones((2, grid.num_steps + 1), dtype=np.int64)
 
         def run(rows, **ids):
-            noise = engine.noise_blocks(brownian[rows], poisson[rows], regimes[rows])
+            noise = replace(engine.noise_blocks(brownian[rows], poisson[rows],
+                                                regimes[rows]), **ids)
             with pytest.raises(SimulationError) as err:
                 if scheme == "tem":
-                    engine.simulate_tem_batch(DEMO, POLICY, grid, noise, **ids)
+                    engine.simulate_tem_batch(DEMO, POLICY, grid, noise)
                 else:
-                    engine.simulate_bem_batch(DEMO, grid, noise, **ids)
+                    engine.simulate_bem_batch(DEMO, grid, noise)
             return err.value
 
         unseeded = run(slice(None))
@@ -395,8 +394,7 @@ class TestNonFiniteDetection:
         indices = np.arange(3, 6)
         with pytest.raises(SimulationError) as batch_err:
             engine.simulate_tem_batch(spec, policy, grid,
-                                      engine.draw_batch_noise(spec, grid, 55, indices),
-                                      seed=55, path_indices=indices)
+                                      engine.draw_batch_noise(spec, grid, 55, indices))
         seed, path, delta = re.search(r"\(replay: seed=(\d+), path=(\d+), delta=([^)]+)\)",
                                       str(batch_err.value)).groups()
         assert (int(seed), int(path)) == (55, 3)

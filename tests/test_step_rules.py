@@ -71,9 +71,9 @@ def reference_tem_update(x, rows, ridx, phi, d_b, d_n, delta, lower, upper):
     return x + fd * delta + phi * gd * d_b + rows.jump(x, ridx) * d_n
 
 
-def reference_bem_update(x, rows, ridx, phi, d_b, d_n, delta, positive_domain):
+def reference_bem_update(x, rows, ridx, phi, d_b, d_n, delta):
     target = x + phi * rows.diffusion(x) * d_b + rows.jump(x, ridx) * d_n
-    return implicit_drift_solve(rows, ridx, target, delta, positive_domain)
+    return implicit_drift_solve(rows, ridx, target, delta)
 
 
 def case(spec, psi_exponent):
@@ -162,10 +162,8 @@ def test_step_rules_match_reference_bitwise(rows):
     assert np.isfinite(want).all()
     assert got.tobytes() == want.tobytes()
 
-    positive_domain = spec.include_inverse_drift
-    got = outcome(bem_update, x, live, j, phi, d_b, jumps, 0, DELTA, positive_domain)
-    want = outcome(reference_bem_update, x, ref, j, phi, d_b, d_n, DELTA,
-                   positive_domain)
+    got = outcome(bem_update, x, live, j, phi, d_b, jumps, 0, DELTA)
+    want = outcome(reference_bem_update, x, ref, j, phi, d_b, d_n, DELTA)
     if isinstance(want, SimulationError):
         assert str(got) == str(want)
     else:
@@ -189,11 +187,10 @@ def test_non_finite_states_stay_non_finite(rows):
 
     # a non-finite target has no bracket end; which end fails first may
     # differ, the error may not
-    positive_domain = spec.include_inverse_drift
-    assert isinstance(outcome(bem_update, x, live, j, phi, d_b, jumps, 0, DELTA,
-                              positive_domain), SimulationError)
-    assert isinstance(outcome(reference_bem_update, x, ref, j, phi, d_b, d_n, DELTA,
-                              positive_domain), SimulationError)
+    assert isinstance(outcome(bem_update, x, live, j, phi, d_b, jumps, 0, DELTA),
+                      SimulationError)
+    assert isinstance(outcome(reference_bem_update, x, ref, j, phi, d_b, d_n, DELTA),
+                      SimulationError)
 
 
 @pytest.mark.parametrize("spec,band", CASES[:2])

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -24,9 +25,7 @@ TABLES = CoefficientTables(DEMO)
 
 
 def demo_policy(q=2 / 3):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepProfileWarning)
-        return default_mu_for(DEMO, psi_exponent=q)
+    return default_mu_for(DEMO, psi_exponent=q)
 
 
 POLICY = demo_policy()
@@ -40,9 +39,7 @@ def drift(x, i):
 def truncated(x, i, delta, policy=POLICY):
     """The demo's truncated drift and diffusion factor at ``x`` in regime
     ``i``, on a width-1 array."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepProfileWarning)
-        band = truncation_band(delta, policy)
+    band = truncation_band(delta, policy)
     fd, gd = TABLES.truncated(np.array([x]), np.array([i - 1]), *band)
     return float(fd[0]), float(gd[0])
 
@@ -75,9 +72,7 @@ class TestDefaultMu:
         assert max(0.3, 0.5, 1.0) <= POLICY.mu(1.0)
 
     def test_power_fit_dominates(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepProfileWarning)
-            policy = default_mu_for(DEMO, psi_exponent=2 / 3, mu_preset="power_fit")
+        policy = default_mu_for(DEMO, psi_exponent=2 / 3, mu_preset="power_fit")
         assert policy.mu.name == "power_fit"
         xs = np.geomspace(1e-2, 1e2, 200)
         for r in (1.5, 4.0, 50.0):
@@ -93,9 +88,7 @@ class TestDefaultMu:
 
 class TestPsi:
     def test_demo_profile_value(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepProfileWarning)
-            assert psi(1e-3, POLICY) == pytest.approx(100.0, rel=1e-12)
+        assert psi(1e-3, POLICY) == pytest.approx(100.0, rel=1e-12)
 
     def test_quarter_power_boundary(self):
         policy = demo_policy(q=0.25)
@@ -113,12 +106,12 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(-1.0, POLICY)
 
-    def test_warns_only_above_quarter(self):
+    def test_does_not_warn(self):
+        # the policy decides the quarter-power rule once, when it is built
         with warnings.catch_warnings():
             warnings.simplefilter("error", StepProfileWarning)
-            psi(1e-4, demo_policy(q=0.25))  # no warning
-        with pytest.warns(StepProfileWarning):
-            psi(1e-3, demo_policy(q=2 / 3))
+            psi(1e-3, POLICY)
+            truncation_band(1e-3, POLICY)
 
 
 class TestTruncatedCoefficients:
@@ -164,16 +157,12 @@ class TestTruncatedCoefficients:
             assert capped(xs[:2000], regimes[:2000] - 1, deltas[:2000], policy)
 
     def test_band_monotone_in_delta(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepProfileWarning)
-            l1, u1 = truncation_band(1e-4, POLICY)
-            l2, u2 = truncation_band(1e-2, POLICY)
+        l1, u1 = truncation_band(1e-4, POLICY)
+        l2, u2 = truncation_band(1e-2, POLICY)
         assert l1 < l2 and u1 > u2  # smaller step, wider band
 
     def test_drift_continuous_at_clamp_edges(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepProfileWarning)
-            lower, upper = truncation_band(1e-3, POLICY)
+        lower, upper = truncation_band(1e-3, POLICY)
         for edge in (lower, upper):
             left = truncated(edge - 1e-9, 1, 1e-3)[0]
             right = truncated(edge + 1e-9, 1, 1e-3)[0]
@@ -192,9 +181,7 @@ class TestDeltaStar:
 
     def test_without_inverse_only_band_condition(self):
         spec = two_regime_demo(include_inverse_drift=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepProfileWarning)
-            policy = default_mu_for(spec, psi_exponent=2 / 3)
+        policy = default_mu_for(spec, psi_exponent=2 / 3)
         assert policy.delta_star == pytest.approx(3.0**-1.5, abs=1e-5)
 
     def test_drift_positivity_shrinks_delta_star(self):
@@ -208,9 +195,7 @@ class TestDeltaStar:
             generator=GeneratorMatrix(np.zeros((1, 1))),
             initial_regime=1, include_inverse_drift=True,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepProfileWarning)
-            policy = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
+        policy = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
         assert policy.delta_star < 0.004
 
     def test_delta_star_override_validated(self):
@@ -226,14 +211,12 @@ class TestGrowthPreservation:
         sigma = DEMO.volatility.bound_sigma
         xs = np.concatenate([-np.geomspace(1e-3, 1e3, 80), np.geomspace(1e-3, 1e3, 80)])
         k5 = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepProfileWarning)
-            for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-                # rows: regimes 1 and 2
-                fd, gd = TABLES.truncated(xs, np.array([[0], [1]]),
-                                          *truncation_band(delta, POLICY))
-                val = xs * fd + 0.5 * (p - 1.0) * (sigma * gd) ** 2
-                k5.append((val / (1.0 + xs * xs)).max())
+        for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+            # rows: regimes 1 and 2
+            fd, gd = TABLES.truncated(xs, np.array([[0], [1]]),
+                                      *truncation_band(delta, POLICY))
+            val = xs * fd + 0.5 * (p - 1.0) * (sigma * gd) ** 2
+            k5.append((val / (1.0 + xs * xs)).max())
         k5 = np.array(k5)
         assert np.all(np.isfinite(k5))
         assert k5.max() < 5.0
@@ -247,6 +230,28 @@ class TestPolicyType:
             TruncationPolicy(mu=POLICY.mu, psi_exponent=0.0, delta_star=0.1)
         with pytest.raises(TruncationError):
             TruncationPolicy(mu=POLICY.mu, psi_exponent=0.25, delta_star=1.5)
+
+    def test_warns_only_above_quarter(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StepProfileWarning)
+            quarter = demo_policy(q=0.25)  # no warning
+        assert quarter.quarter_power
+        with pytest.warns(StepProfileWarning, match="exceeds 1/4"):
+            wide = demo_policy(q=2 / 3)
+        assert not wide.quarter_power
+        # every q above 1/4 breaks the condition at small enough steps
+        with pytest.warns(StepProfileWarning):
+            edge = TruncationPolicy(mu=POLICY.mu, psi_exponent=np.nextafter(0.25, 1.0),
+                                    delta_star=0.01)
+        assert not edge.quarter_power
+
+    def test_unpickled_policy_does_not_warn_again(self):
+        # a pool worker receives the policy pickled: it must not warn once
+        # per worker
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StepProfileWarning)
+            copy = pickle.loads(pickle.dumps(POLICY))
+        assert copy.psi_exponent == POLICY.psi_exponent and not copy.quarter_power
 
 
 coefficient = st.floats(0.01, 2.0)
