@@ -1,85 +1,61 @@
 """temsim: truncated Euler-Maruyama simulation of a regime-switching
 Ait-Sahalia-type rate model with delayed volatility and Poisson jumps.
+
+The exports load on first use (PEP 562): ``import temsim`` loads no numpy
+and no engine, and ``temsim.bond_price`` imports ``temsim.estimators``.
 """
 
-from .config import two_regime_demo
-from .engine import Grid, SimulationError, resolve_grid
-from .estimators import (
-    ConvergenceReport,
-    EstimatorResult,
-    SchemeComparison,
-    barrier_option_price,
-    bond_price,
-    moment_curves,
-    scheme_comparison,
-    strong_error,
-)
-from .model import (
-    AssumptionReport,
-    InitialSegment,
-    ModelSpec,
-    RegimeParams,
-    VolatilitySpec,
-    build_volatility,
-    constant_segment,
-    khasminskii_check,
-    sigmoid_volatility,
-    validate_assumptions,
-)
-from .noise import make_noise
-from .regime import (
-    GeneratorMatrix,
-    matrix_exponential,
-    sample_chain_path,
-)
-from .rng import path_streams, substream
-from .schemes import PathState, simulate_tem_path
-from .truncation import (
-    StepProfileWarning,
-    TruncationError,
-    TruncationPolicy,
-    default_mu_for,
-    psi,
-    truncation_band,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionReport",
-    "ConvergenceReport",
-    "EstimatorResult",
-    "GeneratorMatrix",
-    "Grid",
-    "InitialSegment",
-    "ModelSpec",
-    "PathState",
-    "RegimeParams",
-    "SchemeComparison",
-    "SimulationError",
-    "StepProfileWarning",
-    "TruncationError",
-    "TruncationPolicy",
-    "VolatilitySpec",
-    "barrier_option_price",
-    "bond_price",
-    "build_volatility",
-    "constant_segment",
-    "default_mu_for",
-    "khasminskii_check",
-    "make_noise",
-    "matrix_exponential",
-    "moment_curves",
-    "path_streams",
-    "psi",
-    "resolve_grid",
-    "sample_chain_path",
-    "scheme_comparison",
-    "sigmoid_volatility",
-    "simulate_tem_path",
-    "strong_error",
-    "substream",
-    "truncation_band",
-    "two_regime_demo",
-    "validate_assumptions",
-]
+# each exported name and the submodule that defines it
+_EXPORTS = {
+    "AssumptionReport": "model",
+    "ConvergenceReport": "estimators",
+    "EstimatorResult": "estimators",
+    "GeneratorMatrix": "regime",
+    "Grid": "engine",
+    "InitialSegment": "model",
+    "ModelSpec": "model",
+    "PathState": "schemes",
+    "RegimeParams": "model",
+    "SchemeComparison": "estimators",
+    "SimulationError": "engine",
+    "StepProfileWarning": "truncation",
+    "TruncationError": "truncation",
+    "TruncationPolicy": "truncation",
+    "VolatilitySpec": "model",
+    "barrier_option_price": "estimators",
+    "bond_price": "estimators",
+    "build_volatility": "model",
+    "constant_segment": "model",
+    "default_mu_for": "truncation",
+    "khasminskii_check": "model",
+    "make_noise": "noise",
+    "matrix_exponential": "regime",
+    "moment_curves": "estimators",
+    "path_streams": "rng",
+    "psi": "truncation",
+    "resolve_grid": "engine",
+    "sample_chain_path": "regime",
+    "scheme_comparison": "estimators",
+    "sigmoid_volatility": "model",
+    "simulate_tem_path": "schemes",
+    "strong_error": "estimators",
+    "substream": "rng",
+    "truncation_band": "truncation",
+    "two_regime_demo": "config",
+    "validate_assumptions": "model",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

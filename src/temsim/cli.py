@@ -10,7 +10,15 @@ failures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# temsim's BLAS calls are tiny N x N products and a least-squares fit, so a
+# CLI process and its forked pool workers start no OpenBLAS thread pool. The
+# default only takes effect before numpy loads, and a value the user set wins;
+# a host process that imported numpy already keeps its environment.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import yaml

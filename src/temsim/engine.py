@@ -35,17 +35,20 @@ class SimulationError(RuntimeError):
     """Raised when a simulation produces non-finite values or a solve fails.
 
     Carries the replay coordinates (master seed, path index, delta) needed
-    to regenerate the offending path in isolation.
+    to regenerate the offending path in isolation: ``delta`` is the step
+    its noise was drawn on, and a run on that noise coarsened by
+    ``factor`` > 1 (:func:`coarsen_batch`) failed at ``step`` of its own grid.
     """
 
     def __init__(self, message: str, *, path_index: int | None = None,
                  step: int | None = None, seed: int | None = None,
-                 delta: float | None = None):
+                 delta: float | None = None, factor: int = 1):
         super().__init__(message)
         self.path_index = path_index
         self.step = step
         self.seed = seed
         self.delta = delta
+        self.factor = factor
 
 
 @dataclass(frozen=True)
@@ -94,15 +97,19 @@ class NoiseBlocks:
     consecutive steps: the increments, shape (P, b), and the regimes at
     the block's b + 1 nodes, its first node through the next block's
     first. A drawn source (:func:`draw_batch_noise`) yields its blocks
-    once and carries the ``seed`` and ``path_indices`` it was drawn for,
-    the replay coordinates its runs' errors name; a list of blocks
-    (:func:`noise_blocks`) yields them any number of times and carries none.
+    once and carries the ``seed``, ``path_indices`` and step ``delta`` it
+    was drawn for, the replay coordinates its runs' errors name; a source
+    of its blocks coarsened by ``factor`` (:func:`coarsen_batch`) keeps
+    them and records the factor. A list of blocks (:func:`noise_blocks`)
+    yields them any number of times and carries none.
     """
 
     shape: tuple[int, int]
     blocks: Iterable
     seed: Optional[int] = None
     path_indices: Optional[np.ndarray] = None
+    delta: Optional[float] = None
+    factor: int = 1
 
     @property
     def size(self) -> int:
@@ -156,7 +163,7 @@ def draw_batch_noise(
     streams = [rng.path_streams(master_seed, int(idx)) for idx in path_indices]
     return NoiseBlocks((len(streams), grid.num_steps),
                        _drawn_blocks(spec, grid, streams, block_steps or DRAW_STEPS),
-                       master_seed, path_indices)
+                       master_seed, path_indices, grid.delta)
 
 
 def _drawn_blocks(spec, grid, streams, size):
@@ -286,7 +293,7 @@ def simulate_tem_batch(
     lower, upper = map(np.asarray, truncation_band(grid.delta, policy))
     step = partial(tem_update, delta=np.asarray(grid.delta), lower=lower, upper=upper)
     values = _march(spec, grid, CoefficientTables(spec), noise, step)
-    _check_finite(values, grid.tau_steps, noise, grid.delta)
+    _check_finite(values, grid.tau_steps, noise)
     return values
 
 
@@ -319,7 +326,7 @@ def simulate_bem_batch(
     step = partial(bem_update, delta=grid.delta, seed=noise.seed,
                    path_indices=noise.path_indices)
     values = _march(spec, grid, tables, noise, step)
-    _check_finite(values, grid.tau_steps, noise, grid.delta)
+    _check_finite(values, grid.tau_steps, noise)
     return values
 
 
@@ -428,24 +435,26 @@ def _check_shapes(brownian, poisson, regimes, num_paths, k):
         raise ValueError("regimes must have shape (num_paths, num_steps + 1)")
 
 
-def _check_finite(values, m, noise, delta):
+def _check_finite(values, m, noise):
     finite = np.isfinite(values)
     if finite.all():
         return
     row, col = np.argwhere(~finite)[0]
     node = int(col) - m
     raise _path_error(f"non-finite value at node {node}", row, noise.path_indices,
-                      node, noise.seed, delta)
+                      node, noise.seed, noise.delta, noise.factor)
 
 
-def _path_error(what, row, path_indices, step, seed, delta) -> SimulationError:
+def _path_error(what, row, path_indices, step, seed, delta, factor=1) -> SimulationError:
     """The error ``what`` of batch row ``row``, named by its path index, with
     the replay coordinates when the run has a seed: without one they would
-    replay nothing."""
+    replay nothing. A factor > 1 is named after the drawn step ``delta``."""
     idx = int(row) if path_indices is None else int(np.asarray(path_indices)[row])
-    replay = "" if seed is None else f" (replay: seed={seed}, path={idx}, delta={delta:g})"
+    replay = "" if seed is None else (
+        f" (replay: seed={seed}, path={idx}, delta={delta:g}"
+        + (f", factor={factor})" if factor > 1 else ")"))
     return SimulationError(f"{what} of path {idx}{replay}", path_index=idx, step=step,
-                           seed=seed, delta=delta)
+                           seed=seed, delta=delta, factor=factor)
 
 
 def coarsen_batch(

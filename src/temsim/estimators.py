@@ -10,7 +10,6 @@ completion order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -83,6 +82,9 @@ def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
     ranges = [(lo, min(lo + CHUNK_SIZE, num_paths))
               for lo in range(0, num_paths, CHUNK_SIZE)]
     if threads > 1 and len(ranges) > 1:
+        # imported here: a run without a pool does not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
             return list(pool.map(worker, ranges))
     return [worker(r) for r in ranges]
@@ -98,7 +100,7 @@ def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
     level as the TEM run draws it (factor 1 keeps the block itself), and
     ``runs`` yields ``simulate(noise)`` of each level in order, so a
     reduction holds one level's values at a time. Each level's noise
-    carries the replay coordinates of the drawn noise.
+    carries the replay coordinates of the drawn noise and its factor.
     """
     indices = np.arange(*path_range)
     # a draw block of whole coarse steps at every level
@@ -113,7 +115,7 @@ def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
 
     values = engine.simulate_tem_batch(spec, policy, grid, noise.tap(keep_block))
     runs = (simulate(replace(noise, shape=(len(indices), grid.num_steps // factor),
-                             blocks=blocks))
+                             blocks=blocks, factor=factor))
             for (simulate, factor), blocks in zip(levels, kept))
     return reduce(values, runs)
 

@@ -114,22 +114,23 @@ def test_drawn_noise_runs_once():
 
 def test_replay_coordinates_travel_with_the_noise():
     """A drawn source, its tap and each level source a chunk builds from it
-    carry the seed and path indices of the draw, which an error in any of
-    their runs names."""
+    carry the seed, path indices and step of the draw, which an error in
+    any of their runs names, and each level source records its factor."""
     grid = Grid(delta=SPEC.tau / 10, tau_steps=10, num_steps=40)
     policy = default_mu_for(SPEC, psi_exponent=0.25)
     drawn = draw_batch_noise(SPEC, grid, 9, np.arange(4, 7))
 
     def coordinates(noise):
-        return noise.seed, list(noise.path_indices)
+        return noise.seed, list(noise.path_indices), noise.delta, noise.factor
 
     tapped = drawn.tap(lambda _block: None)
-    assert coordinates(drawn) == coordinates(tapped) == (9, [4, 5, 6])
+    assert coordinates(drawn) == coordinates(tapped) == (9, [4, 5, 6], grid.delta, 1)
     seen = []
     estimators._chunk(SPEC, policy, grid, 9, lambda _values, runs: list(runs),
                       ((seen.append, 1), (seen.append, 4)), (4, 7))
     assert [noise.shape for noise in seen] == [(3, 40), (3, 10)]
-    assert [coordinates(noise) for noise in seen] == [(9, [4, 5, 6])] * 2
+    assert [coordinates(noise) for noise in seen] == [(9, [4, 5, 6], grid.delta, 1),
+                                                      (9, [4, 5, 6], grid.delta, 4)]
 
 
 def test_noise_must_span_the_grid():

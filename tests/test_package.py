@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import temsim
@@ -49,3 +52,48 @@ def test_every_export_has_a_caller_outside_tests():
                                             strings=True)
     unused = {name for name in temsim.__all__ if name not in used}
     assert unused == UNUSED_EXPORTS
+
+
+def fresh_interpreter(code, **env):
+    """The stdout of ``code`` run in a new interpreter that imports temsim from
+    this checkout, with OPENBLAS_NUM_THREADS removed and then ``env`` set."""
+    child = {key: value for key, value in os.environ.items()
+             if key != "OPENBLAS_NUM_THREADS"}
+    child["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([child["PYTHONPATH"]] if child.get("PYTHONPATH") else []))
+    child.update(env)
+    return subprocess.run([sys.executable, "-c", code], env=child, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+# what an import leaves behind: whether numpy and the process pool are
+# loaded, whether os.environ is unchanged, and OPENBLAS_NUM_THREADS
+REPORT = """
+import os, sys
+before = dict(os.environ)
+import {module}
+print("numpy" in sys.modules, "concurrent.futures" in sys.modules,
+      dict(os.environ) == before, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def test_package_import_is_lazy_and_leaves_the_environment():
+    assert fresh_interpreter(REPORT.format(module="temsim")) == \
+        ["False", "False", "True", "None"]
+
+
+def test_estimators_import_leaves_the_environment_and_no_pool():
+    # a host process (the benchmark, a notebook) that imports the library
+    # keeps its environment for what it starts next; the pool module loads
+    # only where a run forks a pool
+    assert fresh_interpreter(REPORT.format(module="temsim.estimators")) == \
+        ["True", "False", "True", "None"]
+
+
+def test_cli_import_defaults_single_threaded_blas_and_loads_no_pool():
+    # the CLI starts no OpenBLAS thread pool unless the user asks for one
+    assert fresh_interpreter(REPORT.format(module="temsim.cli")) == \
+        ["True", "False", "False", "1"]
+    assert fresh_interpreter(REPORT.format(module="temsim.cli"),
+                             OPENBLAS_NUM_THREADS="3") == ["True", "False", "True", "3"]
+

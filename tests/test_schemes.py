@@ -8,6 +8,7 @@ import pytest
 import temsim.engine as engine
 from temsim.config import two_regime_demo
 from temsim.engine import CoefficientTables, Grid, SimulationError, resolve_grid
+from temsim.estimators import _coupled_grids
 from temsim.model import (
     ModelSpec,
     RegimeParams,
@@ -32,6 +33,20 @@ def degenerate_spec(alpha_3=(0.0, 2.0), include_inverse=False):
         generator=GeneratorMatrix(np.zeros((len(alpha_3), len(alpha_3)))),
         initial_regime=1, include_inverse_drift=include_inverse,
     )
+
+
+def overflow_model():
+    """Jumps of twice the state at rate 2000, which overflow within two time
+    units, and its policy: the CI's overflow model."""
+    spec = ModelSpec(
+        regimes=(RegimeParams(0.0, 0.0, 0.0, 0.0, 2.0),),
+        rho=2.0, theta=1.25, tau=1.0, jump_intensity=2000.0,
+        volatility=build_volatility("zero"),
+        initial_segment=constant_segment(1.0),
+        generator=GeneratorMatrix(np.zeros((1, 1))),
+        initial_regime=1, include_inverse_drift=False,
+    )
+    return spec, default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
 
 
 def one_path_noise(spec, grid, seed, path_index):
@@ -333,15 +348,7 @@ class TestBem:
 
 class TestNonFiniteDetection:
     def test_overflowing_jumps_reported_with_replay_info(self):
-        spec = ModelSpec(
-            regimes=(RegimeParams(0.0, 0.0, 0.0, 0.0, 2.0),),
-            rho=2.0, theta=1.25, tau=1.0, jump_intensity=2000.0,
-            volatility=build_volatility("zero"),
-            initial_segment=constant_segment(1.0),
-            generator=GeneratorMatrix(np.zeros((1, 1))),
-            initial_regime=1, include_inverse_drift=False,
-        )
-        policy = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
+        spec, policy = overflow_model()
         grid = resolve_grid(1.0, 1e-2, 2.0)
         noise = engine.draw_batch_noise(spec, grid, 55, np.arange(2))
         with pytest.raises(SimulationError) as err:
@@ -374,22 +381,14 @@ class TestNonFiniteDetection:
         unseeded = run(slice(None))
         assert unseeded.path_index == 1
         assert "of path 1" in str(unseeded) and "replay:" not in str(unseeded)
-        seeded = run(slice(1, 2), seed=3, path_indices=[5])
+        seeded = run(slice(1, 2), seed=3, path_indices=[5], delta=grid.delta)
         assert (seeded.seed, seeded.path_index) == (3, 5)
         assert str(seeded).endswith(" of path 5 (replay: seed=3, path=5, delta=0.01)")
 
     def test_replayed_record_names_its_seed(self):
         # the coordinates a batch failure names regenerate the failing
         # path, which fails at the same node with the same message
-        spec = ModelSpec(
-            regimes=(RegimeParams(0.0, 0.0, 0.0, 0.0, 2.0),),
-            rho=2.0, theta=1.25, tau=1.0, jump_intensity=2000.0,
-            volatility=build_volatility("zero"),
-            initial_segment=constant_segment(1.0),
-            generator=GeneratorMatrix(np.zeros((1, 1))),
-            initial_regime=1, include_inverse_drift=False,
-        )
-        policy = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
+        spec, policy = overflow_model()
         grid = resolve_grid(1.0, 1e-2, 2.0)
         indices = np.arange(3, 6)
         with pytest.raises(SimulationError) as batch_err:
@@ -404,3 +403,32 @@ class TestNonFiniteDetection:
         assert (err.value.seed, err.value.path_index, err.value.step) == \
             (55, 3, batch_err.value.step)
         assert str(err.value) == str(batch_err.value)
+
+    def test_coarse_level_failure_names_its_draw(self):
+        # a converge level runs on the reference noise coarsened by its
+        # factor: its error names the step the noise was drawn on and the
+        # factor, and drawing at that step and coarsening by that factor
+        # fails at the same node again
+        spec, policy = overflow_model()
+        ref, [(coarse, factor)] = _coupled_grids(spec, [2**-7], 2**-10, 2.0)
+        drawn = engine.draw_batch_noise(spec, ref, 55, np.arange(3))
+        # the level source estimators._chunk builds
+        level = replace(drawn, shape=(3, coarse.num_steps), factor=factor,
+                        blocks=[engine.coarsen_batch(*b, factor) for b in drawn])
+        with pytest.raises(SimulationError) as err:
+            engine.simulate_tem_batch(spec, policy, coarse, level)
+        found = re.search(r" of path (\d+) \(replay: seed=(\d+), path=(\d+), "
+                          r"delta=([^,]+), factor=(\d+)\)$", str(err.value))
+        assert found, str(err.value)
+        seed, path, replayed_factor = (int(found.group(i)) for i in (2, 3, 5))
+        assert (seed, found.group(4), replayed_factor) == (55, f"{ref.delta:g}", 8)
+        assert (err.value.seed, err.value.path_index, err.value.delta,
+                err.value.factor) == (55, path, ref.delta, 8)
+
+        again = engine.draw_batch_noise(
+            spec, resolve_grid(spec.tau, float(found.group(4)), 2.0), seed, [path])
+        blocks = [engine.coarsen_batch(*b, replayed_factor) for b in again]
+        with pytest.raises(SimulationError) as replayed:
+            engine.simulate_tem_batch(spec, policy, coarse,
+                                      engine.NoiseBlocks((1, coarse.num_steps), blocks))
+        assert replayed.value.step == err.value.step
