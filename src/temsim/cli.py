@@ -56,10 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--threads", type=int, default=None,
                          help="worker processes (default: machine parallelism)")
         cmd.add_argument("--out", default=None, help="output file (default: stdout)")
-        cmd.add_argument("--no-inverse-drift", action="store_true",
-                         help="drop the 1/x drift term")
-        cmd.add_argument("--psi-exponent", type=float, default=None,
-                         help="step-profile exponent override")
     return parser
 
 
@@ -170,8 +166,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = resolve_config(load_config(args.config), seed=args.seed,
-                             threads=args.threads, no_inverse_drift=args.no_inverse_drift,
-                             psi_exponent=args.psi_exponent)
+                             threads=args.threads)
     except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

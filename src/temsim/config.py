@@ -215,14 +215,6 @@ def _parse_generator(model: dict, num_regimes: int) -> GeneratorMatrix:
     except (TypeError, ValueError) as exc:  # ragged rows, strings, a mapping
         raise ConfigError("model.generator",
                           f"expected a matrix of numbers, got {raw!r}") from exc
-    if arr.ndim == 1:
-        if arr.size != num_regimes * num_regimes:
-            raise ConfigError(
-                "model.generator",
-                f"flat row-major generator needs {num_regimes * num_regimes} "
-                f"entries, got {arr.size}",
-            )
-        arr = arr.reshape(num_regimes, num_regimes)
     if arr.shape != (num_regimes, num_regimes):
         raise ConfigError(
             "model.generator",
@@ -240,7 +232,7 @@ def _parse_volatility(model: dict):
         vol = {"name": "sigmoid_s5"}
     if not isinstance(vol, dict):
         raise ConfigError("model.volatility", "expected a mapping with a 'name'")
-    _only(vol, "model.volatility", ("name", "level", "bound"))
+    _only(vol, "model.volatility", ("name", "level"))
     name = vol.get("name")
     if not isinstance(name, str):
         raise ConfigError("model.volatility.name", "field is required")
@@ -248,17 +240,13 @@ def _parse_volatility(model: dict):
     if name == "constant":
         echo["level"] = _number(vol, "level", "model.volatility", default=0.25,
                                 minimum=0.0)
-    bound = _number(vol, "bound", "model.volatility", default=None, minimum=0.0,
-                    exclusive=True)
     try:
-        volatility = build_volatility(name, level=echo.get("level", 0.25), bound=bound)
+        volatility = build_volatility(name, level=echo.get("level", 0.25))
     except ValueError as exc:
         raise ConfigError("model.volatility.name", str(exc)) from exc
     if name != "constant" and vol.get("level") is not None:
         raise ConfigError("model.volatility.level",
                           f"applies only to the 'constant' volatility, not {name!r}")
-    if bound is not None:
-        echo["bound"] = bound
     return volatility, echo
 
 
@@ -283,8 +271,7 @@ def _parse_segment(model: dict) -> tuple[InitialSegment, dict]:
     he = _number(seg, "holder_exponent", "model.initial_segment",
                  default=segment.holder_exponent, minimum=0.0, exclusive=True,
                  maximum=1.0)
-    segment = InitialSegment(eval=segment.eval, holder_constant=hc,
-                             holder_exponent=he, name=segment.name)
+    segment = InitialSegment(eval=segment.eval, holder_constant=hc, holder_exponent=he)
     echo = {"kind": "constant", "value": value,
             "holder_constant": hc, "holder_exponent": he}
     _only(seg, "model.initial_segment", echo)
@@ -339,22 +326,18 @@ def resolve_config(
     *,
     seed: Optional[int] = None,
     threads: Optional[int] = None,
-    no_inverse_drift: bool = False,
-    psi_exponent: Optional[float] = None,
 ) -> RunConfig:
     """Materialize a raw config dict into validated model/policy/run objects.
 
-    Keyword arguments are command-line overrides: each is written over its
-    file field and read by the same rules, so flags take precedence over
-    the file and file values over defaults. The values read are the echo
-    in ``RunConfig.resolved``.
+    ``seed`` and ``threads`` are the command-line overrides: each is written
+    over its ``simulation`` field and read by the same rules, so a flag
+    takes precedence over the file and file values over defaults. The
+    values read are the echo in ``RunConfig.resolved``.
     """
     _only(raw, "", ("model", "truncation", "simulation", "experiment"))
-    spec, model = _read_model(_merge_preset(_section(
-        raw, "model", required=True,
-        include_inverse_drift=False if no_inverse_drift else None)))
+    spec, model = _read_model(_merge_preset(_section(raw, "model", required=True)))
 
-    trunc = _section(raw, "truncation", psi_exponent=psi_exponent)
+    trunc = _section(raw, "truncation")
     _only(trunc, "truncation", ("psi_exponent", "mu", "delta_star"))
     q = _number(trunc, "psi_exponent", "truncation", default=0.25, minimum=0.0,
                 exclusive=True)

@@ -267,13 +267,13 @@ def tem_update(x, rows, ridx, phi, d_b, d_n, _node, delta, lower, upper):
     return out
 
 
-def bem_update(x, rows, ridx, phi, d_b, d_n, node, delta, seed=None, path_indices=None):
-    """The backward-EM step rule of :func:`_march` (see :func:`simulate_bem_batch`)."""
+def bem_update(x, rows, ridx, phi, d_b, d_n, node, delta, noise=None):
+    """The backward-EM step rule of :func:`_march` (see :func:`simulate_bem_batch`);
+    a failed solve names the replay coordinates of ``noise``."""
     target = x + phi * rows.diffusion(x) * d_b
     if d_n is not None:
         target += rows.jump(x, ridx) * d_n
-    return implicit_drift_solve(rows, ridx, target, delta,
-                                context=(seed, path_indices, node))
+    return implicit_drift_solve(rows, ridx, target, delta, context=(noise, node))
 
 
 def simulate_tem_batch(
@@ -303,7 +303,8 @@ def simulate_bem_batch(
     noise: NoiseBlocks,
 ) -> np.ndarray:
     """Backward (drift-implicit) EM trajectories with explicit noise terms,
-    driven by ``noise`` (:class:`NoiseBlocks`).
+    driven by ``noise`` (:class:`NoiseBlocks`), whose replay coordinates a
+    :class:`SimulationError` names.
 
     Each step solves ``z - delta * f(z, r) = x + phi * g(x) * dB + h(x) * dN``
     for z. With the inverse drift term present the root is confined to
@@ -321,10 +322,9 @@ def simulate_bem_batch(
         raise SimulationError(
             f"delta = {grid.delta:g} too large for a unique implicit solve "
             f"(needs delta < {1.0 / max_a1:g})",
-            delta=grid.delta, seed=noise.seed,
+            seed=noise.seed, delta=noise.delta, factor=noise.factor,
         )
-    step = partial(bem_update, delta=grid.delta, seed=noise.seed,
-                   path_indices=noise.path_indices)
+    step = partial(bem_update, delta=grid.delta, noise=noise)
     values = _march(spec, grid, tables, noise, step)
     _check_finite(values, grid.tau_steps, noise)
     return values
@@ -335,7 +335,7 @@ def implicit_drift_solve(
     ridx: np.ndarray,
     target: np.ndarray,
     delta: float,
-    context: tuple = (None, None, None),
+    context: tuple = (None, None),
 ) -> np.ndarray:
     """Solve ``z - delta * drift(z, r) = target`` elementwise.
 
@@ -349,11 +349,12 @@ def implicit_drift_solve(
 
     Both bracket ends take one residual call, and the iteration stops
     before the slope once every row has settled. A row's iterates do not
-    depend on the other rows of the batch.
+    depend on the other rows of the batch. ``context`` is ``(noise, step)``:
+    a failed row is named at ``step`` by the replay coordinates of ``noise``
+    (:class:`NoiseBlocks`, or None for none).
     """
-    seed, path_indices, step = context
-    # 0-d step: the same products as the float, a cheaper ufunc operand;
-    # ``delta`` stays a float for the error's replay fields
+    noise, step = context
+    # 0-d step: the same products as the float, a cheaper ufunc operand
     step_size = np.asarray(delta)
 
     if tables.include_inverse:
@@ -387,7 +388,7 @@ def implicit_drift_solve(
             end = np.where(bad, grow(end), end)
             res = residual(end)
         raise _path_error(f"implicit solve found no {kind} bracket end at step {step}",
-                          int(np.argmax(fails(res))), path_indices, step, seed, delta)
+                          np.argmax(fails(res)), step, noise)
 
     abs_target = np.abs(target)
     if tables.include_inverse:
@@ -441,15 +442,20 @@ def _check_finite(values, m, noise):
         return
     row, col = np.argwhere(~finite)[0]
     node = int(col) - m
-    raise _path_error(f"non-finite value at node {node}", row, noise.path_indices,
-                      node, noise.seed, noise.delta, noise.factor)
+    raise _path_error(f"non-finite value at node {node}", row, node, noise)
 
 
-def _path_error(what, row, path_indices, step, seed, delta, factor=1) -> SimulationError:
-    """The error ``what`` of batch row ``row``, named by its path index, with
-    the replay coordinates when the run has a seed: without one they would
-    replay nothing. A factor > 1 is named after the drawn step ``delta``."""
-    idx = int(row) if path_indices is None else int(np.asarray(path_indices)[row])
+def _path_error(what, row, step, noise) -> SimulationError:
+    """The error ``what`` at ``step`` of batch row ``row`` of a run on
+    ``noise`` (None: noise without coordinates), named by its path index and,
+    when the noise was drawn from a seed, by the replay coordinates of that
+    draw: without a seed they would replay nothing. A factor > 1 is named
+    after the drawn step ``delta``."""
+    if noise is None:
+        noise = NoiseBlocks((0, 0), ())
+    seed, delta, factor = noise.seed, noise.delta, noise.factor
+    indices = noise.path_indices
+    idx = int(row) if indices is None else int(np.asarray(indices)[row])
     replay = "" if seed is None else (
         f" (replay: seed={seed}, path={idx}, delta={delta:g}"
         + (f", factor={factor})" if factor > 1 else ")"))

@@ -175,12 +175,14 @@ def barrier_option_price(
 
     The supremum of the step process over [0, T] equals the maximum of the
     grid values, so the knockout indicator is exact for the exported
-    observable; a barrier at or below the initial value prices to zero.
+    observable; a barrier at or below the initial value prices to zero, and
+    a barrier at +inf never knocks out.
     """
-    if strike < 0.0:
-        raise ValueError("strike must be nonnegative")
-    if barrier <= 0.0:
-        raise ValueError("barrier must be positive")
+    # written so that NaN fails: it compares false with every number
+    if not 0.0 <= strike < math.inf:
+        raise ValueError(f"strike must be finite and >= 0, got {strike}")
+    if not barrier > 0.0:
+        raise ValueError(f"barrier must be > 0 (inf: no knock-out), got {barrier}")
     grid = resolve_grid(spec.tau, delta, horizon)
     return EstimatorResult.from_samples(_samples(
         spec, policy, grid, master_seed, partial(_knock_out, grid, strike, barrier),
@@ -283,8 +285,8 @@ def strong_error(
     carries the p-th-moment error per level and the least-squares slope of
     log2(error) against log2(step).
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     if num_paths < 2:
         raise ValueError(
             f"num_paths must be at least 2 for a standard error, got {num_paths}")
@@ -349,6 +351,8 @@ def moment_curves(
     mean of the per-path rows in path order, so it does not depend on the
     chunk size.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     finest = min(deltas)
     fine_grid, levels = _coupled_grids(spec, list(deltas), finest, horizon)
     worker = partial(_chunk, spec, policy, fine_grid, master_seed,

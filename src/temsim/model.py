@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class InitialSegment:
     eval: Callable[[float], float]
     holder_constant: float = 1.0
     holder_exponent: float = 1.0
-    name: str = "custom"
 
     def __post_init__(self):
         if self.holder_constant <= 0.0:
@@ -105,10 +104,7 @@ class InitialSegment:
 def constant_segment(value: float) -> InitialSegment:
     if value <= 0.0:
         raise ValueError("initial segment must be positive")
-    return InitialSegment(
-        eval=_ConstantFn(value), holder_constant=1.0, holder_exponent=1.0,
-        name=f"constant({value})",
-    )
+    return InitialSegment(eval=_ConstantFn(value))
 
 
 class _ConstantFn:
@@ -298,8 +294,7 @@ class _ConstantVecFn:
         return np.full(np.shape(y), self.value, dtype=float)
 
 
-def build_volatility(name: str, level: float = 0.25,
-                     bound: Optional[float] = None) -> VolatilitySpec:
+def build_volatility(name: str, level: float = 0.25) -> VolatilitySpec:
     """Construct a volatility by registered name.
 
     Names: ``sigmoid_s5`` (two-regime sigmoid, exact bound sqrt(5)/4),
@@ -307,18 +302,14 @@ def build_volatility(name: str, level: float = 0.25,
     """
     if name == "sigmoid_s5":
         return VolatilitySpec(
-            bound_sigma=0.5 * _SIGMOID_RATIO_SUP if bound is None else bound,
+            bound_sigma=0.5 * _SIGMOID_RATIO_SUP,
             eval=sigmoid_volatility,
             eval_vec=sigmoid_volatility_vec,
             name="sigmoid_s5",
             num_regimes=len(_SIGMOID_SCALE),
         )
     if name == "constant":
-        vol = _constant_vol(level)
-        if bound is not None:
-            vol = VolatilitySpec(bound_sigma=bound, eval=vol.eval,
-                                 eval_vec=vol.eval_vec, name=vol.name)
-        return vol
+        return _constant_vol(level)
     if name == "zero":
         return _constant_vol(0.0)
     raise ValueError(f"unknown volatility name {name!r}; "
@@ -346,13 +337,11 @@ class AssumptionReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _volatility_probe_grid(num_points: int) -> np.ndarray:
-    dense = np.linspace(-20.0, 20.0, max(num_points - 12, 3))
-    tails = np.array([-1e8, -1e4, -1e2, 1e2, 1e4, 1e8])
-    return np.concatenate([dense, tails, np.array([0.0])])
+# points of the dense sampling grids of validate_assumptions
+_PROBE_POINTS = 10_000
 
 
-def validate_assumptions(spec: ModelSpec, grid_points: int = 10_000) -> AssumptionReport:
+def validate_assumptions(spec: ModelSpec) -> AssumptionReport:
     """Check the standing model hypotheses, returning a report (never raising).
 
     The volatility bound, its negative-argument extension, and the initial
@@ -377,7 +366,8 @@ def validate_assumptions(spec: ModelSpec, grid_points: int = 10_000) -> Assumpti
         f"1 + rho = {1.0 + spec.rho:g} vs 2 theta = {2.0 * spec.theta:g}",
     ))
 
-    ys = _volatility_probe_grid(grid_points)
+    ys = np.concatenate([np.linspace(-20.0, 20.0, _PROBE_POINTS - 12),
+                         [-1e8, -1e4, -1e2, 1e2, 1e4, 1e8, 0.0]])
     regimes = np.arange(1, spec.num_regimes + 1)
     bound_ok, ext_ok, vol_err = True, True, ""
     try:
@@ -398,7 +388,7 @@ def validate_assumptions(spec: ModelSpec, grid_points: int = 10_000) -> Assumpti
         "" if ext_ok else "eval(y<0, i) differs from eval(0, i)",
     ))
 
-    ts = np.linspace(-spec.tau, 0.0, grid_points)
+    ts = np.linspace(-spec.tau, 0.0, _PROBE_POINTS)
     seg = spec.initial_segment
     try:
         xi = np.array([seg.eval(float(t)) for t in ts])
@@ -430,12 +420,7 @@ def _growth_functional(x, spec: ModelSpec, y, ridx, p: float) -> np.ndarray:
     return x * tables.drift(x, ridx) + 0.5 * (p - 1.0) * (phi * tables.diffusion(x)) ** 2
 
 
-def khasminskii_check(
-    spec: ModelSpec,
-    p: float = 2.0,
-    x_grid: Sequence[float] | None = None,
-    y_grid: Sequence[float] | None = None,
-) -> tuple[bool, float]:
+def khasminskii_check(spec: ModelSpec, p: float = 2.0) -> tuple[bool, float]:
     """Grid test that the growth functional stays below K4 (1 + x^2).
 
     Returns ``(holds, fitted_k4)`` where ``fitted_k4`` is the largest ratio
@@ -445,11 +430,8 @@ def khasminskii_check(
     """
     if p < 2.0:
         raise ValueError("p must be >= 2")
-    xs = np.geomspace(1e-2, 1e2, 401) if x_grid is None else np.asarray(x_grid, dtype=float)
-    ys = np.linspace(-5.0, 5.0, 21) if y_grid is None else np.asarray(y_grid, dtype=float)
-    if np.any(xs <= 0.0):
-        raise ValueError("x grid must be positive")
-    xs = np.sort(xs)
+    xs = np.geomspace(1e-2, 1e2, 401)
+    ys = np.linspace(-5.0, 5.0, 21)
 
     # axes (x, regime, y); the worst regime and delayed value per x
     ridx = np.arange(spec.num_regimes)[None, :, None]

@@ -56,7 +56,7 @@ class TestResolveConfig:
                 return (value.name, value.bound_sigma, value.num_regimes,
                         value.evaluate_many(ys, rs).tolist())
             if isinstance(value, InitialSegment):
-                return (value.name, value.holder_constant, value.holder_exponent,
+                return (value.holder_constant, value.holder_exponent,
                         value.eval(-0.5), value.eval(0.0))
             return value
 
@@ -76,12 +76,9 @@ class TestResolveConfig:
 
     def test_flag_overrides_beat_file(self, tmp_path):
         raw = load_config(write_config(tmp_path, demo_config()))
-        run = resolve_config(raw, seed=99, threads=4, no_inverse_drift=True,
-                             psi_exponent=0.25)
+        run = resolve_config(raw, seed=99, threads=4)
         assert run.seed == 99
         assert run.threads == 4
-        assert not run.spec.include_inverse_drift
-        assert run.policy.psi_exponent == 0.25
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_non_positive_threads_flag_rejected(self, tmp_path, threads):
@@ -121,7 +118,7 @@ class TestResolveConfig:
             "model": {
                 "regimes": [{"alpha_m1": 0.3, "alpha_0": 0.2, "alpha_1": 0.1,
                              "alpha_2": 0.5, "alpha_3": 1.0}],
-                "generator": [0.0],
+                "generator": [[0.0]],
                 "theta": 1.25,
             }
         }
@@ -132,19 +129,20 @@ class TestResolveConfig:
         cfg = {"model": {
             "regimes": [{"alpha_m1": 0.3, "alpha_0": 0.2, "alpha_1": 0.1,
                          "alpha_2": 0.5}],
-            "rho": 2.0, "theta": 1.25, "generator": [0.0],
+            "rho": 2.0, "theta": 1.25, "generator": [[0.0]],
         }}
         with pytest.raises(ConfigError, match=r"model.regimes\[0\].alpha_3"):
             resolve_config(cfg)
 
-    def test_flat_generator_accepted(self):
+    def test_flat_generator_rejected(self):
+        # the generator is a matrix, written one way: as its rows
         cfg = {"model": {
             "preset": "two_regime_demo",
             "generator": [-2.0, 2.0, 1.0, -1.0],
         }}
-        run = resolve_config(cfg)
-        assert np.array_equal(run.spec.generator.entries,
-                              [[-2.0, 2.0], [1.0, -1.0]])
+        with pytest.raises(ConfigError, match=r"^model\.generator: expected a 2x2 "
+                                              r"matrix, got shape \(4,\)$"):
+            resolve_config(cfg)
 
     def test_bad_generator_shape(self):
         cfg = {"model": {"preset": "two_regime_demo", "generator": [1.0, 2.0]}}
@@ -500,20 +498,17 @@ class TestCliCommands:
         "model.rho", "model.tau", "model.jump_intensity",
         "model.initial_segment.value", "experiment.strike", "experiment.barrier",
         "experiment.p", "simulation.delta", "simulation.horizon",
-        "--psi-exponent",
+        "truncation.psi_exponent",
     ])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, field, value):
-        cfg, flags = demo_config(), []
-        if field.startswith("--"):
-            flags, field = [field, value], "truncation.psi_exponent"
-        else:
-            *sections, key = field.split(".")
-            node = cfg
-            for name in sections:
-                node = node.setdefault(name, {})
-            node[key] = float(value)
+        cfg = demo_config()
+        *sections, key = field.split(".")
+        node = cfg
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = float(value)
         path = write_config(tmp_path, cfg)
-        assert self.run_cli(["price-barrier", "--config", path, *flags]) == 2
+        assert self.run_cli(["price-barrier", "--config", path]) == 2
         assert f"config error: {field}: expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("generator", [
@@ -529,7 +524,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("where,key", [
         ("", "simulaton"), ("model", "jump_intensty"), ("truncation", "psi_exponnet"),
         ("simulation", "dleta"), ("experiment", "stirke"), ("model.regimes[1]", "alpha3"),
-        ("model.volatility", "levle"), ("model.initial_segment", "vaule"),
+        ("model.volatility", "levle"), ("model.volatility", "bound"),
+        ("model.initial_segment", "vaule"),
     ])
     def test_unknown_field_exit_code(self, tmp_path, capsys, where, key):
         """A mistyped field is a config error, not a run on its default."""
@@ -545,6 +541,17 @@ class TestCliCommands:
             assert self.run_cli(["simulate", "--config", path]) == 2
             assert f"config error: {field}: unknown field; known: " in \
                 capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--psi-exponent", "0.25"],
+                                       ["--no-inverse-drift"]], ids=lambda f: f[0])
+    def test_config_fields_have_no_flags(self, tmp_path, capsys, flags):
+        """``truncation.psi_exponent`` and ``model.include_inverse_drift``
+        are read from the config file only."""
+        cfg = write_config(tmp_path, demo_config())
+        with pytest.raises(SystemExit) as done:
+            self.run_cli(["validate", "--config", cfg, *flags])
+        assert done.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["file", "flag"])
     def test_seed_read_exactly(self, tmp_path, capsys, where):

@@ -27,6 +27,7 @@ from temsim.config import two_regime_demo
 from temsim.engine import (
     CoefficientTables,
     Grid,
+    NoiseBlocks,
     SimulationError,
     draw_batch_noise,
     implicit_drift_solve,
@@ -384,11 +385,12 @@ def test_solve_non_finite_target_matches_reference(bad, positive_domain):
     target = np.linspace(0.01, 2.0, 9)
     target[5] = bad
     ridx = np.arange(target.size) % 2
-    context = (3, np.arange(40, 40 + target.size), 17)
+    indices = np.arange(40, 40 + target.size)
+    noise = NoiseBlocks((target.size, 0), (), seed=3, path_indices=indices, delta=1e-3)
     got = solve_outcome(implicit_drift_solve, tables, ridx, target, 1e-3,
-                        context=context)
+                        context=(noise, 17))
     want = solve_outcome(reference_solve, tables, ridx, target, 1e-3, positive_domain,
-                         context=context)
+                         context=(3, indices, 17))
     # the residual at an end is NaN or of the wrong sign, so every
     # non-finite target is a named error at its step, with the replay
     # coordinates of path 45

@@ -178,6 +178,32 @@ class TestBarrierOption:
             barrier_option_price(DEMO, POLICY, 1e-2, 1.0, 0.1, 0.0, 8, 0)
 
 
+NON_FINITE_INPUTS = {
+    "strike": lambda bad: barrier_option_price(DEMO, POLICY, 1e-2, 1.0, bad, 1.0, 8, 0),
+    "barrier": lambda bad: barrier_option_price(DEMO, POLICY, 1e-2, 1.0, 0.1, bad, 8, 0),
+    "p": lambda bad: strong_error(DEMO, POLICY, [2**-5], 2**-7, 1.0, bad, 8, 0),
+    "moments-p": lambda bad: moment_curves(DEMO, POLICY, [2**-5], 1.0, bad, 8, 0),
+}
+
+
+@pytest.mark.parametrize("case,bad", [
+    (case, bad) for case in NON_FINITE_INPUTS for bad in (math.nan, math.inf, -math.inf)
+    # a barrier at +inf never knocks out: a plain call, priced above
+    if (case, bad) != ("barrier", math.inf)
+])
+def test_non_finite_input_rejected_before_any_path(case, bad, monkeypatch):
+    """A NaN strike or barrier priced to NaN, or to 0.0 with SE 0.0, and a
+    NaN p gave NaN errors: each is an error naming the input, raised before
+    any path is drawn."""
+    def no_paths(*_args):
+        raise AssertionError("paths simulated before the inputs were checked")
+
+    monkeypatch.setattr(estimators, "_run_chunks", no_paths)
+    name = case.rsplit("-", 1)[-1]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        NON_FINITE_INPUTS[case](bad)
+
+
 class TestStrongError:
     def test_reference_compared_with_itself_is_zero(self):
         report = strong_error(DEMO, POLICY, [2**-6], 2**-6, 1.0, 2.0, 16, 0)
@@ -303,6 +329,12 @@ def strong_error_at(spec, policy, delta, horizon, num_paths, seed, threads=1):
                         num_paths, seed, threads)
 
 
+def barrier_at(spec, policy, delta, horizon, num_paths, seed, threads=1):
+    # a barrier some paths reach: 0.24 against the unbounded call's 0.33
+    return barrier_option_price(spec, policy, delta, horizon, 0.01, 0.5, num_paths,
+                                seed, threads)
+
+
 def moment_curves_at(spec, policy, delta, horizon, num_paths, seed, threads=1):
     return moment_curves(spec, policy, [2 * delta, delta], horizon, 3.0,
                          num_paths, seed, threads)
@@ -320,11 +352,12 @@ def comparable(result):
 
 @pytest.mark.parametrize("estimate,spec,psi_exponent", [
     (bond_price, DEMO, 2 / 3),
+    (barrier_at, DEMO, 2 / 3),
     (scheme_comparison, DEMO, 2 / 3),
     (scheme_comparison, NO_INVERSE, 0.25),
     (strong_error_at, DEMO, 2 / 3),
     (moment_curves_at, DEMO, 2 / 3),
-], ids=["bond", "compare", "compare-no-inverse", "strong-error", "moments"])
+], ids=["bond", "barrier", "compare", "compare-no-inverse", "strong-error", "moments"])
 def test_results_do_not_depend_on_chunk_size(estimate, spec, psi_exponent, monkeypatch):
     """A path's result must not depend on the batch it runs in, although the
     implicit solve iterates until every row of its batch has settled, and

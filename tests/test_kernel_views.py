@@ -148,6 +148,5 @@ def test_step_views_equal_batch_bitwise(case):
         got = [row_step(tem_update, tem, p, k, lower, upper) for k in range(grid.num_steps)]
         assert np.array_equal(got, tem[p, m + 1:])
     for p in range(4):
-        got = [row_step(bem_update, bem, p, k, spec.include_inverse_drift)
-               for k in range(grid.num_steps)]
+        got = [row_step(bem_update, bem, p, k) for k in range(grid.num_steps)]
         assert np.array_equal(got, bem[p, m + 1:])

@@ -233,27 +233,26 @@ class TestConstruction:
 
 class TestValidateAssumptions:
     def test_demo_passes(self):
-        report = validate_assumptions(DEMO, grid_points=2000)
+        report = validate_assumptions(DEMO)
         assert report.passed, report.failures()
 
     def test_exponent_balance_violation(self):
         # 1 + 1.5 < 2 * 1.5
-        report = validate_assumptions(make_spec(rho=1.5, theta=1.5),
-                                      grid_points=500)
+        report = validate_assumptions(make_spec(rho=1.5, theta=1.5))
         failed = {c.name for c in report.failures()}
         assert "exponent_balance" in failed
 
     def test_volatility_bound_violation(self):
         bad = VolatilitySpec(bound_sigma=0.5,
                              eval=lambda y, i: 1.5 if y > 10 else 0.25)
-        report = validate_assumptions(make_spec(volatility=bad), grid_points=500)
+        report = validate_assumptions(make_spec(volatility=bad))
         failed = {c.name for c in report.failures()}
         assert "volatility_bounded" in failed
 
     def test_negative_extension_violation(self):
         bad = VolatilitySpec(bound_sigma=0.5,
                              eval=lambda y, i: 0.25 if y >= 0 else 0.1)
-        report = validate_assumptions(make_spec(volatility=bad), grid_points=500)
+        report = validate_assumptions(make_spec(volatility=bad))
         failed = {c.name for c in report.failures()}
         assert "volatility_negative_extension" in failed
 
@@ -263,15 +262,14 @@ class TestValidateAssumptions:
             eval=lambda t: 1.0 if t < -0.5 else 2.0,
             holder_constant=0.5, holder_exponent=1.0,
         )
-        report = validate_assumptions(make_spec(initial_segment=jumpy),
-                                      grid_points=500)
+        report = validate_assumptions(make_spec(initial_segment=jumpy))
         failed = {c.name for c in report.failures()}
         assert "initial_segment_hoelder" in failed
 
     def test_degenerate_coefficients_flagged_not_fatal(self):
         spec = make_spec(regimes=(RegimeParams(0.0, 0.0, 0.0, 0.5, 0.0),),
                          generator=GeneratorMatrix(np.array([[0.0]])))
-        report = validate_assumptions(spec, grid_points=500)
+        report = validate_assumptions(spec)
         failed = {c.name for c in report.failures()}
         assert "coefficient_positivity" in failed
 
@@ -280,9 +278,7 @@ class TestValidateAssumptions:
             raise RuntimeError("boom")
 
         report = validate_assumptions(
-            make_spec(volatility=VolatilitySpec(bound_sigma=0.5, eval=broken)),
-            grid_points=200,
-        )
+            make_spec(volatility=VolatilitySpec(bound_sigma=0.5, eval=broken)))
         assert not report.passed
 
 

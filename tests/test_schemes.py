@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -410,25 +411,41 @@ class TestNonFiniteDetection:
         # factor, and drawing at that step and coarsening by that factor
         # fails at the same node again
         spec, policy = overflow_model()
-        ref, [(coarse, factor)] = _coupled_grids(spec, [2**-7], 2**-10, 2.0)
-        drawn = engine.draw_batch_noise(spec, ref, 55, np.arange(3))
-        # the level source estimators._chunk builds
-        level = replace(drawn, shape=(3, coarse.num_steps), factor=factor,
-                        blocks=[engine.coarsen_batch(*b, factor) for b in drawn])
-        with pytest.raises(SimulationError) as err:
-            engine.simulate_tem_batch(spec, policy, coarse, level)
-        found = re.search(r" of path (\d+) \(replay: seed=(\d+), path=(\d+), "
-                          r"delta=([^,]+), factor=(\d+)\)$", str(err.value))
-        assert found, str(err.value)
-        seed, path, replayed_factor = (int(found.group(i)) for i in (2, 3, 5))
-        assert (seed, found.group(4), replayed_factor) == (55, f"{ref.delta:g}", 8)
-        assert (err.value.seed, err.value.path_index, err.value.delta,
-                err.value.factor) == (55, path, ref.delta, 8)
+        assert_coarse_failure_names_its_draw(
+            spec, partial(engine.simulate_tem_batch, spec, policy))
 
-        again = engine.draw_batch_noise(
-            spec, resolve_grid(spec.tau, float(found.group(4)), 2.0), seed, [path])
-        blocks = [engine.coarsen_batch(*b, replayed_factor) for b in again]
-        with pytest.raises(SimulationError) as replayed:
-            engine.simulate_tem_batch(spec, policy, coarse,
-                                      engine.NoiseBlocks((1, coarse.num_steps), blocks))
-        assert replayed.value.step == err.value.step
+    def test_bem_coarse_failure_names_its_draw(self):
+        # BEM on coarsened noise fails in its implicit solve, whose bracket
+        # error names the same coordinates as the non-finite check
+        spec, _ = overflow_model()
+        err = assert_coarse_failure_names_its_draw(
+            spec, partial(engine.simulate_bem_batch, spec))
+        assert str(err).startswith("implicit solve found no upper bracket end")
+
+
+def assert_coarse_failure_names_its_draw(spec, simulate):
+    """``simulate(grid, noise)`` on the overflow model's noise drawn at
+    2^-10 and coarsened by 8 fails naming that draw, and fails at the same
+    step again on the noise its coordinates draw; returns the error."""
+    ref, [(coarse, factor)] = _coupled_grids(spec, [2**-7], 2**-10, 2.0)
+    drawn = engine.draw_batch_noise(spec, ref, 55, np.arange(3))
+    # the level source estimators._chunk builds
+    level = replace(drawn, shape=(3, coarse.num_steps), factor=factor,
+                    blocks=[engine.coarsen_batch(*b, factor) for b in drawn])
+    with pytest.raises(SimulationError) as err:
+        simulate(coarse, level)
+    found = re.search(r" of path (\d+) \(replay: seed=(\d+), path=(\d+), "
+                      r"delta=([^,]+), factor=(\d+)\)$", str(err.value))
+    assert found, str(err.value)
+    seed, path, replayed_factor = (int(found.group(i)) for i in (2, 3, 5))
+    assert (seed, found.group(4), replayed_factor) == (55, f"{ref.delta:g}", 8)
+    assert (err.value.seed, err.value.path_index, err.value.delta,
+            err.value.factor) == (55, path, ref.delta, 8)
+
+    again = engine.draw_batch_noise(
+        spec, resolve_grid(spec.tau, float(found.group(4)), 2.0), seed, [path])
+    blocks = [engine.coarsen_batch(*b, replayed_factor) for b in again]
+    with pytest.raises(SimulationError) as replayed:
+        simulate(coarse, engine.NoiseBlocks((1, coarse.num_steps), blocks))
+    assert replayed.value.step == err.value.step
+    return err.value
