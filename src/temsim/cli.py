@@ -34,7 +34,7 @@ from .estimators import (
 )
 from .model import CoefficientTables, validate_assumptions
 from .schemes import simulate_tem_path
-from .truncation import TruncationError, psi, truncation_band
+from .truncation import TruncationError, band_edge, psi, truncation_band
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,8 +87,9 @@ def cmd_validate(run: RunConfig, header: list[str]) -> tuple[str, int]:
     rng = np.random.default_rng(12345)
     xs = rng.uniform(-50.0, 50.0, 2000)
     ridx = rng.integers(0, run.spec.num_regimes, xs.size)
-    caps = rng.uniform(1e-6, run.policy.delta_star, xs.size) ** -run.policy.psi_exponent
-    uppers = run.policy.mu.inverse(caps)
+    deltas = rng.uniform(1e-6, run.policy.delta_star, xs.size)
+    caps = deltas ** -run.policy.psi_exponent
+    uppers = band_edge(run.policy.mu, run.policy.psi_exponent, deltas)
     tables = CoefficientTables(run.spec)
     fd, gd = tables.truncated(xs, ridx, 1.0 / uppers, uppers)
     cap_ok = bool(np.all(np.maximum(np.abs(fd), gd) <= caps * (1.0 + 1e-12)))

@@ -19,6 +19,7 @@ import numpy as np
 import yaml
 
 from .model import (
+    CONSTANT_LEVEL,
     InitialSegment,
     ModelSpec,
     RegimeParams,
@@ -26,7 +27,7 @@ from .model import (
     constant_segment,
 )
 from .regime import GeneratorMatrix
-from .truncation import TruncationPolicy, default_mu_for
+from .truncation import MU_PRESETS, TruncationPolicy, default_mu_for
 
 _REQUIRED = object()
 
@@ -238,10 +239,10 @@ def _parse_volatility(model: dict):
         raise ConfigError("model.volatility.name", "field is required")
     echo = {"name": name}
     if name == "constant":
-        echo["level"] = _number(vol, "level", "model.volatility", default=0.25,
-                                minimum=0.0)
+        echo["level"] = _number(vol, "level", "model.volatility",
+                                default=CONSTANT_LEVEL, minimum=0.0)
     try:
-        volatility = build_volatility(name, level=echo.get("level", 0.25))
+        volatility = build_volatility(**echo)
     except ValueError as exc:
         raise ConfigError("model.volatility.name", str(exc)) from exc
     if name != "constant" and vol.get("level") is not None:
@@ -344,9 +345,9 @@ def resolve_config(
     mu_preset = trunc.get("mu")
     if mu_preset is None:
         mu_preset = "auto"
-    if mu_preset not in ("auto", "3u2", "power_fit"):
-        raise ConfigError("truncation.mu",
-                          f"unknown preset {mu_preset!r}; known: auto, 3u2, power_fit")
+    if mu_preset not in MU_PRESETS:
+        raise ConfigError("truncation.mu", f"unknown preset {mu_preset!r}; "
+                          f"known: {', '.join(MU_PRESETS)}")
     delta_star = _number(trunc, "delta_star", "truncation", default=None, minimum=0.0,
                          exclusive=True)
     try:

@@ -93,44 +93,46 @@ def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
 def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
     """The chunk pipeline of every estimator: run TEM on ``grid`` over the
     noise of the paths in ``path_range``, drawn one block at a time, and
-    return ``reduce(values, runs)``.
+    return ``reduce(nodes, runs)``, a tuple of per-path arrays.
 
-    ``levels`` declares the further runs on that noise as ``(simulate,
-    factor)`` pairs: each noise block is coarsened by ``factor`` for its
-    level as the TEM run draws it (factor 1 keeps the block itself), and
-    ``runs`` yields ``simulate(noise)`` of each level in order, so a
-    reduction holds one level's values at a time. Each level's noise
-    carries the replay coordinates of the drawn noise and its factor.
+    ``levels`` declares the runs on that noise as ``(simulate, factor)``
+    pairs: each noise block is coarsened by ``factor`` for its level as the
+    TEM run draws it (factor 1 keeps the block itself), and ``runs`` yields
+    ``simulate(noise)`` of each level in order, so a reduction holds one
+    level's values at a time; ``simulate`` None is the TEM run itself, and
+    keeps no noise. Each level's noise carries the replay coordinates of
+    the drawn noise and its factor. ``nodes`` and each run are the values
+    at nodes 0..K, the initial segment sliced off.
     """
     indices = np.arange(*path_range)
     # a draw block of whole coarse steps at every level
     lcm = math.lcm(*(factor for _, factor in levels))
     noise = engine.draw_batch_noise(spec, grid, seed, indices,
                                     -(-engine.DRAW_STEPS // lcm) * lcm)
-    kept = [[] for _ in levels]
+    kept = [None if simulate is None else [] for simulate, _ in levels]
 
     def keep_block(block):
         for blocks, (_, factor) in zip(kept, levels):
-            blocks.append(engine.coarsen_batch(*block, factor))
+            if blocks is not None:
+                blocks.append(engine.coarsen_batch(*block, factor))
 
-    values = engine.simulate_tem_batch(spec, policy, grid, noise.tap(keep_block))
-    runs = (simulate(replace(noise, shape=(len(indices), grid.num_steps // factor),
-                             blocks=blocks, factor=factor))
+    nodes = engine.simulate_tem_batch(spec, policy, grid,
+                                      noise.tap(keep_block))[:, grid.tau_steps:]
+    runs = (nodes if blocks is None else
+            simulate(replace(noise, shape=(len(indices), grid.num_steps // factor),
+                             blocks=blocks, factor=factor))[:, grid.tau_steps // factor:]
             for (simulate, factor), blocks in zip(levels, kept))
-    return reduce(values, runs)
+    return reduce(nodes, runs)
 
 
-def _samples(spec, policy, grid, seed, reduce, levels, num_paths, threads,
-             axis=0) -> np.ndarray:
-    """The samples of :func:`_chunk` over ``num_paths`` paths, in path order."""
+def _samples(spec, policy, grid, seed, reduce, levels, num_paths, threads) -> tuple:
+    """Each per-path array of :func:`_chunk` over ``num_paths`` paths, in path order."""
     worker = partial(_chunk, spec, policy, grid, seed, reduce, levels)
-    return np.concatenate(_run_chunks(worker, num_paths, threads), axis=axis)
+    return tuple(map(np.concatenate, zip(*_run_chunks(worker, num_paths, threads))))
 
 
-def _discount(grid, values, _runs) -> np.ndarray:
-    m, k = grid.tau_steps, grid.num_steps
-    integrals = values[:, m:m + k].sum(axis=1) * grid.delta
-    return np.exp(-integrals)
+def _discount(delta, nodes, _runs) -> tuple:
+    return (np.exp(-(nodes[:, :-1].sum(axis=1) * delta)),)
 
 
 def bond_price(
@@ -148,16 +150,14 @@ def bond_price(
     values times the step, so a constant path prices to exp(-x T) exactly.
     """
     grid = resolve_grid(spec.tau, delta, horizon)
-    return EstimatorResult.from_samples(_samples(
-        spec, policy, grid, master_seed, partial(_discount, grid), (), num_paths,
+    return EstimatorResult.from_samples(*_samples(
+        spec, policy, grid, master_seed, partial(_discount, grid.delta), (), num_paths,
         threads))
 
 
-def _knock_out(grid, strike, barrier, values, _runs) -> np.ndarray:
-    m, k = grid.tau_steps, grid.num_steps
-    running_max = values[:, m:m + k + 1].max(axis=1)
-    payoff = np.maximum(values[:, m + k] - strike, 0.0)
-    return payoff * (running_max < barrier)
+def _knock_out(strike, barrier, nodes, _runs) -> tuple:
+    payoff = np.maximum(nodes[:, -1] - strike, 0.0)
+    return (payoff * (nodes.max(axis=1) < barrier),)
 
 
 def barrier_option_price(
@@ -184,14 +184,13 @@ def barrier_option_price(
     if not barrier > 0.0:
         raise ValueError(f"barrier must be > 0 (inf: no knock-out), got {barrier}")
     grid = resolve_grid(spec.tau, delta, horizon)
-    return EstimatorResult.from_samples(_samples(
-        spec, policy, grid, master_seed, partial(_knock_out, grid, strike, barrier),
+    return EstimatorResult.from_samples(*_samples(
+        spec, policy, grid, master_seed, partial(_knock_out, strike, barrier),
         (), num_paths, threads))
 
 
-def _tem_bem_distance(grid, tem, runs) -> np.ndarray:
-    m = grid.tau_steps
-    return np.abs(tem[:, m:] - next(runs)[:, m:]).max(axis=1)
+def _tem_bem_distance(tem, runs) -> tuple:
+    return (np.abs(tem - next(runs)).max(axis=1),)
 
 
 def scheme_comparison(
@@ -207,10 +206,9 @@ def scheme_comparison(
     grid = resolve_grid(spec.tau, delta, horizon)
     # BEM on the blocks the TEM run drew, kept whole (factor 1)
     bem = (partial(engine.simulate_bem_batch, spec, grid), 1)
-    distances = _samples(spec, policy, grid, master_seed,
-                         partial(_tem_bem_distance, grid), (bem,), num_paths, threads)
+    (distances,) = _samples(spec, policy, grid, master_seed, _tem_bem_distance, (bem,),
+                            num_paths, threads)
     base = EstimatorResult.from_samples(distances)
-    qs = (0.1, 0.5, 0.9)
     return SchemeComparison(
         delta=grid.delta,
         num_paths=num_paths,
@@ -218,7 +216,7 @@ def scheme_comparison(
         std_error=base.std_error,
         confidence_95=base.confidence_95,
         max=float(distances.max()),
-        quantiles={q: float(np.quantile(distances, q)) for q in qs},
+        quantiles={q: float(np.quantile(distances, q)) for q in (0.1, 0.5, 0.9)},
     )
 
 
@@ -248,20 +246,15 @@ def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
 
 
 def _tem_runs(spec, policy, levels) -> tuple:
-    """The declared runs of the levels coarser than the reference: TEM on
-    each level's grid, in level order."""
-    return tuple((partial(engine.simulate_tem_batch, spec, policy, grid), factor)
-                 for grid, factor in levels if factor > 1)
+    """Each level's declared run: TEM on its grid, or the pipeline's own at factor 1."""
+    return tuple((None if factor == 1 else
+                  partial(engine.simulate_tem_batch, spec, policy, grid), factor)
+                 for grid, factor in levels)
 
 
-def _sup_errors(ref_grid, levels, fine, runs) -> np.ndarray:
-    sups = np.empty((len(levels), fine.shape[0]))
-    for row, (grid, factor) in enumerate(levels):
-        # a level at the reference step is the pipeline's own run
-        coarse = fine if factor == 1 else next(runs)
-        fine_at_nodes = fine[:, ref_grid.tau_steps::factor]
-        sups[row] = np.abs(coarse[:, grid.tau_steps:] - fine_at_nodes).max(axis=1)
-    return sups
+def _sup_errors(factors, fine, runs) -> tuple:
+    return tuple(np.abs(coarse - fine[:, ::factor]).max(axis=1)
+                 for factor, coarse in zip(factors, runs))
 
 
 def strong_error(
@@ -293,20 +286,17 @@ def strong_error(
     deltas_desc = sorted(map(float, coarse_deltas), reverse=True)
     ref_grid, levels = _coupled_grids(spec, deltas_desc, reference_delta, horizon)
     sups = _samples(spec, policy, ref_grid, master_seed,
-                    partial(_sup_errors, ref_grid, levels),
-                    _tem_runs(spec, policy, levels), num_paths, threads, axis=1)
+                    partial(_sup_errors, [factor for _, factor in levels]),
+                    _tem_runs(spec, policy, levels), num_paths, threads)
 
-    powered = sups**p
+    powered = np.stack(sups)**p
     mean_powered = powered.mean(axis=1)
     se_powered = powered.std(axis=1, ddof=1) / np.sqrt(num_paths)
     errors = mean_powered ** (1.0 / p)
     # delta method for the 1/p root of a sample mean
     with np.errstate(divide="ignore", invalid="ignore"):
-        std_errors = np.where(
-            mean_powered > 0.0,
-            se_powered / p * mean_powered ** (1.0 / p - 1.0),
-            0.0,
-        )
+        std_errors = np.where(mean_powered > 0.0,
+                              se_powered / p * mean_powered ** (1.0 / p - 1.0), 0.0)
 
     step_sizes = np.array([g.delta for g, _ in levels])
     if step_sizes.size >= 2 and np.all(errors > 0.0):
@@ -324,13 +314,8 @@ def strong_error(
     )
 
 
-def _moments(levels, p, fine, runs) -> list[np.ndarray]:
-    rows = []
-    for grid, factor in levels:
-        # the finest level (factor 1) is the pipeline's own run
-        values = fine if factor == 1 else next(runs)
-        rows.append(np.abs(values[:, grid.tau_steps:]) ** p)
-    return rows
+def _moments(p, _fine, runs) -> tuple:
+    return tuple(np.abs(values) ** p for values in runs)
 
 
 def moment_curves(
@@ -353,10 +338,7 @@ def moment_curves(
     """
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
-    finest = min(deltas)
-    fine_grid, levels = _coupled_grids(spec, list(deltas), finest, horizon)
-    worker = partial(_chunk, spec, policy, fine_grid, master_seed,
-                     partial(_moments, levels, p), _tem_runs(spec, policy, levels))
-    chunks = _run_chunks(worker, num_paths, threads)
-    return {grid.delta: np.concatenate([c[row] for c in chunks]).mean(axis=0)
-            for row, (grid, _) in enumerate(levels)}
+    fine_grid, levels = _coupled_grids(spec, list(deltas), min(deltas), horizon)
+    rows = _samples(spec, policy, fine_grid, master_seed, partial(_moments, p),
+                    _tem_runs(spec, policy, levels), num_paths, threads)
+    return {grid.delta: row.mean(axis=0) for (grid, _), row in zip(levels, rows)}

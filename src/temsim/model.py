@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -294,7 +294,10 @@ class _ConstantVecFn:
         return np.full(np.shape(y), self.value, dtype=float)
 
 
-def build_volatility(name: str, level: float = 0.25) -> VolatilitySpec:
+CONSTANT_LEVEL = 0.25  # the ``constant`` volatility's level when none is given
+
+
+def build_volatility(name: str, level: float = CONSTANT_LEVEL) -> VolatilitySpec:
     """Construct a volatility by registered name.
 
     Names: ``sigmoid_s5`` (two-regime sigmoid, exact bound sqrt(5)/4),

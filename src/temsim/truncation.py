@@ -10,7 +10,6 @@ evaluation at ``psi(delta)``.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -57,6 +56,10 @@ class _MuPower:
         return (u / self.c) ** (1.0 / self.m)
 
 
+# the names ``default_mu_for`` takes as ``mu_preset``
+MU_PRESETS = ("auto", _Mu3U2.name, _MuPower.name)
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Dominating function, step profile exponent, and admissible step bound.
@@ -95,6 +98,11 @@ def psi(delta: float, policy: TruncationPolicy) -> float:
     return delta ** (-policy.psi_exponent)
 
 
+def band_edge(mu: _Mu3U2 | _MuPower, q: float, delta):
+    """Upper band edge ``u = mu.inverse(delta^-q)`` at a step or an array of steps."""
+    return mu.inverse(delta ** -q)
+
+
 def truncation_band(delta: float, policy: TruncationPolicy) -> tuple[float, float]:
     """Clamp interval ``[1/u, u]`` with ``u = mu.inverse(psi(delta))``."""
     if delta > policy.delta_star * (1.0 + 1e-12):
@@ -102,7 +110,9 @@ def truncation_band(delta: float, policy: TruncationPolicy) -> tuple[float, floa
             f"delta = {delta:g} exceeds the admissible bound delta_star = "
             f"{policy.delta_star:g}"
         )
-    upper = float(policy.mu.inverse(psi(delta, policy)))
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    upper = float(band_edge(policy.mu, policy.psi_exponent, delta))
     if upper <= 1.0:
         raise TruncationError(
             f"truncation band degenerate at delta = {delta:g} (upper edge {upper:g})"
@@ -135,20 +145,7 @@ def _verify_domination(mu: Callable, r: np.ndarray, band_sup: np.ndarray) -> Non
         )
 
 
-def _delta_star_search(spec: ModelSpec, mu_inverse: Callable[[float], float],
-                       q: float) -> float:
-    tables = CoefficientTables(spec)
-    ridx = np.arange(spec.num_regimes)[:, None]
-
-    def admissible(delta: float) -> bool:
-        if float(mu_inverse(delta**-q)) <= 1.0:
-            return False
-        if spec.include_inverse_drift:
-            xs = np.geomspace(delta * 1e-3, delta * (1.0 - 1e-9), 128)
-            if np.any(tables.drift(xs, ridx) <= 0.0):
-                return False
-        return True
-
+def _delta_star_search(admissible: Callable[[float], bool]) -> float:
     lo, hi = 1e-12, 1.0 - 1e-9
     if not admissible(lo):
         raise TruncationError("no admissible step bound found above 1e-12")
@@ -178,35 +175,47 @@ def default_mu_for(spec: ModelSpec, psi_exponent: float = 0.25,
 
     The default profile exponent 1/4 is the largest satisfying the
     quarter-power step condition; larger values (e.g. 2/3) are accepted but
-    make the policy warn once, here.
+    make the policy warn once, here. ``delta_star`` is searched for, or
+    given and held to the same rule: a band ``[1/u, u]`` with u > 1 and,
+    with the 1/x term, a positive drift below it.
     """
+    if mu_preset not in MU_PRESETS:
+        raise TruncationError(f"unknown mu preset {mu_preset!r}")
     r, band_sup = _band_sups(spec)
 
     mu = None
-    if mu_preset in ("auto", "3u2"):
+    if mu_preset != _MuPower.name:
         candidate = _Mu3U2()
         try:
             _verify_domination(candidate, r, band_sup)
             mu = candidate
         except TruncationError:
-            if mu_preset == "3u2":
+            if mu_preset == candidate.name:
                 raise
     if mu is None:
-        if mu_preset not in ("auto", "power_fit"):
-            raise TruncationError(f"unknown mu preset {mu_preset!r}")
         m = max(spec.rho, spec.theta) + 1.0
         # dominates by construction, in the sense of _verify_domination
         mu = _MuPower(float((band_sup[1:] / r[:-1] ** m).max()) * (1.0 + 1e-6), m)
 
+    tables = CoefficientTables(spec)
+    ridx = np.arange(spec.num_regimes)[:, None]
+
+    def admissible(delta: float) -> bool:
+        if float(band_edge(mu, psi_exponent, delta)) <= 1.0:
+            return False
+        if spec.include_inverse_drift:
+            xs = np.geomspace(delta * 1e-3, delta * (1.0 - 1e-9), 128)
+            if np.any(tables.drift(xs, ridx) <= 0.0):
+                return False
+        return True
+
     if delta_star is None:
-        delta_star = _delta_star_search(spec, mu.inverse, psi_exponent)
-    else:
-        if not 0.0 < delta_star < 1.0:
-            raise TruncationError("delta_star override must lie in (0, 1)")
-        if float(mu.inverse(delta_star**-psi_exponent)) <= 1.0:
-            raise TruncationError(
-                f"delta_star override {delta_star:g} gives a degenerate band"
-            )
+        delta_star = _delta_star_search(admissible)
+    elif not 0.0 < delta_star < 1.0:
+        raise TruncationError("delta_star override must lie in (0, 1)")
+    elif not admissible(delta_star):
+        raise TruncationError(f"delta_star override {delta_star:g} is not admissible: "
+                              "its band is degenerate, or a drift is not positive below it")
 
     return TruncationPolicy(mu=mu, psi_exponent=psi_exponent,
                             delta_star=float(delta_star))

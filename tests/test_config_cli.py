@@ -446,6 +446,48 @@ class TestCliCommands:
         assert done.returncode == 0, done.stderr
         assert done.stderr.count("StepProfileWarning") == expected, done.stderr
 
+    def test_pooled_outputs_differ_only_in_the_threads_line(self, tmp_path):
+        # two chunks of paths: --threads 1 runs them in this process,
+        # --threads 2 in a pool; only the echoed thread count may differ
+        cfg = demo_config(num_paths=130, horizon=0.08)
+        cfg["experiment"] = {"step_ladder": [0.02, 0.01], "reference_delta": 0.005}
+        path = write_config(tmp_path, cfg)
+        for command in ("converge", "compare-schemes", "price-bond", "price-barrier"):
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{command}-{threads}.csv"
+                assert self.run_cli([command, "--config", path, "--threads", threads,
+                                     "--out", str(out)]) == 0
+                outputs.append(out.read_text().splitlines())
+            one, two = outputs
+            assert len(one) == len(two), command
+            assert [(a, b) for a, b in zip(one, two) if a != b] == [
+                ("#     threads: 1", "#     threads: 2")], command
+
+    def test_delta_star_override_meets_the_search_rule(self, tmp_path, capsys):
+        # the search stops at 0.0600504, below which the drift of this
+        # model is positive: a run at 0.0604 is refused, and a bound given
+        # above the search's is a config error, not a run the search refuses
+        cfg = {
+            "model": {"regimes": [{"alpha_m1": 0.3, "alpha_0": 5.0, "alpha_1": 0.1,
+                                   "alpha_2": 0.5, "alpha_3": 0.0}],
+                      "rho": 2.0, "theta": 1.25, "tau": 0.0604, "jump_intensity": 0.0,
+                      "volatility": {"name": "zero"}, "generator": [[0.0]]},
+            "truncation": {"psi_exponent": 2.0 / 3.0, "mu": "power_fit"},
+            "simulation": {"delta": 0.0604, "horizon": 0.2416, "num_paths": 4,
+                           "seed": 1, "threads": 1},
+        }
+        searched = write_config(tmp_path, cfg, "searched.yaml")
+        assert self.run_cli(["price-bond", "--config", searched]) == 4
+        assert "exceeds the admissible bound delta_star = 0.0600504" in \
+            capsys.readouterr().err
+        cfg["truncation"]["delta_star"] = 0.0605
+        given = write_config(tmp_path, cfg, "given.yaml")
+        for command in ("validate", "price-bond"):
+            assert self.run_cli([command, "--config", given]) == 2, command
+            assert "config error: truncation: delta_star override 0.0605 is not " \
+                "admissible" in capsys.readouterr().err, command
+
     def test_seed_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, demo_config())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -126,8 +126,15 @@ def test_replay_coordinates_travel_with_the_noise():
     tapped = drawn.tap(lambda _block: None)
     assert coordinates(drawn) == coordinates(tapped) == (9, [4, 5, 6], grid.delta, 1)
     seen = []
-    estimators._chunk(SPEC, policy, grid, 9, lambda _values, runs: list(runs),
-                      ((seen.append, 1), (seen.append, 4)), (4, 7))
+
+    def simulate(noise):
+        seen.append(noise)
+        # the level's values on its grid, initial segment included
+        return np.zeros((noise.shape[0],
+                         grid.tau_steps // noise.factor + noise.shape[1] + 1))
+
+    estimators._chunk(SPEC, policy, grid, 9, lambda _nodes, runs: list(runs),
+                      ((simulate, 1), (simulate, 4)), (4, 7))
     assert [noise.shape for noise in seen] == [(3, 40), (3, 10)]
     assert [coordinates(noise) for noise in seen] == [(9, [4, 5, 6], grid.delta, 1),
                                                       (9, [4, 5, 6], grid.delta, 4)]
@@ -156,7 +163,7 @@ def test_converge_chunk_holds_blocks_not_paths():
     factors = [factor for _, factor in runs]
     assert (ref.tau_steps, ref.num_steps, factors) == (m, k, [64, 32, 16, 8])
     chunk = partial(estimators._chunk, spec, policy, ref, 3,
-                    partial(estimators._sup_errors, ref, levels), runs, (0, num_paths))
+                    partial(estimators._sup_errors, factors), runs, (0, num_paths))
     chunk()  # first-call allocations that stay
     tracemalloc.start()
     try:

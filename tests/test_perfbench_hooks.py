@@ -68,6 +68,11 @@ def run_cli(command, tmp_path, tag):
 def test_traced_run_writes_the_untraced_bytes(command, tmp_path):
     layers = load_layers()
     untraced = run_cli(command, tmp_path, "untraced")
+    # Patches.function looks each name up on the lazy package too, which
+    # loads and caches the export: load them all before the snapshot, so
+    # the test holds on its own as in the full suite
+    for name in temsim.__all__:
+        getattr(temsim, name)
     before = temsim_namespaces()
     methods = {attr: temsim.engine.CoefficientTables.__dict__[attr]
                for attr in ("drift", "drift_derivative")}

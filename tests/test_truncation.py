@@ -44,6 +44,19 @@ def truncated(x, i, delta, policy=POLICY):
     return float(fd[0]), float(gd[0])
 
 
+def outflow_spec(alpha_0, tau=1.0):
+    """One regime with drift 0.3/x - alpha_0 + 0.1 x - 0.5 x^2, positive
+    only below a root that falls as the constant outflow alpha_0 grows."""
+    return ModelSpec(
+        regimes=(RegimeParams(0.3, alpha_0, 0.1, 0.5, 0.0),),
+        rho=2.0, theta=1.25, tau=tau, jump_intensity=0.0,
+        volatility=build_volatility("zero"),
+        initial_segment=constant_segment(0.02),
+        generator=GeneratorMatrix(np.zeros((1, 1))),
+        initial_regime=1, include_inverse_drift=True,
+    )
+
+
 def capped(xs, ridx, deltas, policy, tables=TABLES):
     """Whether ``max(|f_delta|, g_delta) <= psi(delta)`` at every sample, each
     with the band of its own step."""
@@ -187,20 +200,27 @@ class TestDeltaStar:
     def test_drift_positivity_shrinks_delta_star(self):
         # huge constant outflow: f(x) = 0.3/x - 100 + ... is positive only
         # for x below roughly 0.003
-        spec = ModelSpec(
-            regimes=(RegimeParams(0.3, 100.0, 0.1, 0.5, 0.0),),
-            rho=2.0, theta=1.25, tau=1.0, jump_intensity=0.0,
-            volatility=build_volatility("zero"),
-            initial_segment=constant_segment(0.02),
-            generator=GeneratorMatrix(np.zeros((1, 1))),
-            initial_regime=1, include_inverse_drift=True,
-        )
-        policy = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
+        policy = default_mu_for(outflow_spec(100.0), psi_exponent=2 / 3,
+                                mu_preset="power_fit")
         assert policy.delta_star < 0.004
 
     def test_delta_star_override_validated(self):
         with pytest.raises(TruncationError):
             default_mu_for(DEMO, psi_exponent=2 / 3, delta_star=0.9)
+
+    def test_delta_star_override_meets_the_search_rule(self):
+        # the band is wide enough at 0.0605, but the drift turns negative
+        # below it: the bound the search refuses is refused when given too
+        spec = outflow_spec(5.0, tau=0.0604)
+        searched = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
+        assert searched.delta_star == pytest.approx(0.0600504, rel=1e-6)
+        with pytest.raises(TruncationError, match="override 0.0605 is not admissible"):
+            default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit",
+                           delta_star=0.0605)
+        # the searched bound, echoed in a header, resolves again
+        again = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit",
+                               delta_star=searched.delta_star)
+        assert again.delta_star == searched.delta_star
 
 
 class TestGrowthPreservation:
