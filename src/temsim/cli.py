@@ -61,12 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(run: RunConfig, header: list[str]) -> tuple[str, int]:
     lines = list(header)
-    failed = False
 
     report = validate_assumptions(run.spec)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
-        failed |= not check.passed
         suffix = f" ({check.detail})" if check.detail and not check.passed else ""
         lines.append(f"{status} {check.name}{suffix}")
 
@@ -88,7 +86,7 @@ def cmd_validate(run: RunConfig, header: list[str]) -> tuple[str, int]:
     xs = rng.uniform(-50.0, 50.0, 2000)
     ridx = rng.integers(0, run.spec.num_regimes, xs.size)
     deltas = rng.uniform(1e-6, run.policy.delta_star, xs.size)
-    caps = deltas ** -run.policy.psi_exponent
+    caps = psi(deltas, run.policy)
     uppers = band_edge(run.policy.mu, run.policy.psi_exponent, deltas)
     tables = CoefficientTables(run.spec)
     fd, gd = tables.truncated(xs, ridx, 1.0 / uppers, uppers)
@@ -98,9 +96,8 @@ def cmd_validate(run: RunConfig, header: list[str]) -> tuple[str, int]:
                                  tables.drift(inside, 0))
     lines.append(("PASS" if cap_ok else "FAIL") + " truncated_coefficient_cap")
     lines.append(("PASS" if interior_ok else "FAIL") + " band_interior_identity")
-    failed |= not (cap_ok and interior_ok)
-
-    return "\n".join(lines) + "\n", EXIT_VALIDATION if failed else EXIT_OK
+    passed = report.passed and cap_ok and interior_ok
+    return "\n".join(lines) + "\n", EXIT_OK if passed else EXIT_VALIDATION
 
 
 def cmd_simulate(run: RunConfig, header: list[str]) -> tuple[str, int]:

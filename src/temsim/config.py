@@ -338,24 +338,24 @@ def resolve_config(
     _only(raw, "", ("model", "truncation", "simulation", "experiment"))
     spec, model = _read_model(_merge_preset(_section(raw, "model", required=True)))
 
+    # the fields the file sets; default_mu_for owns the defaults of the rest
     trunc = _section(raw, "truncation")
     _only(trunc, "truncation", ("psi_exponent", "mu", "delta_star"))
-    q = _number(trunc, "psi_exponent", "truncation", default=0.25, minimum=0.0,
-                exclusive=True)
-    mu_preset = trunc.get("mu")
-    if mu_preset is None:
-        mu_preset = "auto"
-    if mu_preset not in MU_PRESETS:
-        raise ConfigError("truncation.mu", f"unknown preset {mu_preset!r}; "
+    given = {
+        "psi_exponent": _number(trunc, "psi_exponent", "truncation", default=None,
+                                minimum=0.0, exclusive=True),
+        "mu_preset": trunc.get("mu"),
+        "delta_star": _number(trunc, "delta_star", "truncation", default=None),
+    }
+    if given["mu_preset"] not in (None, *MU_PRESETS):
+        raise ConfigError("truncation.mu", f"unknown preset {given['mu_preset']!r}; "
                           f"known: {', '.join(MU_PRESETS)}")
-    delta_star = _number(trunc, "delta_star", "truncation", default=None, minimum=0.0,
-                         exclusive=True)
     try:
-        policy = default_mu_for(spec, psi_exponent=q, mu_preset=mu_preset,
-                                delta_star=delta_star)
+        policy = default_mu_for(spec, **{key: value for key, value in given.items()
+                                         if value is not None})
     except ValueError as exc:
         raise ConfigError("truncation", str(exc)) from exc
-    truncation = {"psi_exponent": q, "mu": policy.mu.name,
+    truncation = {"psi_exponent": policy.psi_exponent, "mu": policy.mu.name,
                   "delta_star": policy.delta_star}
 
     sim = _section(raw, "simulation", seed=seed, threads=threads)

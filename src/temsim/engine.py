@@ -357,6 +357,7 @@ def implicit_drift_solve(
     # 0-d step: the same products as the float, a cheaper ufunc operand
     step_size = np.asarray(delta)
 
+    abs_target = np.abs(target)
     if tables.include_inverse:
         # every iterate is +0 or more: the lower bracket end starts
         # positive and only shrinks, and each iterate lies inside the bracket
@@ -365,6 +366,10 @@ def implicit_drift_solve(
 
         def slope_at(z):
             return _ONE - step_size * tables.drift_derivative(z, ridx)
+
+        # residual -> -inf as z -> 0+ through the a_m1/z term
+        lo = np.minimum(np.maximum(abs_target, 1e-8), 0.5)
+        lower = (lambda end: end * 0.125), 400, "positive lower"
     else:
         # boundary-value extension: drift frozen at its z = 0 value below zero
         def residual(z):
@@ -376,6 +381,9 @@ def implicit_drift_solve(
                 _ONE - step_size * tables.drift_derivative(np.maximum(z, _TINY), ridx),
                 _ONE,
             )
+
+        lo = np.minimum(target, 0.0) - 1.0
+        lower = (lambda end: 2.0 * end - 1.0), 200, "lower"
 
     def widen(end, res, fails, grow, tries, kind):
         """Grow ``end`` on the failing rows until no row fails, given the
@@ -390,22 +398,11 @@ def implicit_drift_solve(
         raise _path_error(f"implicit solve found no {kind} bracket end at step {step}",
                           np.argmax(fails(res)), step, noise)
 
-    abs_target = np.abs(target)
-    if tables.include_inverse:
-        # residual -> -inf as z -> 0+ through the a_m1/z term
-        lo = np.minimum(np.maximum(abs_target, 1e-8), 0.5)
-    else:
-        lo = np.minimum(target, 0.0) - 1.0
     hi = abs_target + 1.0
     # one residual call for both ends; the widening loops run only for a
     # batch with a failing row
     at_lo, at_hi = residual(np.stack((lo, hi)))
-    if tables.include_inverse:
-        lo = widen(lo, at_lo, lambda res: ~(res < 0.0),
-                   lambda end: end * 0.125, 400, "positive lower")
-    else:
-        lo = widen(lo, at_lo, lambda res: ~(res < 0.0),
-                   lambda end: 2.0 * end - 1.0, 200, "lower")
+    lo = widen(lo, at_lo, lambda res: ~(res < 0.0), *lower)
     hi = widen(hi, at_hi, lambda res: ~(res > 0.0),
                lambda end: 2.0 * end + 1.0, 200, "upper")
 
@@ -476,8 +473,6 @@ def coarsen_batch(
     node is the fine regime at the same node. The results are new arrays,
     so coarse noise does not keep its fine noise alive.
     """
-    if factor == 1:
-        return brownian, poisson, regimes
     k = brownian.shape[-1]
     if k % factor:
         raise ValueError(f"{k} fine steps not divisible by coarsening factor {factor}")

@@ -114,7 +114,8 @@ def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
     def keep_block(block):
         for blocks, (_, factor) in zip(kept, levels):
             if blocks is not None:
-                blocks.append(engine.coarsen_batch(*block, factor))
+                blocks.append(block if factor == 1 else
+                              engine.coarsen_batch(*block, factor))
 
     nodes = engine.simulate_tem_batch(spec, policy, grid,
                                       noise.tap(keep_block))[:, grid.tau_steps:]

@@ -44,12 +44,10 @@ class RegimeParams:
     alpha_3: float
 
     def __post_init__(self):
-        for name in ("alpha_m1", "alpha_0", "alpha_1", "alpha_2"):
+        for name in ("alpha_m1", "alpha_0", "alpha_1", "alpha_2", "alpha_3"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not math.isfinite(self.alpha_3) or self.alpha_3 < 0.0:
-            raise ValueError(f"alpha_3 must be finite and >= 0, got {self.alpha_3}")
 
 
 @dataclass(frozen=True)
@@ -108,13 +106,17 @@ def constant_segment(value: float) -> InitialSegment:
 
 
 class _ConstantFn:
-    """Picklable constant callable (lambdas would break process pools)."""
+    """Picklable constant callable (lambdas would break process pools);
+    ``many`` is the constant over the shape of an array."""
 
     def __init__(self, value: float):
         self.value = float(value)
 
     def __call__(self, *_args):
         return self.value
+
+    def many(self, y, _regimes):
+        return np.full(np.shape(y), self.value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -278,20 +280,13 @@ def sigmoid_volatility(y: float, i: int) -> float:
 
 
 def _constant_vol(level: float):
+    constant = _ConstantFn(level)
     return VolatilitySpec(
         bound_sigma=level if level > 0.0 else 1.0,
-        eval=_ConstantFn(level),
-        eval_vec=_ConstantVecFn(level),
+        eval=constant,
+        eval_vec=constant.many,
         name="constant" if level > 0.0 else "zero",
     )
-
-
-class _ConstantVecFn:
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def __call__(self, y, i):
-        return np.full(np.shape(y), self.value, dtype=float)
 
 
 CONSTANT_LEVEL = 0.25  # the ``constant`` volatility's level when none is given
@@ -335,9 +330,6 @@ class AssumptionReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
 
 
 # points of the dense sampling grids of validate_assumptions

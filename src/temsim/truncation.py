@@ -10,6 +10,7 @@ evaluation at ``psi(delta)``.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -80,9 +81,14 @@ class TruncationPolicy:
         if not 0.0 < self.delta_star < 1.0:
             raise TruncationError("delta_star must lie in (0, 1)")
         if not self.quarter_power:
+            # name the first caller outside this module, past the dataclass
+            # __init__ that calls this method
+            frame, level = sys._getframe(2), 3
+            while frame.f_code.co_filename == __file__:
+                frame, level = frame.f_back, level + 1
             warnings.warn(f"psi exponent {self.psi_exponent:g} exceeds 1/4: delta^(1/4) "
                           "psi(delta) > 1 for every delta < 1", StepProfileWarning,
-                          stacklevel=3)
+                          stacklevel=level)
 
     @property
     def quarter_power(self) -> bool:
@@ -91,11 +97,14 @@ class TruncationPolicy:
         return self.psi_exponent <= 0.25
 
 
-def psi(delta: float, policy: TruncationPolicy) -> float:
-    """Step profile ``delta^-q``."""
-    if delta <= 0.0:
+def psi(delta, policy: TruncationPolicy):
+    """Step profile ``delta^-q`` at a step (a float) or an array of steps.
+    As an object array, each element takes the scalar form's float power,
+    bit for bit, where numpy's SIMD power can round the last bit otherwise."""
+    if np.any(np.asarray(delta) <= 0.0):
         raise ValueError("delta must be positive")
-    return delta ** (-policy.psi_exponent)
+    power = np.asarray(delta, dtype=object) ** -policy.psi_exponent
+    return power.astype(float) if np.ndim(power) else power
 
 
 def band_edge(mu: _Mu3U2 | _MuPower, q: float, delta):
@@ -120,13 +129,14 @@ def truncation_band(delta: float, policy: TruncationPolicy) -> tuple[float, floa
     return 1.0 / upper, upper
 
 
-def _band_sups(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Grid edges ``r`` >= 1 and the sup of |f| and g over each band [1/r, r]:
-    the grid is symmetric in log about x = 1 and the bands are nested, so
-    each sup is a running maximum outward from x = 1."""
+def _band_sups(tables: CoefficientTables,
+               ridx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid edges ``r`` >= 1 and the sup of |f| and g over each band [1/r, r],
+    over the regime indices ``ridx``: the grid is symmetric in log about
+    x = 1 and the bands are nested, so each sup is a running maximum
+    outward from x = 1."""
     xs = np.geomspace(1e-3, 1e3, 4001)
-    tables = CoefficientTables(spec)
-    drifts = tables.drift(xs, np.arange(spec.num_regimes)[:, None])
+    drifts = tables.drift(xs, ridx)
     sup = np.maximum(tables.diffusion(xs), np.abs(drifts).max(axis=0))
     mid = xs.size // 2
     return xs[mid:], np.maximum(np.maximum.accumulate(sup[mid:]),
@@ -181,7 +191,9 @@ def default_mu_for(spec: ModelSpec, psi_exponent: float = 0.25,
     """
     if mu_preset not in MU_PRESETS:
         raise TruncationError(f"unknown mu preset {mu_preset!r}")
-    r, band_sup = _band_sups(spec)
+    tables = CoefficientTables(spec)
+    ridx = np.arange(spec.num_regimes)[:, None]
+    r, band_sup = _band_sups(tables, ridx)
 
     mu = None
     if mu_preset != _MuPower.name:
@@ -197,9 +209,6 @@ def default_mu_for(spec: ModelSpec, psi_exponent: float = 0.25,
         # dominates by construction, in the sense of _verify_domination
         mu = _MuPower(float((band_sup[1:] / r[:-1] ** m).max()) * (1.0 + 1e-6), m)
 
-    tables = CoefficientTables(spec)
-    ridx = np.arange(spec.num_regimes)[:, None]
-
     def admissible(delta: float) -> bool:
         if float(band_edge(mu, psi_exponent, delta)) <= 1.0:
             return False
@@ -209,13 +218,10 @@ def default_mu_for(spec: ModelSpec, psi_exponent: float = 0.25,
                 return False
         return True
 
-    if delta_star is None:
-        delta_star = _delta_star_search(admissible)
-    elif not 0.0 < delta_star < 1.0:
-        raise TruncationError("delta_star override must lie in (0, 1)")
-    elif not admissible(delta_star):
+    # an override is held to the policy's range before the rule takes it
+    policy = TruncationPolicy(mu=mu, psi_exponent=psi_exponent, delta_star=float(
+        _delta_star_search(admissible) if delta_star is None else delta_star))
+    if delta_star is not None and not admissible(policy.delta_star):
         raise TruncationError(f"delta_star override {delta_star:g} is not admissible: "
                               "its band is degenerate, or a drift is not positive below it")
-
-    return TruncationPolicy(mu=mu, psi_exponent=psi_exponent,
-                            delta_star=float(delta_star))
+    return policy

@@ -445,6 +445,8 @@ class TestCliCommands:
             capture_output=True, text=True, env=env, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stderr.count("StepProfileWarning") == expected, done.stderr
+        # the warning names the line that built the policy
+        assert "truncation.py" not in done.stderr, done.stderr
 
     def test_pooled_outputs_differ_only_in_the_threads_line(self, tmp_path):
         # two chunks of paths: --threads 1 runs them in this process,

@@ -321,6 +321,8 @@ class TestMomentCurves:
 
 
 NO_INVERSE = two_regime_demo(include_inverse_drift=False)
+# a pool worker unpickles its array form, a bound method
+CONSTANT_VOL = dataclasses.replace(DEMO, volatility=build_volatility("constant"))
 
 
 def strong_error_at(spec, policy, delta, horizon, num_paths, seed, threads=1):
@@ -357,7 +359,9 @@ def comparable(result):
     (scheme_comparison, NO_INVERSE, 0.25),
     (strong_error_at, DEMO, 2 / 3),
     (moment_curves_at, DEMO, 2 / 3),
-], ids=["bond", "barrier", "compare", "compare-no-inverse", "strong-error", "moments"])
+    (scheme_comparison, CONSTANT_VOL, 2 / 3),
+], ids=["bond", "barrier", "compare", "compare-no-inverse", "strong-error", "moments",
+        "compare-constant-volatility"])
 def test_results_do_not_depend_on_chunk_size(estimate, spec, psi_exponent, monkeypatch):
     """A path's result must not depend on the batch it runs in, although the
     implicit solve iterates until every row of its batch has settled, and

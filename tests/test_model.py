@@ -234,26 +234,26 @@ class TestConstruction:
 class TestValidateAssumptions:
     def test_demo_passes(self):
         report = validate_assumptions(DEMO)
-        assert report.passed, report.failures()
+        assert report.passed, [c for c in report.checks if not c.passed]
 
     def test_exponent_balance_violation(self):
         # 1 + 1.5 < 2 * 1.5
         report = validate_assumptions(make_spec(rho=1.5, theta=1.5))
-        failed = {c.name for c in report.failures()}
+        failed = {c.name for c in report.checks if not c.passed}
         assert "exponent_balance" in failed
 
     def test_volatility_bound_violation(self):
         bad = VolatilitySpec(bound_sigma=0.5,
                              eval=lambda y, i: 1.5 if y > 10 else 0.25)
         report = validate_assumptions(make_spec(volatility=bad))
-        failed = {c.name for c in report.failures()}
+        failed = {c.name for c in report.checks if not c.passed}
         assert "volatility_bounded" in failed
 
     def test_negative_extension_violation(self):
         bad = VolatilitySpec(bound_sigma=0.5,
                              eval=lambda y, i: 0.25 if y >= 0 else 0.1)
         report = validate_assumptions(make_spec(volatility=bad))
-        failed = {c.name for c in report.failures()}
+        failed = {c.name for c in report.checks if not c.passed}
         assert "volatility_negative_extension" in failed
 
     def test_hoelder_violation(self):
@@ -263,14 +263,14 @@ class TestValidateAssumptions:
             holder_constant=0.5, holder_exponent=1.0,
         )
         report = validate_assumptions(make_spec(initial_segment=jumpy))
-        failed = {c.name for c in report.failures()}
+        failed = {c.name for c in report.checks if not c.passed}
         assert "initial_segment_hoelder" in failed
 
     def test_degenerate_coefficients_flagged_not_fatal(self):
         spec = make_spec(regimes=(RegimeParams(0.0, 0.0, 0.0, 0.5, 0.0),),
                          generator=GeneratorMatrix(np.array([[0.0]])))
         report = validate_assumptions(spec)
-        failed = {c.name for c in report.failures()}
+        failed = {c.name for c in report.checks if not c.passed}
         assert "coefficient_positivity" in failed
 
     def test_report_never_raises_on_broken_eval(self):

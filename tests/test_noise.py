@@ -63,11 +63,15 @@ class TestMakeNoise:
 
 
 class TestCoarsen:
-    def test_identity_factor(self):
-        b, p = np.zeros((2, 16)), np.zeros((2, 16), dtype=np.int64)
-        r = np.ones((2, 17), dtype=np.int64)
+    def test_factor_one_returns_copies(self):
+        # factor 1 keeps every value, in new arrays like every other factor
+        rng = np.random.default_rng(3)
+        b, p = rng.standard_normal((2, 16)), rng.poisson(1.0, (2, 16))
+        r = rng.integers(1, 3, (2, 17))
         coarse = coarsen_batch(b, p, r, 1)
-        assert all(c is f for c, f in zip(coarse, (b, p, r)))
+        for c, f in zip(coarse, (b, p, r)):
+            np.testing.assert_array_equal(c, f)
+            assert c.dtype == f.dtype and not np.shares_memory(c, f)
 
     def test_block_sums(self):
         brownian = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, -0.5, 2.0, 1.0]])

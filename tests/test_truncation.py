@@ -119,6 +119,18 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(-1.0, POLICY)
 
+    def test_array_matches_scalar_bit_for_bit(self):
+        # validate prints the scalar form and checks its caps with the array form
+        deltas = np.random.default_rng(7).uniform(1e-6, POLICY.delta_star, 2000)
+        for policy in (POLICY, demo_policy(q=0.25)):
+            values = psi(deltas, policy)
+            scalars = [psi(delta, policy) for delta in deltas.tolist()]
+            assert all(type(value) is float for value in scalars)
+            assert values.dtype == float and values.shape == deltas.shape
+            assert values.tobytes() == np.array(scalars).tobytes()
+        with pytest.raises(ValueError):
+            psi(np.array([1e-3, 0.0]), POLICY)
+
     def test_does_not_warn(self):
         # the policy decides the quarter-power rule once, when it is built
         with warnings.catch_warnings():
@@ -264,6 +276,16 @@ class TestPolicyType:
             edge = TruncationPolicy(mu=POLICY.mu, psi_exponent=np.nextafter(0.25, 1.0),
                                     delta_star=0.01)
         assert not edge.quarter_power
+
+    def test_warning_names_the_caller(self):
+        # the line that builds the policy, not one inside temsim.truncation
+        with pytest.warns(StepProfileWarning) as searched:
+            demo_policy(q=2 / 3)
+        with pytest.warns(StepProfileWarning) as direct:
+            TruncationPolicy(mu=POLICY.mu, psi_exponent=0.5, delta_star=0.01)
+        for caught in (searched, direct):
+            assert [w.filename for w in caught
+                    if w.category is StepProfileWarning] == [__file__]
 
     def test_unpickled_policy_does_not_warn_again(self):
         # a pool worker receives the policy pickled: it must not warn once
