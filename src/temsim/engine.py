@@ -63,10 +63,6 @@ class Grid:
     tau_steps: int
     num_steps: int
 
-    @property
-    def horizon(self) -> float:
-        return self.num_steps * self.delta
-
 
 def resolve_grid(tau: float, delta: float, horizon: float) -> Grid:
     """Snap a requested step to ``tau / M`` and the horizon to a multiple.
@@ -100,8 +96,9 @@ class NoiseBlocks:
     once and carries the ``seed``, ``path_indices`` and step ``delta`` it
     was drawn for, the replay coordinates its runs' errors name; a source
     of its blocks coarsened by ``factor`` (:func:`coarsen_batch`) keeps
-    them and records the factor. A list of blocks (:func:`noise_blocks`)
-    yields them any number of times and carries none.
+    them and records the factor. A list of blocks, such as
+    ``NoiseBlocks(shape, [(brownian, poisson, regimes)])``, yields them
+    any number of times and carries none.
     """
 
     shape: tuple[int, int]
@@ -134,15 +131,6 @@ class NoiseBlocks:
         return (np.concatenate(brownian, axis=1), np.concatenate(poisson, axis=1),
                 np.concatenate([r[:, :-1] for r in regimes] + [regimes[-1][:, -1:]],
                                axis=1))
-
-
-def noise_blocks(brownian: np.ndarray, poisson: np.ndarray,
-                 regimes: np.ndarray) -> NoiseBlocks:
-    """Whole arrays as one block: Brownian (P,K), Poisson (P,K), regimes (P,K+1)."""
-    if np.ndim(brownian) != 2:
-        raise ValueError("noise arrays must have shape (num_paths, num_steps)")
-    _check_shapes(brownian, poisson, regimes, *np.shape(brownian))
-    return NoiseBlocks(np.shape(brownian), [(brownian, poisson, regimes)])
 
 
 def draw_batch_noise(
@@ -230,7 +218,10 @@ def _march(spec, grid, tables, noise, step) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for brownian, poisson, regimes in noise:
             width = np.shape(brownian)[-1]
-            _check_shapes(brownian, poisson, regimes, num_paths, width)
+            if brownian.shape != (num_paths, width) or poisson.shape != brownian.shape:
+                raise ValueError("noise arrays must have shape (num_paths, num_steps)")
+            if regimes.shape != (num_paths, width + 1):
+                raise ValueError("regimes must have shape (num_paths, num_steps + 1)")
             for lo in range(0, width, size):
                 hi = min(lo + size, width)
                 phi = spec.volatility.evaluate_many(
@@ -267,13 +258,13 @@ def tem_update(x, rows, ridx, phi, d_b, d_n, _node, delta, lower, upper):
     return out
 
 
-def bem_update(x, rows, ridx, phi, d_b, d_n, node, delta, noise=None):
+def bem_update(x, rows, ridx, phi, d_b, d_n, node, delta, noise):
     """The backward-EM step rule of :func:`_march` (see :func:`simulate_bem_batch`);
     a failed solve names the replay coordinates of ``noise``."""
     target = x + phi * rows.diffusion(x) * d_b
     if d_n is not None:
         target += rows.jump(x, ridx) * d_n
-    return implicit_drift_solve(rows, ridx, target, delta, context=(noise, node))
+    return implicit_drift_solve(rows, ridx, target, delta, noise, node)
 
 
 def simulate_tem_batch(
@@ -335,7 +326,8 @@ def implicit_drift_solve(
     ridx: np.ndarray,
     target: np.ndarray,
     delta: float,
-    context: tuple = (None, None),
+    noise: NoiseBlocks,
+    step: int,
 ) -> np.ndarray:
     """Solve ``z - delta * drift(z, r) = target`` elementwise.
 
@@ -349,11 +341,9 @@ def implicit_drift_solve(
 
     Both bracket ends take one residual call, and the iteration stops
     before the slope once every row has settled. A row's iterates do not
-    depend on the other rows of the batch. ``context`` is ``(noise, step)``:
-    a failed row is named at ``step`` by the replay coordinates of ``noise``
-    (:class:`NoiseBlocks`, or None for none).
+    depend on the other rows of the batch. A failed row is named at
+    ``step`` by the replay coordinates of ``noise`` (:class:`NoiseBlocks`).
     """
-    noise, step = context
     # 0-d step: the same products as the float, a cheaper ufunc operand
     step_size = np.asarray(delta)
 
@@ -362,7 +352,7 @@ def implicit_drift_solve(
         # every iterate is +0 or more: the lower bracket end starts
         # positive and only shrinks, and each iterate lies inside the bracket
         def residual(z):
-            return z - step_size * tables.drift(z, ridx, positive=True) - target
+            return z - step_size * tables.drift(z, ridx) - target
 
         def slope_at(z):
             return _ONE - step_size * tables.drift_derivative(z, ridx)
@@ -426,13 +416,6 @@ def implicit_drift_solve(
     return z
 
 
-def _check_shapes(brownian, poisson, regimes, num_paths, k):
-    if brownian.shape != (num_paths, k) or poisson.shape != (num_paths, k):
-        raise ValueError("noise arrays must have shape (num_paths, num_steps)")
-    if regimes.shape != (num_paths, k + 1):
-        raise ValueError("regimes must have shape (num_paths, num_steps + 1)")
-
-
 def _check_finite(values, m, noise):
     finite = np.isfinite(values)
     if finite.all():
@@ -444,12 +427,9 @@ def _check_finite(values, m, noise):
 
 def _path_error(what, row, step, noise) -> SimulationError:
     """The error ``what`` at ``step`` of batch row ``row`` of a run on
-    ``noise`` (None: noise without coordinates), named by its path index and,
-    when the noise was drawn from a seed, by the replay coordinates of that
-    draw: without a seed they would replay nothing. A factor > 1 is named
-    after the drawn step ``delta``."""
-    if noise is None:
-        noise = NoiseBlocks((0, 0), ())
+    ``noise``, named by its path index and, when the noise was drawn from a
+    seed, by the replay coordinates of that draw: without a seed they would
+    replay nothing. A factor > 1 is named after the drawn step ``delta``."""
     seed, delta, factor = noise.seed, noise.delta, noise.factor
     indices = noise.path_indices
     idx = int(row) if indices is None else int(np.asarray(indices)[row])

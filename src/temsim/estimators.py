@@ -277,7 +277,8 @@ def strong_error(
     are pathwise coupled. The error sample per path and level is the
     maximum over the coarse nodes of the absolute difference; the report
     carries the p-th-moment error per level and the least-squares slope of
-    log2(error) against log2(step).
+    log2(error) against log2(step). A level on the reference grid is an
+    error: it would be compared with itself.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -286,6 +287,10 @@ def strong_error(
             f"num_paths must be at least 2 for a standard error, got {num_paths}")
     deltas_desc = sorted(map(float, coarse_deltas), reverse=True)
     ref_grid, levels = _coupled_grids(spec, deltas_desc, reference_delta, horizon)
+    for delta, (_, factor) in zip(deltas_desc, levels):
+        if factor == 1:
+            raise ValueError(f"step {delta:g} snaps to the reference step "
+                             f"{ref_grid.delta:g}: its error would read 0")
     sups = _samples(spec, policy, ref_grid, master_seed,
                     partial(_sup_errors, [factor for _, factor in levels]),
                     _tem_runs(spec, policy, levels), num_paths, threads)

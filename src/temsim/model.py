@@ -8,11 +8,14 @@ delayed-argument volatility multiplier and a Poisson jump term:
     diffusion  phi(x(t - tau), i) * g(x),   g(x) = x^theta
     jump       h(x, i) = a_3(i) x          (per Poisson increment)
 
-All coefficient functions are extended off the positive half-line so that
-every scheme step is total: g and h vanish for x < 0, the volatility
-multiplier at a negative delayed value equals its value at zero, and x^rho
-is read as sign(x)|x|^rho at negative arguments. :class:`CoefficientTables`
-is the one definition of f, f', g and h, evaluated over arrays.
+The drift is defined on x >= 0 only, and the step rules keep it there:
+the truncated EM step takes it inside the band [1/u, u], and the
+backward EM solve on (0, inf), or frozen at its z = 0 value below zero.
+The other coefficients are extended off the positive half-line so that
+every scheme step is total: g and h vanish for x < 0, and the volatility
+multiplier at a negative delayed value equals its value at zero.
+:class:`CoefficientTables` is the one definition of f, f', g and h,
+evaluated over arrays.
 """
 
 from __future__ import annotations
@@ -93,15 +96,17 @@ class InitialSegment:
     holder_exponent: float = 1.0
 
     def __post_init__(self):
-        if self.holder_constant <= 0.0:
-            raise ValueError("holder_constant must be positive")
+        # written so that NaN fails: it compares false with every number
+        if not self.holder_constant > 0.0:
+            raise ValueError(
+                f"holder_constant must be positive, got {self.holder_constant}")
         if not 0.0 < self.holder_exponent <= 1.0:
             raise ValueError("holder_exponent must lie in (0, 1]")
 
 
 def constant_segment(value: float) -> InitialSegment:
-    if value <= 0.0:
-        raise ValueError("initial segment must be positive")
+    if not value > 0.0:
+        raise ValueError(f"initial segment must be positive, got {value}")
     return InitialSegment(eval=_ConstantFn(value))
 
 
@@ -189,13 +194,9 @@ class CoefficientTables:
         self.theta = spec.theta
         self.include_inverse = spec.include_inverse_drift
 
-    def drift(self, x: np.ndarray, ridx: np.ndarray, *,
-              positive: bool = False) -> np.ndarray:
-        """f at ``x``; x^rho is read as sign(x)|x|^rho. ``positive`` says
-        every ``x`` is +0 or more (or NaN), where ``x ** rho`` is that term
-        bit for bit in two fewer calls."""
-        power = x ** self.rho if positive else np.sign(x) * np.abs(x) ** self.rho
-        out = self.a1[ridx] * x - self.a0[ridx] - self.a2[ridx] * power
+    def drift(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
+        """f at ``x >= +0`` (or NaN): the drift is defined on the half-line only."""
+        out = self.a1[ridx] * x - self.a0[ridx] - self.a2[ridx] * x ** self.rho
         if self.include_inverse:
             out = out + self.a_m1[ridx] / x
         return out
@@ -220,12 +221,10 @@ class CoefficientTables:
 
         The drift is taken at ``x`` clamped into the band ``[lower, upper]``
         and the diffusion factor at ``x`` clamped from above only; the two
-        share the upper clamp. The drift's argument is at least
-        ``lower > 0``, so it takes the positive form.
+        share the upper clamp.
         """
         below = np.minimum(x, upper)
-        return (self.drift(np.maximum(below, lower), ridx, positive=True),
-                self.diffusion(below))
+        return self.drift(np.maximum(below, lower), ridx), self.diffusion(below)
 
     def gather(self, ridx: np.ndarray) -> "CoefficientTables":
         """Tables whose row j holds the coefficients of regime indices ``ridx[j]``.
@@ -280,6 +279,8 @@ def sigmoid_volatility(y: float, i: int) -> float:
 
 
 def _constant_vol(level: float):
+    if not level >= 0.0:
+        raise ValueError(f"constant volatility level must be >= 0, got {level}")
     constant = _ConstantFn(level)
     return VolatilitySpec(
         bound_sigma=level if level > 0.0 else 1.0,

@@ -13,7 +13,6 @@ path_index=path)`` draws the same noise and fails at the same node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,17 +50,6 @@ class PathState:
         if not -self.tau_steps <= k <= self.num_steps:
             raise IndexError(f"node {k} outside -{self.tau_steps}..{self.num_steps}")
         return float(self.values[k + self.tau_steps])
-
-    def step_value(self, t: float) -> float:
-        """The step process at time t in [-tau, horizon]."""
-        if t < -self.tau_steps * self.delta - 1e-12 or t > self.horizon + 1e-12:
-            raise ValueError(f"time {t} outside the simulated range")
-        k = min(math.floor(t / self.delta + 1e-12), self.num_steps)
-        return self.value(max(k, -self.tau_steps))
-
-    @property
-    def horizon(self) -> float:
-        return self.num_steps * self.delta
 
 
 def simulate_tem_path(

@@ -97,19 +97,25 @@ class TruncationPolicy:
         return self.psi_exponent <= 0.25
 
 
-def psi(delta, policy: TruncationPolicy):
-    """Step profile ``delta^-q`` at a step (a float) or an array of steps.
-    As an object array, each element takes the scalar form's float power,
-    bit for bit, where numpy's SIMD power can round the last bit otherwise."""
-    if np.any(np.asarray(delta) <= 0.0):
+def _profile(delta, q: float):
+    """``delta^-q`` at a step (a float) or an array of steps, each > 0. As
+    an object array, each element takes the scalar form's float power, bit
+    for bit, where numpy's SIMD power can round the last bit otherwise."""
+    # written so that NaN fails: it compares false with every number
+    if not np.all(np.asarray(delta) > 0.0):
         raise ValueError("delta must be positive")
-    power = np.asarray(delta, dtype=object) ** -policy.psi_exponent
+    power = np.asarray(delta, dtype=object) ** -q
     return power.astype(float) if np.ndim(power) else power
+
+
+def psi(delta, policy: TruncationPolicy):
+    """Step profile ``delta^-q`` at a step (a float) or an array of steps."""
+    return _profile(delta, policy.psi_exponent)
 
 
 def band_edge(mu: _Mu3U2 | _MuPower, q: float, delta):
     """Upper band edge ``u = mu.inverse(delta^-q)`` at a step or an array of steps."""
-    return mu.inverse(delta ** -q)
+    return mu.inverse(_profile(delta, q))
 
 
 def truncation_band(delta: float, policy: TruncationPolicy) -> tuple[float, float]:
@@ -119,8 +125,6 @@ def truncation_band(delta: float, policy: TruncationPolicy) -> tuple[float, floa
             f"delta = {delta:g} exceeds the admissible bound delta_star = "
             f"{policy.delta_star:g}"
         )
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
     upper = float(band_edge(policy.mu, policy.psi_exponent, delta))
     if upper <= 1.0:
         raise TruncationError(

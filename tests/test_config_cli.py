@@ -328,6 +328,17 @@ class TestCliCommands:
         assert ("config error: experiment.step_ladder: steps 0.0078125 and 0.0078 "
                 "both snap to tau/128 = 0.0078125") in capsys.readouterr().err
 
+    def test_converge_step_on_the_reference_grid_rejected(self, tmp_path, capsys):
+        # it printed error 0.0 for the level and a NaN fitted order, exit 0
+        cfg = demo_config(horizon=0.5, num_paths=8)
+        cfg["model"]["include_inverse_drift"] = False
+        cfg["experiment"] = {"step_ladder": [0.0078125, 0.001953125],
+                             "reference_delta": 0.001953125}
+        path = write_config(tmp_path, cfg)
+        assert self.run_cli(["converge", "--config", path]) == 2
+        assert ("config error: experiment.step_ladder: step 0.00195312 snaps to the "
+                "reference step 0.00195312") in capsys.readouterr().err
+
     def test_converge_inadmissible_step_is_numerical_failure(self, tmp_path, capsys):
         # the step at fault is the reference step, not the ladder: exit 4,
         # as every other command does on an inadmissible step

@@ -32,7 +32,6 @@ from temsim.engine import (
     draw_batch_noise,
     implicit_drift_solve,
     initial_values,
-    noise_blocks,
     simulate_bem_batch,
     simulate_tem_batch,
 )
@@ -226,10 +225,10 @@ SHAPES = [(1, 5), (7, 23), (256, 700), (257, 300), (1000, 600)]
 def run_pair(spec, policy, m, k, num_paths, seed):
     grid = Grid(delta=spec.tau / m, tau_steps=m, num_steps=k)
     noise = draw_batch_noise(spec, grid, seed, np.arange(num_paths)).arrays()
-    tem = simulate_tem_batch(spec, policy, grid, noise_blocks(*noise))
+    tem = simulate_tem_batch(spec, policy, grid, NoiseBlocks(noise[0].shape, [noise]))
     assert np.array_equal(tem, reference_tem(spec, policy, grid, *noise),
                           equal_nan=True)
-    bem = simulate_bem_batch(spec, grid, noise_blocks(*noise))
+    bem = simulate_bem_batch(spec, grid, NoiseBlocks(noise[0].shape, [noise]))
     assert np.array_equal(bem, reference_bem(spec, grid, *noise), equal_nan=True)
     return tem
 
@@ -321,11 +320,13 @@ def solve_outcome(solve, *args, **kwargs):
                 type(err.delta))
 
 
-def assert_same_outcome(tables, ridx, target, delta, **kwargs):
-    """The solve against the reference on the domain its tables carry."""
-    got = solve_outcome(implicit_drift_solve, tables, ridx, target, delta, **kwargs)
+def assert_same_outcome(tables, ridx, target, delta):
+    """The solve against the reference on the domain its tables carry, at
+    step 0 of noise without replay coordinates."""
+    got = solve_outcome(implicit_drift_solve, tables, ridx, target, delta,
+                        NoiseBlocks((target.size, 0), ()), 0)
     want = solve_outcome(reference_solve, tables, ridx, target, delta,
-                         tables.include_inverse, **kwargs)
+                         tables.include_inverse)
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -387,8 +388,7 @@ def test_solve_non_finite_target_matches_reference(bad, positive_domain):
     ridx = np.arange(target.size) % 2
     indices = np.arange(40, 40 + target.size)
     noise = NoiseBlocks((target.size, 0), (), seed=3, path_indices=indices, delta=1e-3)
-    got = solve_outcome(implicit_drift_solve, tables, ridx, target, 1e-3,
-                        context=(noise, 17))
+    got = solve_outcome(implicit_drift_solve, tables, ridx, target, 1e-3, noise, 17)
     want = solve_outcome(reference_solve, tables, ridx, target, 1e-3, positive_domain,
                          context=(3, indices, 17))
     # the residual at an end is NaN or of the wrong sign, so every
@@ -428,8 +428,8 @@ def test_results_do_not_depend_on_array_layout(layout, num_paths, m, k, seed, in
     policy = default_mu_for(spec, psi_exponent=2.0 / 3.0, mu_preset="3u2")
     grid = Grid(delta=spec.tau / m, tau_steps=m, num_steps=k)
     arrays = draw_batch_noise(spec, grid, seed, np.arange(num_paths)).arrays()
-    noise = noise_blocks(*arrays)
-    moved = noise_blocks(*[relayout(a, layout) for a in arrays])
+    noise = NoiseBlocks(arrays[0].shape, [arrays])
+    moved = NoiseBlocks(arrays[0].shape, [tuple(relayout(a, layout) for a in arrays)])
     assert np.array_equal(simulate_tem_batch(spec, policy, grid, moved),
                           simulate_tem_batch(spec, policy, grid, noise))
     assert np.array_equal(simulate_bem_batch(spec, grid, moved),

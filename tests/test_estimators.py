@@ -205,10 +205,17 @@ def test_non_finite_input_rejected_before_any_path(case, bad, monkeypatch):
 
 
 class TestStrongError:
-    def test_reference_compared_with_itself_is_zero(self):
-        report = strong_error(DEMO, POLICY, [2**-6], 2**-6, 1.0, 2.0, 16, 0)
-        assert report.errors[0] == 0.0
-        assert math.isnan(report.fitted_order)
+    @pytest.mark.parametrize("ladder", [[2**-6], [2**-4, 2**-6]])
+    def test_step_on_the_reference_grid_rejected(self, ladder, monkeypatch):
+        # a level on the reference grid is compared with itself: its error
+        # read 0.0 and the fitted order NaN, and the run succeeded
+        def no_paths(*_args):
+            raise AssertionError("paths simulated before the ladder was checked")
+
+        monkeypatch.setattr(estimators, "_run_chunks", no_paths)
+        with pytest.raises(ValueError, match="^step 0.015625 snaps to the reference "
+                                             "step 0.015625: its error would read 0$"):
+            strong_error(DEMO, POLICY, ladder, 2**-6, 1.0, 2.0, 16, 0)
 
     def test_zero_noise_euler_order_one(self):
         spec = ode_spec()

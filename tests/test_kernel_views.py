@@ -15,9 +15,9 @@ import pytest
 from temsim.config import two_regime_demo
 from temsim.engine import (
     CoefficientTables,
+    NoiseBlocks,
     bem_update,
     draw_batch_noise,
-    noise_blocks,
     resolve_grid,
     simulate_bem_batch,
     simulate_tem_batch,
@@ -88,12 +88,15 @@ def test_coefficient_views_equal_kernel_bitwise(case):
     spec, policy = case
     lower, upper = truncation_band(DELTA, policy)
     xs = probe_points(lower, upper)
+    # the drift is defined on x >= 0, the only points the step rules take it at
+    domain = xs[xs >= 0.0]
     tables = CoefficientTables(spec)
     assert np.array_equal(width1(tables.diffusion, xs), tables.diffusion(xs))
     for i in range(spec.num_regimes):
         ridx = np.full(xs.size, i)
         one = np.array([i])
-        assert np.array_equal(width1(tables.drift, xs, one), tables.drift(xs, ridx))
+        assert np.array_equal(width1(tables.drift, domain, one),
+                              tables.drift(domain, np.full(domain.size, i)))
         assert np.array_equal(width1(tables.jump, xs, one), tables.jump(xs, ridx))
         fd, gd = tables.truncated(xs, ridx, lower, upper)
         clamped = np.minimum(np.maximum(xs, lower), upper)
@@ -131,7 +134,7 @@ def test_step_views_equal_batch_bitwise(case):
     grid = resolve_grid(spec.tau, 0.02, 1.0)
     m = grid.tau_steps
     brownian, poisson, regimes = draw_batch_noise(spec, grid, 7, np.arange(12)).arrays()
-    noise = noise_blocks(brownian, poisson, regimes)
+    noise = NoiseBlocks(brownian.shape, [(brownian, poisson, regimes)])
     tem = simulate_tem_batch(spec, policy, grid, noise)
     bem = simulate_bem_batch(spec, grid, noise)
     tables = CoefficientTables(spec)
@@ -148,5 +151,5 @@ def test_step_views_equal_batch_bitwise(case):
         got = [row_step(tem_update, tem, p, k, lower, upper) for k in range(grid.num_steps)]
         assert np.array_equal(got, tem[p, m + 1:])
     for p in range(4):
-        got = [row_step(bem_update, bem, p, k) for k in range(grid.num_steps)]
+        got = [row_step(bem_update, bem, p, k, noise) for k in range(grid.num_steps)]
         assert np.array_equal(got, bem[p, m + 1:])

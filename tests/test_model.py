@@ -74,10 +74,6 @@ class TestDrift:
         spec = two_regime_demo(include_inverse_drift=False)
         assert drift(0.0, 1, spec) == pytest.approx(-0.2)
 
-    def test_negative_argument_sign_extension(self):
-        # 0.3/(-1) - 0.2 + 0.1*(-1) - 0.5*sign(-1)*1
-        assert drift(-1.0, 1, DEMO) == pytest.approx(-0.1, abs=1e-15)
-
     def test_asymptotic_signs_every_regime(self):
         for i in (1, 2):
             assert drift(1e6, i, DEMO) < 0.0
@@ -180,6 +176,14 @@ class TestVolatilityRegistry:
         with pytest.raises(ValueError):
             VolatilitySpec(bound_sigma=0.0, eval=lambda y, i: 0.0)
 
+    @pytest.mark.parametrize("level", [-0.5, math.nan])
+    def test_negative_or_nan_constant_level_rejected(self, level):
+        # both used to build a volatility named "zero" with bound 1.0 that
+        # evaluated to the level itself
+        with pytest.raises(ValueError, match=f"constant volatility level must be "
+                                             f">= 0, got {level}"):
+            build_volatility("constant", level)
+
 
 class TestConstruction:
     def test_regime_params_reject_negative(self):
@@ -227,8 +231,14 @@ class TestConstruction:
         assert make_spec(**three, volatility=build_volatility("constant")).num_regimes == 3
 
     def test_initial_segment_positive(self):
-        with pytest.raises(ValueError):
-            constant_segment(0.0)
+        # NaN passed `value <= 0.0` and `holder_constant <= 0.0`; a NaN
+        # constant then passed the Hoelder check of any segment
+        from temsim.model import InitialSegment
+        for value in (0.0, math.nan):
+            with pytest.raises(ValueError, match="initial segment must be positive"):
+                constant_segment(value)
+            with pytest.raises(ValueError, match="holder_constant must be positive"):
+                InitialSegment(eval=lambda t: 1.0 + abs(t) ** 0.2, holder_constant=value)
 
 
 class TestValidateAssumptions:

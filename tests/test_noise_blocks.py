@@ -140,6 +140,17 @@ def test_replay_coordinates_travel_with_the_noise():
                                                       (9, [4, 5, 6], grid.delta, 4)]
 
 
+@pytest.mark.parametrize("short", ["brownian", "poisson", "regimes"])
+def test_block_of_the_wrong_shape_rejected(short):
+    grid = Grid(delta=SPEC.tau / 10, tau_steps=10, num_steps=6)
+    block = {"brownian": np.zeros((2, 6)), "poisson": np.zeros((2, 6), dtype=np.int64),
+             "regimes": np.ones((2, 7), dtype=np.int64)}
+    block[short] = block[short][:1]  # one row short
+    noise = NoiseBlocks((2, 6), [tuple(block.values())])
+    with pytest.raises(ValueError, match="must have shape"):
+        engine.simulate_bem_batch(SPEC, grid, noise)
+
+
 def test_noise_must_span_the_grid():
     grid = Grid(delta=SPEC.tau / 10, tau_steps=10, num_steps=30)
     noise = draw_batch_noise(SPEC, Grid(grid.delta, 10, 20), 1, np.arange(2))

@@ -50,9 +50,15 @@ def overflow_model():
     return spec, default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
 
 
+def one_block(brownian, poisson, regimes):
+    """Whole noise arrays as one block, without replay coordinates."""
+    return engine.NoiseBlocks(np.shape(brownian), [(brownian, poisson, regimes)])
+
+
 def one_path_noise(spec, grid, seed, path_index):
-    """Path ``path_index``'s noise arrays, one row each, as drawn in its run."""
-    return engine.draw_batch_noise(spec, grid, seed, [path_index]).arrays()
+    """Path ``path_index``'s noise, one row each, as drawn in its run, as one
+    block without the draw's replay coordinates."""
+    return one_block(*engine.draw_batch_noise(spec, grid, seed, [path_index]).arrays())
 
 
 def tem_from(state, k, d_brownian, d_poisson, spec=DEMO, policy=POLICY):
@@ -71,8 +77,8 @@ def one_step(spec, delta, d_poisson=0, regime=1, policy=None):
     """Node 1 of one path stepped once from its initial segment, without a
     Brownian increment: TEM under ``policy``, or BEM without one."""
     grid = resolve_grid(spec.tau, delta, delta)
-    noise = engine.noise_blocks(np.zeros((1, 1)), np.full((1, 1), d_poisson),
-                                np.full((1, 2), regime))
+    noise = one_block(np.zeros((1, 1)), np.full((1, 1), d_poisson),
+                      np.full((1, 2), regime))
     if policy is None:
         return engine.simulate_bem_batch(spec, grid, noise)[0, -1]
     return engine.simulate_tem_batch(spec, policy, grid, noise)[0, -1]
@@ -105,7 +111,7 @@ class TestResolveGrid:
     def test_horizon_snaps_to_multiple(self):
         grid = resolve_grid(1.0, 0.25, 1.1)
         assert grid.num_steps == 4
-        assert grid.horizon == pytest.approx(1.0)
+        assert grid.num_steps * grid.delta == pytest.approx(1.0)
 
     def test_zero_horizon(self):
         grid = resolve_grid(1.0, 0.1, 0.0)
@@ -138,17 +144,6 @@ class TestPathState:
         assert state.value(3) == 0.04
         with pytest.raises(IndexError):
             state.value(4)
-
-    def test_step_process_left_continuous_grid(self):
-        state = self.make_state()
-        # constant on [t_k, t_{k+1}) with the left value
-        assert state.step_value(0.0) == 0.02
-        assert state.step_value(0.49) == 0.02
-        assert state.step_value(0.5) == 0.03
-        assert state.step_value(1.49) == 0.05
-        assert state.step_value(1.5) == 0.04  # t = horizon -> last node
-        with pytest.raises(ValueError):
-            state.step_value(2.0)
 
     def test_delay_lookup_is_exact_index_shift(self):
         # constant history must be reproduced bit-exactly at the delay offset
@@ -214,13 +209,13 @@ class TestSimulateTem:
         # the noise rows a path carries drive the engine to its values
         a = simulate_tem_path(DEMO, POLICY, 1e-3, 1.0, seed=5, path_index=7)
         grid = resolve_grid(DEMO.tau, 1e-3, 1.0)
-        b = engine.simulate_tem_batch(DEMO, POLICY, grid, engine.noise_blocks(
+        b = engine.simulate_tem_batch(DEMO, POLICY, grid, one_block(
             a.brownian[None, :], a.poisson[None, :], a.regimes[None, :]))
         assert b[0].tobytes() == a.values.tobytes()
 
     def test_pure_function_of_noise(self):
         grid = resolve_grid(DEMO.tau, 1e-2, 1.0)
-        noise = engine.noise_blocks(*one_path_noise(DEMO, grid, 1, 1))
+        noise = one_path_noise(DEMO, grid, 1, 1)
         runs = [engine.simulate_tem_batch(DEMO, POLICY, grid, noise)
                 for _ in range(3)]
         assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[1], runs[2])
@@ -250,7 +245,7 @@ class TestSimulateTem:
         policy = default_mu_for(spec, psi_exponent=2 / 3)
         k = 64
         grid = resolve_grid(spec.tau, 1.0 / 64, 1.0)
-        values = engine.simulate_tem_batch(spec, policy, grid, engine.noise_blocks(
+        values = engine.simulate_tem_batch(spec, policy, grid, one_block(
             np.zeros((1, k)), np.zeros((1, k), dtype=np.int64),
             np.ones((1, k + 1), dtype=np.int64)))[0]
         tables, band = CoefficientTables(spec), truncation_band(grid.delta, policy)
@@ -340,7 +335,7 @@ class TestBem:
 
     def test_shared_noise_with_tem_small_gap(self):
         grid = resolve_grid(DEMO.tau, 1e-3, 1.0)
-        noise = engine.noise_blocks(*one_path_noise(DEMO, grid, 8, 0))
+        noise = one_path_noise(DEMO, grid, 8, 0)
         tem = engine.simulate_tem_batch(DEMO, POLICY, grid, noise)
         bem = engine.simulate_bem_batch(DEMO, grid, noise)
         gap = np.abs(tem - bem).max()
@@ -370,8 +365,8 @@ class TestNonFiniteDetection:
         regimes = np.ones((2, grid.num_steps + 1), dtype=np.int64)
 
         def run(rows, **ids):
-            noise = replace(engine.noise_blocks(brownian[rows], poisson[rows],
-                                                regimes[rows]), **ids)
+            noise = replace(one_block(brownian[rows], poisson[rows], regimes[rows]),
+                            **ids)
             with pytest.raises(SimulationError) as err:
                 if scheme == "tem":
                     engine.simulate_tem_batch(DEMO, POLICY, grid, noise)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from temsim.config import two_regime_demo
 from temsim.engine import (
     CoefficientTables,
+    NoiseBlocks,
     SimulationError,
     bem_update,
     implicit_drift_solve,
@@ -34,19 +35,21 @@ from temsim.engine import (
 from temsim.truncation import default_mu_for, truncation_band
 
 DELTA = 1e-3
+# noise without replay coordinates: a failed solve at step 0 names its batch row
+UNDRAWN = NoiseBlocks((0, 0), ())
 
 
 class ReferenceTables(CoefficientTables):
     """The coefficient formulas the step rules used to run on."""
 
-    def drift(self, x, ridx, **_positive):
+    def drift(self, x, ridx):
         power = np.sign(x) * np.abs(x) ** self.rho
         out = self.a1[ridx] * x - self.a0[ridx] - self.a2[ridx] * power
         if self.include_inverse:
             out = out + self.a_m1[ridx] / x
         return out
 
-    def drift_derivative(self, x, ridx, **_positive):
+    def drift_derivative(self, x, ridx):
         out = self.a1[ridx] - self.a2[ridx] * self.rho * np.abs(x) ** (self.rho - 1.0)
         if self.include_inverse:
             out = out - self.a_m1[ridx] / (x * x)
@@ -73,7 +76,7 @@ def reference_tem_update(x, rows, ridx, phi, d_b, d_n, delta, lower, upper):
 
 def reference_bem_update(x, rows, ridx, phi, d_b, d_n, delta):
     target = x + phi * rows.diffusion(x) * d_b + rows.jump(x, ridx) * d_n
-    return implicit_drift_solve(rows, ridx, target, delta)
+    return implicit_drift_solve(rows, ridx, target, delta, UNDRAWN, 0)
 
 
 def case(spec, psi_exponent):
@@ -162,7 +165,7 @@ def test_step_rules_match_reference_bitwise(rows):
     assert np.isfinite(want).all()
     assert got.tobytes() == want.tobytes()
 
-    got = outcome(bem_update, x, live, j, phi, d_b, jumps, 0, DELTA)
+    got = outcome(bem_update, x, live, j, phi, d_b, jumps, 0, DELTA, UNDRAWN)
     want = outcome(reference_bem_update, x, ref, j, phi, d_b, d_n, DELTA)
     if isinstance(want, SimulationError):
         assert str(got) == str(want)
@@ -187,7 +190,7 @@ def test_non_finite_states_stay_non_finite(rows):
 
     # a non-finite target has no bracket end; which end fails first may
     # differ, the error may not
-    assert isinstance(outcome(bem_update, x, live, j, phi, d_b, jumps, 0, DELTA),
+    assert isinstance(outcome(bem_update, x, live, j, phi, d_b, jumps, 0, DELTA, UNDRAWN),
                       SimulationError)
     assert isinstance(outcome(reference_bem_update, x, ref, j, phi, d_b, d_n, DELTA),
                       SimulationError)

@@ -15,6 +15,7 @@ from temsim.truncation import (
     StepProfileWarning,
     TruncationError,
     TruncationPolicy,
+    band_edge,
     default_mu_for,
     psi,
     truncation_band,
@@ -114,10 +115,24 @@ class TestPsi:
             assert psi(1.0, demo_policy(q)) == 1.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            psi(0.0, POLICY)
-        with pytest.raises(ValueError):
-            psi(-1.0, POLICY)
+        # NaN passed `delta <= 0.0`, so psi and the band came out NaN
+        for delta in (0.0, -1.0, math.nan, np.array([1e-3, math.nan])):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                psi(delta, POLICY)
+            with pytest.raises(ValueError, match="delta must be positive"):
+                band_edge(POLICY.mu, POLICY.psi_exponent, delta)
+        for delta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                truncation_band(delta, POLICY)
+
+    def test_band_edge_takes_the_profile_of_psi(self):
+        # one power for both: the edge is mu's inverse of psi, bit for bit
+        deltas = np.random.default_rng(3).uniform(1e-6, POLICY.delta_star, 500)
+        for policy in (POLICY, default_mu_for(DEMO, mu_preset="power_fit")):
+            edges = band_edge(policy.mu, policy.psi_exponent, deltas)
+            assert edges.tobytes() == policy.mu.inverse(psi(deltas, policy)).tobytes()
+            assert band_edge(policy.mu, policy.psi_exponent, 1e-3) == \
+                policy.mu.inverse(psi(1e-3, policy))
 
     def test_array_matches_scalar_bit_for_bit(self):
         # validate prints the scalar form and checks its caps with the array form
