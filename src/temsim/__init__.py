@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 # each exported name and the submodule that defines it
 _EXPORTS = {
-    "AssumptionReport": "model",
     "ConvergenceReport": "estimators",
     "EstimatorResult": "estimators",
     "GeneratorMatrix": "regime",

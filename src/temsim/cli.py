@@ -34,7 +34,7 @@ from .estimators import (
 )
 from .model import CoefficientTables, validate_assumptions
 from .schemes import simulate_tem_path
-from .truncation import TruncationError, band_edge, psi, truncation_band
+from .truncation import TruncationError, psi, truncation_band
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_validate(run: RunConfig, header: list[str]) -> tuple[str, int]:
     lines = list(header)
 
-    report = validate_assumptions(run.spec)
-    for check in report.checks:
+    checks = validate_assumptions(run.spec)
+    for check in checks:
         status = "PASS" if check.passed else "FAIL"
         suffix = f" ({check.detail})" if check.detail and not check.passed else ""
         lines.append(f"{status} {check.name}{suffix}")
@@ -78,25 +78,26 @@ def cmd_validate(run: RunConfig, header: list[str]) -> tuple[str, int]:
     if run.policy.quarter_power:
         lines.append("PASS quarter_power_step_profile")
     else:
-        lines.append("WARN quarter_power_step_profile "
-                     f"(psi_exponent = {run.policy.psi_exponent!r} > 0.25)")
+        lines.append("WARN quarter_power_step_profile (psi_exponent = "
+                     f"{run.resolved['truncation']['psi_exponent']!r} > 0.25)")
 
-    # randomized cap check: every truncated coefficient stays below psi(delta)
+    # randomized cap check: every truncated coefficient stays below psi(delta),
+    # with the cap and band the simulation takes at each step
     rng = np.random.default_rng(12345)
     xs = rng.uniform(-50.0, 50.0, 2000)
     ridx = rng.integers(0, run.spec.num_regimes, xs.size)
-    deltas = rng.uniform(1e-6, run.policy.delta_star, xs.size)
-    caps = psi(deltas, run.policy)
-    uppers = band_edge(run.policy.mu, run.policy.psi_exponent, deltas)
+    deltas = rng.uniform(1e-6, run.policy.delta_star, xs.size).tolist()
+    caps = np.array([psi(d, run.policy) for d in deltas])
+    lowers, uppers = np.array([truncation_band(d, run.policy) for d in deltas]).T
     tables = CoefficientTables(run.spec)
-    fd, gd = tables.truncated(xs, ridx, 1.0 / uppers, uppers)
+    fd, gd = tables.truncated(xs, ridx, lowers, uppers)
     cap_ok = bool(np.all(np.maximum(np.abs(fd), gd) <= caps * (1.0 + 1e-12)))
     inside = np.linspace(lower * 1.01, upper * 0.99, 7)
     interior_ok = np.array_equal(tables.truncated(inside, 0, lower, upper)[0],
                                  tables.drift(inside, 0))
     lines.append(("PASS" if cap_ok else "FAIL") + " truncated_coefficient_cap")
     lines.append(("PASS" if interior_ok else "FAIL") + " band_interior_identity")
-    passed = report.passed and cap_ok and interior_ok
+    passed = all(c.passed for c in checks) and cap_ok and interior_ok
     return "\n".join(lines) + "\n", EXIT_OK if passed else EXIT_VALIDATION
 
 
@@ -108,8 +109,6 @@ def cmd_simulate(run: RunConfig, header: list[str]) -> tuple[str, int]:
 
 def cmd_converge(run: RunConfig, header: list[str]) -> tuple[str, int]:
     exp = run.experiment
-    if not exp.step_ladder:
-        raise ConfigError("experiment.step_ladder", "required for converge")
     if exp.reference_delta is None:
         raise ConfigError("experiment.reference_delta", "required for converge")
     if run.num_paths < 2:

@@ -309,17 +309,10 @@ def _read_model(model_raw: dict) -> tuple[ModelSpec, dict]:
     return spec, model
 
 
-def two_regime_demo(include_inverse_drift: Optional[bool] = None,
-                    tau: Optional[float] = None, jump_intensity: Optional[float] = None,
-                    initial_value: Optional[float] = None) -> ModelSpec:
+def two_regime_demo() -> ModelSpec:
     """The built-in two-regime instance of the docs and tests: the
-    ``two_regime_demo`` preset, read as a config file's model is. A given
-    argument is written over its field (``initial_value`` over
-    ``initial_segment.value``); None keeps the preset's value."""
-    return _read_model(_merge_preset({
-        "preset": "two_regime_demo", "include_inverse_drift": include_inverse_drift,
-        "tau": tau, "jump_intensity": jump_intensity,
-        "initial_segment": {"value": initial_value}}))[0]
+    ``two_regime_demo`` preset, read as a config file's model is."""
+    return _read_model(_merge_preset({"preset": "two_regime_demo"}))[0]
 
 
 def resolve_config(

@@ -125,13 +125,6 @@ class NoiseBlocks:
                 del block
         return replace(self, blocks=tapped())
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The whole noise: Brownian (P,K), Poisson (P,K), regimes (P,K+1)."""
-        brownian, poisson, regimes = zip(*self)
-        return (np.concatenate(brownian, axis=1), np.concatenate(poisson, axis=1),
-                np.concatenate([r[:, :-1] for r in regimes] + [regimes[-1][:, -1:]],
-                               axis=1))
-
 
 def draw_batch_noise(
     spec: ModelSpec,

@@ -223,8 +223,10 @@ def scheme_comparison(
 
 def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
                    reference_delta: float, horizon: float) -> tuple[Grid, list[tuple[Grid, int]]]:
-    """Reference grid plus (coarse grid, coarsening factor) per level; no
-    two levels may share a grid."""
+    """Reference grid plus (coarse grid, coarsening factor) per level; at
+    least one level, and no two levels may share a grid."""
+    if not coarse_deltas:
+        raise ValueError("no step to compare: the step list is empty")
     ref = resolve_grid(spec.tau, reference_delta, horizon)
     levels, given = [], {}
     for delta in coarse_deltas:
@@ -277,8 +279,9 @@ def strong_error(
     are pathwise coupled. The error sample per path and level is the
     maximum over the coarse nodes of the absolute difference; the report
     carries the p-th-moment error per level and the least-squares slope of
-    log2(error) against log2(step). A level on the reference grid is an
-    error: it would be compared with itself.
+    log2(error) against log2(step). An empty ladder, a horizon that leaves
+    the reference grid no step, and a level on the reference grid are
+    errors: each would measure nothing.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -287,6 +290,9 @@ def strong_error(
             f"num_paths must be at least 2 for a standard error, got {num_paths}")
     deltas_desc = sorted(map(float, coarse_deltas), reverse=True)
     ref_grid, levels = _coupled_grids(spec, deltas_desc, reference_delta, horizon)
+    if not ref_grid.num_steps:
+        raise ValueError(f"horizon {horizon:g} leaves the reference grid no step: "
+                         "every error would read 0")
     for delta, (_, factor) in zip(deltas_desc, levels):
         if factor == 1:
             raise ValueError(f"step {delta:g} snaps to the reference step "
@@ -344,7 +350,9 @@ def moment_curves(
     """
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
-    fine_grid, levels = _coupled_grids(spec, list(deltas), min(deltas), horizon)
+    # an empty list fails in _coupled_grids, before its reference is read
+    fine_grid, levels = _coupled_grids(spec, list(deltas), min(deltas, default=math.nan),
+                                       horizon)
     rows = _samples(spec, policy, fine_grid, master_seed, partial(_moments, p),
                     _tem_runs(spec, policy, levels), num_paths, threads)
     return {grid.delta: row.mean(axis=0) for (grid, _), row in zip(levels, rows)}

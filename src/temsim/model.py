@@ -97,9 +97,9 @@ class InitialSegment:
 
     def __post_init__(self):
         # written so that NaN fails: it compares false with every number
-        if not self.holder_constant > 0.0:
+        if not 0.0 < self.holder_constant < math.inf:
             raise ValueError(
-                f"holder_constant must be positive, got {self.holder_constant}")
+                f"holder_constant must be positive and finite, got {self.holder_constant}")
         if not 0.0 < self.holder_exponent <= 1.0:
             raise ValueError("holder_exponent must lie in (0, 1]")
 
@@ -324,21 +324,13 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 # points of the dense sampling grids of validate_assumptions
 _PROBE_POINTS = 10_000
 
 
-def validate_assumptions(spec: ModelSpec) -> AssumptionReport:
-    """Check the standing model hypotheses, returning a report (never raising).
+def validate_assumptions(spec: ModelSpec) -> tuple[CheckResult, ...]:
+    """Check the standing model hypotheses, returning one result per check
+    (never raising).
 
     The volatility bound, its negative-argument extension, and the initial
     segment's positivity and Hoelder continuity are sampled on dense grids
@@ -404,7 +396,7 @@ def validate_assumptions(spec: ModelSpec) -> AssumptionReport:
     checks.append(CheckResult("initial_segment_positive", positive, seg_err))
     checks.append(CheckResult("initial_segment_hoelder", holder, seg_err))
 
-    return AssumptionReport(checks=tuple(checks))
+    return tuple(checks)
 
 
 # -- one-sided growth (moment-bound) check ------------------------------------

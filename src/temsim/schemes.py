@@ -69,9 +69,9 @@ def simulate_tem_path(
     off the returned state.
     """
     grid = resolve_grid(spec.tau, delta, horizon)
-    noise = engine.draw_batch_noise(spec, grid, seed, [path_index])
-    brownian, poisson, regimes = whole = noise.arrays()
-    # the whole noise as one block, with the replay coordinates of its draw
-    values = engine.simulate_tem_batch(spec, policy, grid, replace(noise, blocks=[whole]))
+    # the whole noise as one block, kept with the replay coordinates of its draw
+    noise = engine.draw_batch_noise(spec, grid, seed, [path_index], grid.num_steps)
+    brownian, poisson, regimes = block = next(iter(noise))
+    values = engine.simulate_tem_batch(spec, policy, grid, replace(noise, blocks=[block]))
     return PathState(delta=grid.delta, tau_steps=grid.tau_steps, values=values[0],
                      regimes=regimes[0], brownian=brownian[0], poisson=poisson[0])

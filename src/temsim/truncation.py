@@ -10,6 +10,7 @@ evaluation at ``psi(delta)``.
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -76,8 +77,7 @@ class TruncationPolicy:
     delta_star: float
 
     def __post_init__(self):
-        if self.psi_exponent <= 0.0:
-            raise TruncationError("psi_exponent must be positive")
+        _check_exponent(self.psi_exponent)
         if not 0.0 < self.delta_star < 1.0:
             raise TruncationError("delta_star must lie in (0, 1)")
         if not self.quarter_power:
@@ -97,24 +97,28 @@ class TruncationPolicy:
         return self.psi_exponent <= 0.25
 
 
-def _profile(delta, q: float):
-    """``delta^-q`` at a step (a float) or an array of steps, each > 0. As
-    an object array, each element takes the scalar form's float power, bit
-    for bit, where numpy's SIMD power can round the last bit otherwise."""
+def _check_exponent(q: float) -> None:
     # written so that NaN fails: it compares false with every number
-    if not np.all(np.asarray(delta) > 0.0):
+    if not 0.0 < q < math.inf:
+        raise TruncationError(f"psi_exponent must be positive and finite, got {q!r}")
+
+
+def _profile(delta: float, q: float) -> float:
+    """``delta^-q`` at a step ``delta`` > 0, as a Python float power: the one
+    place the power is taken and the step checked, for :func:`psi` and
+    :func:`band_edge`."""
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
-    power = np.asarray(delta, dtype=object) ** -q
-    return power.astype(float) if np.ndim(power) else power
+    return float(delta) ** -q
 
 
-def psi(delta, policy: TruncationPolicy):
-    """Step profile ``delta^-q`` at a step (a float) or an array of steps."""
+def psi(delta: float, policy: TruncationPolicy) -> float:
+    """Step profile ``delta^-q`` at a step."""
     return _profile(delta, policy.psi_exponent)
 
 
-def band_edge(mu: _Mu3U2 | _MuPower, q: float, delta):
-    """Upper band edge ``u = mu.inverse(delta^-q)`` at a step or an array of steps."""
+def band_edge(mu: _Mu3U2 | _MuPower, q: float, delta: float):
+    """Upper band edge ``u = mu.inverse(delta^-q)`` at a step."""
     return mu.inverse(_profile(delta, q))
 
 
@@ -195,6 +199,7 @@ def default_mu_for(spec: ModelSpec, psi_exponent: float = 0.25,
     """
     if mu_preset not in MU_PRESETS:
         raise TruncationError(f"unknown mu preset {mu_preset!r}")
+    _check_exponent(psi_exponent)
     tables = CoefficientTables(spec)
     ridx = np.arange(spec.num_regimes)[:, None]
     r, band_sup = _band_sups(tables, ridx)

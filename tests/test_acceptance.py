@@ -5,6 +5,7 @@ fixed seeds so the suite is deterministic.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ def single_regime_ode_spec():
 def test_criterion_1_strong_order_one_half():
     # demo model without the 1/x drift term; dyadic ladder against a
     # reference eight levels finer; theory-default step profile
-    spec = two_regime_demo(include_inverse_drift=False)
+    spec = replace(two_regime_demo(), include_inverse_drift=False)
     policy = default_mu_for(spec, psi_exponent=0.25)
     ladder = [TAU * 2.0**-e for e in range(7, 12)]
     rep = strong_error(spec, policy, ladder, TAU * 2.0**-14, 2.0, 2.0,
@@ -73,7 +74,7 @@ def test_criterion_1_strong_order_one_half():
 
 
 def test_criterion_2_tem_bem_distance_decreases():
-    spec = two_regime_demo(include_inverse_drift=False)
+    spec = replace(two_regime_demo(), include_inverse_drift=False)
     policy = default_mu_for(spec, psi_exponent=0.25)
     coarse = scheme_comparison(spec, policy, 1e-3, 2.0, 500, 777,
                                threads=THREADS)
@@ -183,7 +184,8 @@ def test_criterion_6_moment_stability():
     # in-band start, diffusive channels only: the p = 4 moment curves of the
     # two coupled step sizes must agree; the jump channel at these steps is
     # tail-dominated and is exercised by criteria 1-2 instead
-    spec = two_regime_demo(jump_intensity=0.0, initial_value=1.0)
+    spec = replace(two_regime_demo(), jump_intensity=0.0,
+                   initial_segment=constant_segment(1.0))
     policy = default_mu_for(spec, psi_exponent=2.0 / 3.0)
     curves = moment_curves(spec, policy, [1e-2, 1e-3], 2.0, 4.0, 2000, 2024,
                            threads=THREADS)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from temsim import estimators, export
+from temsim import cli, estimators, export
 from temsim.cli import main
 from temsim.config import (
     MODEL_PRESETS,
@@ -24,6 +24,7 @@ from temsim.engine import SimulationError
 from temsim.model import InitialSegment, ModelSpec, VolatilitySpec
 from temsim.regime import GeneratorMatrix
 from temsim.schemes import simulate_tem_path
+from temsim.truncation import truncation_band
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -244,6 +245,25 @@ class TestCliCommands:
         assert code == 0
         assert "PASS quarter_power_step_profile" in out
 
+    @pytest.mark.parametrize("mu", ["3u2", "power_fit"])
+    def test_validate_audits_the_band_the_simulation_takes(self, tmp_path, capsys,
+                                                           monkeypatch, mu):
+        # the cap check built its bands by a rule of its own, so a band rule
+        # that broke the cap still read PASS
+        def too_wide(delta, policy):
+            lower, upper = truncation_band(delta, policy)
+            return lower, 10.0 * upper
+
+        cfg = demo_config()
+        cfg["truncation"]["mu"] = mu
+        path = write_config(tmp_path, cfg)
+        assert self.run_cli(["validate", "--config", path]) == 0
+        monkeypatch.setattr(cli, "truncation_band", too_wide)
+        assert self.run_cli(["validate", "--config", path]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL truncated_coefficient_cap" in out
+        assert "PASS band_interior_identity" in out
+
     def test_validate_failing_assumption_exit_code(self, tmp_path, capsys):
         cfg = demo_config()
         cfg["model"]["rho"] = 2.0
@@ -302,9 +322,29 @@ class TestCliCommands:
         assert rows[1].split(",")[0] == "0.0"
 
     def test_converge_requires_ladder(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, demo_config())
-        assert self.run_cli(["converge", "--config", cfg]) == 2
-        assert "step_ladder" in capsys.readouterr().err
+        # the library refuses the empty ladder, so the reference step is given
+        cfg = demo_config()
+        cfg["experiment"] = {"reference_delta": 0.0009765625}
+        path = write_config(tmp_path, cfg)
+        assert self.run_cli(["converge", "--config", path]) == 2
+        assert ("config error: experiment.step_ladder: no step to compare: the step "
+                "list is empty") in capsys.readouterr().err
+
+    def test_converge_horizon_without_a_step_rejected(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # it printed error 0.0 on every level and a NaN fitted order, exit 0
+        def no_paths(*_args):
+            raise AssertionError("paths simulated before the horizon was checked")
+
+        monkeypatch.setattr(estimators, "_run_chunks", no_paths)
+        cfg = demo_config(horizon=0.0, num_paths=8)
+        cfg["model"]["include_inverse_drift"] = False
+        cfg["experiment"] = {"step_ladder": [0.0078125, 0.00390625],
+                             "reference_delta": 0.0009765625}
+        path = write_config(tmp_path, cfg)
+        assert self.run_cli(["converge", "--config", path]) == 2
+        assert ("config error: experiment.step_ladder: horizon 0 leaves the reference "
+                "grid no step") in capsys.readouterr().err
 
     def test_converge_non_dyadic_ladder_rejected(self, tmp_path, capsys):
         cfg = demo_config()

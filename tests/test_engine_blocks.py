@@ -224,7 +224,8 @@ SHAPES = [(1, 5), (7, 23), (256, 700), (257, 300), (1000, 600)]
 
 def run_pair(spec, policy, m, k, num_paths, seed):
     grid = Grid(delta=spec.tau / m, tau_steps=m, num_steps=k)
-    noise = draw_batch_noise(spec, grid, seed, np.arange(num_paths)).arrays()
+    # the whole noise as one block, as a single path draws it
+    noise = next(iter(draw_batch_noise(spec, grid, seed, np.arange(num_paths), k)))
     tem = simulate_tem_batch(spec, policy, grid, NoiseBlocks(noise[0].shape, [noise]))
     assert np.array_equal(tem, reference_tem(spec, policy, grid, *noise),
                           equal_nan=True)
@@ -237,7 +238,7 @@ def run_pair(spec, policy, m, k, num_paths, seed):
 @pytest.mark.parametrize("m,k", SHAPES)
 @pytest.mark.parametrize("inverse", [True, False])
 def test_blocked_schemes_match_per_step_loops(m, k, num_paths, inverse):
-    spec = two_regime_demo(include_inverse_drift=inverse, tau=0.01 * m)
+    spec = replace(two_regime_demo(), include_inverse_drift=inverse, tau=0.01 * m)
     q = 2.0 / 3.0 if inverse else 0.25
     policy = default_mu_for(spec, psi_exponent=q, mu_preset="3u2")
     tem = run_pair(spec, policy, m, k, num_paths, seed=m + num_paths)
@@ -248,7 +249,7 @@ def test_blocked_schemes_match_per_step_loops(m, k, num_paths, inverse):
 @pytest.mark.parametrize("num_paths", [1, 3])
 @pytest.mark.parametrize("m,k", [(7, 23), (257, 300)])
 def test_python_fallback_volatility_matches(m, k, num_paths):
-    spec = replace(two_regime_demo(tau=0.01 * m), volatility=SCALAR_VOL)
+    spec = replace(two_regime_demo(), tau=0.01 * m, volatility=SCALAR_VOL)
     policy = default_mu_for(spec, psi_exponent=2.0 / 3.0, mu_preset="3u2")
     run_pair(spec, policy, m, k, num_paths, seed=11)
 
@@ -381,7 +382,7 @@ def test_solve_widening_loops_match_reference(positive_domain):
 @pytest.mark.parametrize("positive_domain", [True, False])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solve_non_finite_target_matches_reference(bad, positive_domain):
-    spec = two_regime_demo(include_inverse_drift=positive_domain)
+    spec = replace(two_regime_demo(), include_inverse_drift=positive_domain)
     tables = CoefficientTables(spec)
     target = np.linspace(0.01, 2.0, 9)
     target[5] = bad
@@ -424,10 +425,10 @@ def relayout(a, layout):
        num_paths=st.integers(1, 6), m=st.sampled_from([1, 3, 20]),
        k=st.integers(0, 45), seed=st.integers(0, 2**16), inverse=st.booleans())
 def test_results_do_not_depend_on_array_layout(layout, num_paths, m, k, seed, inverse):
-    spec = two_regime_demo(include_inverse_drift=inverse, tau=0.01 * m)
+    spec = replace(two_regime_demo(), include_inverse_drift=inverse, tau=0.01 * m)
     policy = default_mu_for(spec, psi_exponent=2.0 / 3.0, mu_preset="3u2")
     grid = Grid(delta=spec.tau / m, tau_steps=m, num_steps=k)
-    arrays = draw_batch_noise(spec, grid, seed, np.arange(num_paths)).arrays()
+    arrays = next(iter(draw_batch_noise(spec, grid, seed, np.arange(num_paths), k)))
     noise = NoiseBlocks(arrays[0].shape, [arrays])
     moved = NoiseBlocks(arrays[0].shape, [tuple(relayout(a, layout) for a in arrays)])
     assert np.array_equal(simulate_tem_batch(spec, policy, grid, moved),

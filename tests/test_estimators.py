@@ -134,7 +134,7 @@ class TestBondPrice:
         # three-standard-error bands. Uses an in-band start: from 0.02 the
         # sub-band rise field differs across steps, a systematic transient
         # bias that dwarfs the Monte Carlo error at these step sizes.
-        spec = two_regime_demo(initial_value=1.0)
+        spec = dataclasses.replace(two_regime_demo(), initial_segment=constant_segment(1.0))
         policy = default_mu_for(spec, psi_exponent=2 / 3)
         coarse = bond_price(spec, policy, 1e-2, 2.0, 500, 14)
         fine = bond_price(spec, policy, 1e-3, 2.0, 500, 14)
@@ -217,6 +217,21 @@ class TestStrongError:
                                              "step 0.015625: its error would read 0$"):
             strong_error(DEMO, POLICY, ladder, 2**-6, 1.0, 2.0, 16, 0)
 
+    @pytest.mark.parametrize("ladder, horizon, match", [
+        # the empty ladder ran every reference path, then failed in np.stack
+        ([], 1.0, "^no step to compare: the step list is empty$"),
+        # horizon 0 read error 0.0 on every level and fitted order NaN
+        ([0.0078125, 0.00390625], 0.0,
+         "^horizon 0 leaves the reference grid no step: every error would read 0$"),
+    ])
+    def test_nothing_to_measure_rejected(self, ladder, horizon, match, monkeypatch):
+        def no_paths(*_args):
+            raise AssertionError("paths simulated before the run was checked")
+
+        monkeypatch.setattr(estimators, "_run_chunks", no_paths)
+        with pytest.raises(ValueError, match=match):
+            strong_error(NO_INVERSE, POLICY, ladder, 0.0009765625, horizon, 2.0, 8, 0)
+
     def test_zero_noise_euler_order_one(self):
         spec = ode_spec()
         policy = default_mu_for(spec, psi_exponent=2 / 3)
@@ -291,7 +306,7 @@ class TestSchemeComparison:
         assert a == b
 
     def test_distance_shrinks_with_step(self):
-        spec = two_regime_demo(include_inverse_drift=False)
+        spec = dataclasses.replace(two_regime_demo(), include_inverse_drift=False)
         policy = default_mu_for(spec, psi_exponent=0.25)
         coarse = scheme_comparison(spec, policy, 1e-2, 1.0, 96, 5)
         fine = scheme_comparison(spec, policy, 2.5e-3, 1.0, 96, 5)
@@ -326,8 +341,13 @@ class TestMomentCurves:
                                              r"to tau/128 = 0.0078125"):
             moment_curves(DEMO, POLICY, [0.0078, 0.0078125], 0.5, 2.0, 4, 0)
 
+    def test_empty_step_list_rejected(self):
+        # min() of the empty list failed first, with no word of the steps
+        with pytest.raises(ValueError, match="the step list is empty"):
+            moment_curves(DEMO, POLICY, [], 0.5, 2.0, 4, 0)
 
-NO_INVERSE = two_regime_demo(include_inverse_drift=False)
+
+NO_INVERSE = dataclasses.replace(two_regime_demo(), include_inverse_drift=False)
 # a pool worker unpickles its array form, a bound method
 CONSTANT_VOL = dataclasses.replace(DEMO, volatility=build_volatility("constant"))
 

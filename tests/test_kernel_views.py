@@ -9,6 +9,8 @@ simulations run.
 """
 
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ def _policy(spec, mu_preset):
 
 CASES = {
     "demo": (two_regime_demo(), "3u2"),
-    "demo_no_inverse": (two_regime_demo(include_inverse_drift=False), "3u2"),
+    "demo_no_inverse": (replace(two_regime_demo(), include_inverse_drift=False), "3u2"),
     "three_regime_power_fit": (three_regime_spec(), "power_fit"),
 }
 
@@ -133,8 +135,10 @@ def test_step_views_equal_batch_bitwise(case):
     spec, policy = case
     grid = resolve_grid(spec.tau, 0.02, 1.0)
     m = grid.tau_steps
-    brownian, poisson, regimes = draw_batch_noise(spec, grid, 7, np.arange(12)).arrays()
-    noise = NoiseBlocks(brownian.shape, [(brownian, poisson, regimes)])
+    # the whole noise as one block, as a single path draws it
+    brownian, poisson, regimes = whole = next(iter(
+        draw_batch_noise(spec, grid, 7, np.arange(12), grid.num_steps)))
+    noise = NoiseBlocks(brownian.shape, [whole])
     tem = simulate_tem_batch(spec, policy, grid, noise)
     bem = simulate_bem_batch(spec, grid, noise)
     tables = CoefficientTables(spec)

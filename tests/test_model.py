@@ -71,7 +71,7 @@ class TestDrift:
         assert drift(1.0, 1, spec) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_without_inverse(self):
-        spec = two_regime_demo(include_inverse_drift=False)
+        spec = dataclasses.replace(two_regime_demo(), include_inverse_drift=False)
         assert drift(0.0, 1, spec) == pytest.approx(-0.2)
 
     def test_asymptotic_signs_every_regime(self):
@@ -240,30 +240,43 @@ class TestConstruction:
             with pytest.raises(ValueError, match="holder_constant must be positive"):
                 InitialSegment(eval=lambda t: 1.0 + abs(t) ** 0.2, holder_constant=value)
 
+    def test_holder_constant_must_be_finite(self):
+        # an infinite constant passed the Hoelder check of any segment: this
+        # one reads PASS with inf and FAIL with 1.0
+        from temsim.model import InitialSegment
+
+        def rough(t):
+            return 0.02 + abs(t + 0.5) ** 0.2
+        checks = validate_assumptions(dataclasses.replace(
+            DEMO, initial_segment=InitialSegment(eval=rough, holder_constant=1.0)))
+        assert "initial_segment_hoelder" in {c.name for c in checks if not c.passed}
+        with pytest.raises(ValueError, match="holder_constant must be positive and finite"):
+            InitialSegment(eval=rough, holder_constant=math.inf)
+
 
 class TestValidateAssumptions:
     def test_demo_passes(self):
-        report = validate_assumptions(DEMO)
-        assert report.passed, [c for c in report.checks if not c.passed]
+        checks = validate_assumptions(DEMO)
+        assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
     def test_exponent_balance_violation(self):
         # 1 + 1.5 < 2 * 1.5
-        report = validate_assumptions(make_spec(rho=1.5, theta=1.5))
-        failed = {c.name for c in report.checks if not c.passed}
+        checks = validate_assumptions(make_spec(rho=1.5, theta=1.5))
+        failed = {c.name for c in checks if not c.passed}
         assert "exponent_balance" in failed
 
     def test_volatility_bound_violation(self):
         bad = VolatilitySpec(bound_sigma=0.5,
                              eval=lambda y, i: 1.5 if y > 10 else 0.25)
-        report = validate_assumptions(make_spec(volatility=bad))
-        failed = {c.name for c in report.checks if not c.passed}
+        checks = validate_assumptions(make_spec(volatility=bad))
+        failed = {c.name for c in checks if not c.passed}
         assert "volatility_bounded" in failed
 
     def test_negative_extension_violation(self):
         bad = VolatilitySpec(bound_sigma=0.5,
                              eval=lambda y, i: 0.25 if y >= 0 else 0.1)
-        report = validate_assumptions(make_spec(volatility=bad))
-        failed = {c.name for c in report.checks if not c.passed}
+        checks = validate_assumptions(make_spec(volatility=bad))
+        failed = {c.name for c in checks if not c.passed}
         assert "volatility_negative_extension" in failed
 
     def test_hoelder_violation(self):
@@ -272,24 +285,24 @@ class TestValidateAssumptions:
             eval=lambda t: 1.0 if t < -0.5 else 2.0,
             holder_constant=0.5, holder_exponent=1.0,
         )
-        report = validate_assumptions(make_spec(initial_segment=jumpy))
-        failed = {c.name for c in report.checks if not c.passed}
+        checks = validate_assumptions(make_spec(initial_segment=jumpy))
+        failed = {c.name for c in checks if not c.passed}
         assert "initial_segment_hoelder" in failed
 
     def test_degenerate_coefficients_flagged_not_fatal(self):
         spec = make_spec(regimes=(RegimeParams(0.0, 0.0, 0.0, 0.5, 0.0),),
                          generator=GeneratorMatrix(np.array([[0.0]])))
-        report = validate_assumptions(spec)
-        failed = {c.name for c in report.checks if not c.passed}
+        checks = validate_assumptions(spec)
+        failed = {c.name for c in checks if not c.passed}
         assert "coefficient_positivity" in failed
 
     def test_report_never_raises_on_broken_eval(self):
         def broken(y, i):
             raise RuntimeError("boom")
 
-        report = validate_assumptions(
+        checks = validate_assumptions(
             make_spec(volatility=VolatilitySpec(bound_sigma=0.5, eval=broken)))
-        assert not report.passed
+        assert not all(c.passed for c in checks)
 
 
 class TestKhasminskii:

@@ -9,6 +9,7 @@ its coarse noise and a few blocks.
 """
 
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -23,7 +24,7 @@ from temsim.regime import BLOCK_STEPS, sample_chain_paths_batch
 from temsim.truncation import default_mu_for
 
 # frequent jumps, so the Poisson rows are not all zero
-SPEC = two_regime_demo(jump_intensity=40.0, tau=0.05)
+SPEC = replace(two_regime_demo(), jump_intensity=40.0, tau=0.05)
 
 
 def whole_row_draw(spec, grid, seed, indices):
@@ -42,12 +43,22 @@ def whole_row_draw(spec, grid, seed, indices):
     return brownian, poisson, regimes
 
 
+def joined(blocks):
+    """Blocks joined along the steps: Brownian (P,K), Poisson (P,K) and the
+    regimes (P,K+1), each block's last node being the next block's first."""
+    brownian, poisson, regimes = zip(*blocks)
+    return (np.concatenate(brownian, axis=1), np.concatenate(poisson, axis=1),
+            np.concatenate([r[:, :-1] for r in regimes] + [regimes[-1][:, -1:]],
+                           axis=1))
+
+
 def block_size(kind, k):
     """A block size of the given kind for ``k`` steps."""
     if kind == "K":
         return max(k, 1)
     if kind == "non-divisor":
-        return next(size for size in range(2, k + 3) if k % size)
+        # every size divides k = 0: take 2 there
+        return next((size for size in range(2, k + 3) if k % size), 2)
     return kind
 
 
@@ -64,7 +75,7 @@ def test_block_draw_equals_whole_row_draw(kind, num_paths, k, seed, first):
     assert noise.shape == (num_paths, k)
     assert [b.shape[1] for b, _, _ in blocks] == \
         [min(size, k - start) for start in range(0, max(k, 1), size)]
-    got = NoiseBlocks(noise.shape, blocks).arrays()
+    got = joined(blocks)
     for drawn, whole in zip(got, whole_row_draw(SPEC, grid, seed, indices)):
         assert drawn.dtype == whole.dtype
         assert drawn.tobytes() == whole.tobytes()
@@ -83,8 +94,9 @@ def test_block_coarsening_equals_whole_coarsening(factor, groups, num_blocks, ex
     indices = np.arange(num_paths)
     coarse = [coarsen_batch(*b, factor)
               for b in draw_batch_noise(SPEC, grid, seed, indices, block)]
-    by_block = NoiseBlocks((num_paths, k // factor), coarse).arrays()
-    whole = coarsen_batch(*draw_batch_noise(SPEC, grid, seed, indices, k or 1).arrays(),
+    by_block = joined(coarse)
+    # the whole noise as one block, as a single path draws it
+    whole = coarsen_batch(*next(iter(draw_batch_noise(SPEC, grid, seed, indices, k))),
                           factor)
     for a, b in zip(by_block, whole):
         assert a.dtype == b.dtype
@@ -165,7 +177,7 @@ def test_converge_chunk_holds_blocks_not_paths():
     block the (P, BLOCK_STEPS) scratch and the gathered coefficient rows,
     whose Python objects weigh more than their data at P = 16. Allocating
     the whole noise of the paths again, as a single draw, breaks this."""
-    spec = two_regime_demo(include_inverse_drift=False, tau=0.25)
+    spec = replace(two_regime_demo(), include_inverse_drift=False, tau=0.25)
     policy = default_mu_for(spec, psi_exponent=0.25)
     num_paths, m, k = 16, 2048, 4096
     ref, levels = estimators._coupled_grids(

@@ -55,10 +55,16 @@ def one_block(brownian, poisson, regimes):
     return engine.NoiseBlocks(np.shape(brownian), [(brownian, poisson, regimes)])
 
 
+def whole_noise(spec, grid, seed, path_indices):
+    """The paths' whole noise drawn as one block, as a single path draws it."""
+    return next(iter(engine.draw_batch_noise(spec, grid, seed, path_indices,
+                                             grid.num_steps)))
+
+
 def one_path_noise(spec, grid, seed, path_index):
     """Path ``path_index``'s noise, one row each, as drawn in its run, as one
     block without the draw's replay coordinates."""
-    return one_block(*engine.draw_batch_noise(spec, grid, seed, [path_index]).arrays())
+    return one_block(*whole_noise(spec, grid, seed, [path_index]))
 
 
 def tem_from(state, k, d_brownian, d_poisson, spec=DEMO, policy=POLICY):
@@ -230,7 +236,7 @@ class TestSimulateTem:
         # the single path draws row p of the run's batch noise, bit for bit,
         # and regenerating it from (seed, path, delta) reproduces the values
         grid = resolve_grid(DEMO.tau, 0.021, 0.5)  # snaps to tau / 48
-        rows = engine.draw_batch_noise(DEMO, grid, 31, np.arange(5)).arrays()
+        rows = whole_noise(DEMO, grid, 31, np.arange(5))
         for idx in (0, 4):
             state = simulate_tem_path(DEMO, POLICY, 0.021, 0.5, seed=31, path_index=idx)
             for got, batch in zip((state.brownian, state.poisson, state.regimes), rows):

@@ -88,7 +88,7 @@ def case(spec, psi_exponent):
 # rho = 1.7, theta = 3 (numpy's general pow, an odd-integer theta)
 CASES = [
     case(two_regime_demo(), 2 / 3),
-    case(two_regime_demo(include_inverse_drift=False), 0.25),
+    case(replace(two_regime_demo(), include_inverse_drift=False), 0.25),
     case(replace(two_regime_demo(), rho=1.7, theta=3.0), 2 / 3),
 ]
 

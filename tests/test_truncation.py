@@ -1,6 +1,7 @@
 import math
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,35 +117,23 @@ class TestPsi:
 
     def test_rejects_nonpositive(self):
         # NaN passed `delta <= 0.0`, so psi and the band came out NaN
-        for delta in (0.0, -1.0, math.nan, np.array([1e-3, math.nan])):
+        for delta in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="delta must be positive"):
                 psi(delta, POLICY)
             with pytest.raises(ValueError, match="delta must be positive"):
                 band_edge(POLICY.mu, POLICY.psi_exponent, delta)
-        for delta in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="delta must be positive"):
                 truncation_band(delta, POLICY)
 
     def test_band_edge_takes_the_profile_of_psi(self):
-        # one power for both: the edge is mu's inverse of psi, bit for bit
+        # one power for both: the edge is mu's inverse of psi, bit for bit,
+        # and psi is a Python float, which validate prints
         deltas = np.random.default_rng(3).uniform(1e-6, POLICY.delta_star, 500)
         for policy in (POLICY, default_mu_for(DEMO, mu_preset="power_fit")):
-            edges = band_edge(policy.mu, policy.psi_exponent, deltas)
-            assert edges.tobytes() == policy.mu.inverse(psi(deltas, policy)).tobytes()
-            assert band_edge(policy.mu, policy.psi_exponent, 1e-3) == \
-                policy.mu.inverse(psi(1e-3, policy))
-
-    def test_array_matches_scalar_bit_for_bit(self):
-        # validate prints the scalar form and checks its caps with the array form
-        deltas = np.random.default_rng(7).uniform(1e-6, POLICY.delta_star, 2000)
-        for policy in (POLICY, demo_policy(q=0.25)):
-            values = psi(deltas, policy)
-            scalars = [psi(delta, policy) for delta in deltas.tolist()]
-            assert all(type(value) is float for value in scalars)
-            assert values.dtype == float and values.shape == deltas.shape
-            assert values.tobytes() == np.array(scalars).tobytes()
-        with pytest.raises(ValueError):
-            psi(np.array([1e-3, 0.0]), POLICY)
+            for delta in deltas.tolist():
+                assert type(psi(delta, policy)) is float
+                assert band_edge(policy.mu, policy.psi_exponent, delta) == \
+                    policy.mu.inverse(psi(delta, policy))
 
     def test_does_not_warn(self):
         # the policy decides the quarter-power rule once, when it is built
@@ -220,7 +209,7 @@ class TestDeltaStar:
         assert policy.delta_star == pytest.approx(3.0**-4, abs=1e-5)
 
     def test_without_inverse_only_band_condition(self):
-        spec = two_regime_demo(include_inverse_drift=False)
+        spec = replace(two_regime_demo(), include_inverse_drift=False)
         policy = default_mu_for(spec, psi_exponent=2 / 3)
         assert policy.delta_star == pytest.approx(3.0**-1.5, abs=1e-5)
 
@@ -277,6 +266,18 @@ class TestPolicyType:
             TruncationPolicy(mu=POLICY.mu, psi_exponent=0.0, delta_star=0.1)
         with pytest.raises(TruncationError):
             TruncationPolicy(mu=POLICY.mu, psi_exponent=0.25, delta_star=1.5)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -0.25])
+    def test_exponent_must_be_positive_and_finite(self, q):
+        # NaN gave the band (nan, nan), blamed on the first path's node 1;
+        # inf gave (0, inf), which truncates nothing; q <= 0 failed in the
+        # delta_star search as "no admissible step bound"
+        for build in (lambda: TruncationPolicy(mu=POLICY.mu, psi_exponent=q,
+                                               delta_star=0.1),
+                      lambda: default_mu_for(DEMO, psi_exponent=q)):
+            with pytest.raises(TruncationError,
+                               match="psi_exponent must be positive and finite"):
+                build()
 
     def test_warns_only_above_quarter(self):
         with warnings.catch_warnings():
