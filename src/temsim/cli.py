@@ -27,6 +27,7 @@ from . import export
 from .config import ConfigError, RunConfig, load_config, resolve_config
 from .engine import SimulationError, resolve_grid
 from .estimators import (
+    NoStepError,
     barrier_option_price,
     bond_price,
     scheme_comparison,
@@ -127,10 +128,13 @@ def cmd_converge(run: RunConfig, header: list[str]) -> tuple[str, int]:
 
 
 def cmd_compare_schemes(run: RunConfig, header: list[str]) -> tuple[str, int]:
-    result = scheme_comparison(
-        run.spec, run.policy, run.delta, run.horizon, run.num_paths, run.seed,
-        threads=run.threads,
-    )
+    try:
+        result = scheme_comparison(
+            run.spec, run.policy, run.delta, run.horizon, run.num_paths, run.seed,
+            threads=run.threads,
+        )
+    except NoStepError as exc:
+        raise ConfigError("simulation.horizon", str(exc)) from exc
     return export.render_comparison_csv(result, header), EXIT_OK
 
 

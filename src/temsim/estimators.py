@@ -75,6 +75,11 @@ class SchemeComparison:
     quantiles: dict[float, float]
 
 
+class NoStepError(ValueError):
+    """A horizon that leaves a run's grid no step: every error or distance
+    it measured would read 0."""
+
+
 def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
     """Apply a picklable chunk worker to every path range, in order."""
     if num_paths < 1:
@@ -97,7 +102,9 @@ def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
 
     ``levels`` declares the runs on that noise as ``(simulate, factor)``
     pairs: each noise block is coarsened by ``factor`` for its level as the
-    TEM run draws it (factor 1 keeps the block itself), and ``runs`` yields
+    TEM run draws it (factor 1 keeps the block itself) and kept with its
+    Poisson counts and regimes narrowed (:func:`_narrow`), which are widened
+    back as the level's run pulls the block, and ``runs`` yields
     ``simulate(noise)`` of each level in order, so a reduction holds one
     level's values at a time; ``simulate`` None is the TEM run itself, and
     keeps no noise. Each level's noise carries the replay coordinates of
@@ -114,16 +121,34 @@ def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
     def keep_block(block):
         for blocks, (_, factor) in zip(kept, levels):
             if blocks is not None:
-                blocks.append(block if factor == 1 else
-                              engine.coarsen_batch(*block, factor))
+                brownian, poisson, regimes = (block if factor == 1 else
+                                              engine.coarsen_batch(*block, factor))
+                blocks.append((brownian, _narrow(poisson), _narrow(regimes)))
 
     nodes = engine.simulate_tem_batch(spec, policy, grid,
                                       noise.tap(keep_block))[:, grid.tau_steps:]
     runs = (nodes if blocks is None else
             simulate(replace(noise, shape=(len(indices), grid.num_steps // factor),
-                             blocks=blocks, factor=factor))[:, grid.tau_steps // factor:]
+                             blocks=_widened(blocks),
+                             factor=factor))[:, grid.tau_steps // factor:]
             for (simulate, factor), blocks in zip(levels, kept))
     return reduce(nodes, runs)
+
+
+def _narrow(counts: np.ndarray) -> np.ndarray:
+    """Kept Poisson counts or regimes, which are never negative, in the
+    narrowest signed integer type that holds their maximum: exact, and an
+    eighth of int64 where every value is below 128."""
+    top = int(counts.max(initial=0))
+    return counts.astype(next(dtype for dtype in (np.int8, np.int16, np.int32, np.int64)
+                              if top <= np.iinfo(dtype).max))
+
+
+def _widened(blocks):
+    """Each kept block as it is pulled, its counts and regimes int64 again:
+    a run sees the arrays of the draw."""
+    for brownian, poisson, regimes in blocks:
+        yield brownian, poisson.astype(np.int64), regimes.astype(np.int64)
 
 
 def _samples(spec, policy, grid, seed, reduce, levels, num_paths, threads) -> tuple:
@@ -190,8 +215,13 @@ def barrier_option_price(
         (), num_paths, threads))
 
 
+def _abs_max(diff: np.ndarray) -> np.ndarray:
+    """Each row's largest ``|diff|``, the absolute value taken in place."""
+    return np.abs(diff, out=diff).max(axis=1)
+
+
 def _tem_bem_distance(tem, runs) -> tuple:
-    return (np.abs(tem - next(runs)).max(axis=1),)
+    return (_abs_max(tem - next(runs)),)
 
 
 def scheme_comparison(
@@ -203,8 +233,13 @@ def scheme_comparison(
     master_seed: int,
     threads: int = 1,
 ) -> SchemeComparison:
-    """Pathwise sup-distance between TEM and BEM under shared noise."""
+    """Pathwise sup-distance between TEM and BEM under shared noise. A
+    horizon that leaves the grid no step is an error: it would measure
+    nothing."""
     grid = resolve_grid(spec.tau, delta, horizon)
+    if not grid.num_steps:
+        raise NoStepError(f"horizon {horizon:g} leaves the grid no step: "
+                          "every distance would read 0")
     # BEM on the blocks the TEM run drew, kept whole (factor 1)
     bem = (partial(engine.simulate_bem_batch, spec, grid), 1)
     (distances,) = _samples(spec, policy, grid, master_seed, _tem_bem_distance, (bem,),
@@ -256,8 +291,7 @@ def _tem_runs(spec, policy, levels) -> tuple:
 
 
 def _sup_errors(factors, fine, runs) -> tuple:
-    return tuple(np.abs(coarse - fine[:, ::factor]).max(axis=1)
-                 for factor, coarse in zip(factors, runs))
+    return tuple(_abs_max(coarse - fine[:, ::factor]) for factor, coarse in zip(factors, runs))
 
 
 def strong_error(
@@ -291,8 +325,8 @@ def strong_error(
     deltas_desc = sorted(map(float, coarse_deltas), reverse=True)
     ref_grid, levels = _coupled_grids(spec, deltas_desc, reference_delta, horizon)
     if not ref_grid.num_steps:
-        raise ValueError(f"horizon {horizon:g} leaves the reference grid no step: "
-                         "every error would read 0")
+        raise NoStepError(f"horizon {horizon:g} leaves the reference grid no step: "
+                          "every error would read 0")
     for delta, (_, factor) in zip(deltas_desc, levels):
         if factor == 1:
             raise ValueError(f"step {delta:g} snaps to the reference step "

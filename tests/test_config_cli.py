@@ -346,6 +346,20 @@ class TestCliCommands:
         assert ("config error: experiment.step_ladder: horizon 0 leaves the reference "
                 "grid no step") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", [0.0, 0.004])
+    def test_compare_schemes_horizon_without_a_step_rejected(self, horizon, tmp_path,
+                                                             capsys, monkeypatch):
+        # it printed mean, max and every quantile 0.0, exit 0; 0.004 rounds
+        # to no step at delta 1e-2
+        def no_paths(*_args):
+            raise AssertionError("paths simulated before the horizon was checked")
+
+        monkeypatch.setattr(estimators, "_run_chunks", no_paths)
+        path = write_config(tmp_path, demo_config(delta=1e-2, horizon=horizon, num_paths=8))
+        assert self.run_cli(["compare-schemes", "--config", path]) == 2
+        assert (f"config error: simulation.horizon: horizon {horizon:g} leaves the grid "
+                "no step: every distance would read 0") in capsys.readouterr().err
+
     def test_converge_non_dyadic_ladder_rejected(self, tmp_path, capsys):
         cfg = demo_config()
         cfg["experiment"] = {"step_ladder": [0.3], "reference_delta": 0.125}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from temsim.engine import SimulationError
 from temsim.estimators import (
     ConvergenceReport,
     EstimatorResult,
+    NoStepError,
     barrier_option_price,
     bond_price,
     moment_curves,
@@ -312,6 +314,18 @@ class TestSchemeComparison:
         fine = scheme_comparison(spec, policy, 2.5e-3, 1.0, 96, 5)
         assert fine.mean < coarse.mean
 
+    @pytest.mark.parametrize("horizon", [0.0, 0.004])
+    def test_horizon_without_a_step_rejected(self, horizon, monkeypatch):
+        # horizon 0, and 0.004 (K = 0 at delta 1e-2), read mean, max and
+        # every quantile 0.0 with std error 0.0
+        def no_paths(*_args):
+            raise AssertionError("paths simulated before the horizon was checked")
+
+        monkeypatch.setattr(estimators, "_run_chunks", no_paths)
+        with pytest.raises(NoStepError, match=f"^horizon {horizon:g} leaves the grid no "
+                                              "step: every distance would read 0$"):
+            scheme_comparison(DEMO, POLICY, 1e-2, horizon, 8, 0)
+
     def test_quantiles_ordered(self):
         result = scheme_comparison(DEMO, POLICY, 1e-2, 0.5, 64, 3)
         assert result.quantiles[0.1] <= result.quantiles[0.5] <= result.quantiles[0.9]
@@ -350,6 +364,12 @@ class TestMomentCurves:
 NO_INVERSE = dataclasses.replace(two_regime_demo(), include_inverse_drift=False)
 # a pool worker unpickles its array form, a bound method
 CONSTANT_VOL = dataclasses.replace(DEMO, volatility=build_volatility("constant"))
+# about 120 jumps per step of 1e-2, tiny jumps: the kept Poisson counts of a
+# block at 1e-2 fall on both sides of 127 (int8 and int16 blocks), and at
+# 2e-2 near 240 (int16)
+JUMPY = dataclasses.replace(
+    DEMO, jump_intensity=12000.0,
+    regimes=tuple(dataclasses.replace(r, alpha_3=1e-6) for r in DEMO.regimes))
 
 
 def strong_error_at(spec, policy, delta, horizon, num_paths, seed, threads=1):
@@ -387,8 +407,10 @@ def comparable(result):
     (strong_error_at, DEMO, 2 / 3),
     (moment_curves_at, DEMO, 2 / 3),
     (scheme_comparison, CONSTANT_VOL, 2 / 3),
+    (scheme_comparison, JUMPY, 2 / 3),
+    (strong_error_at, JUMPY, 2 / 3),
 ], ids=["bond", "barrier", "compare", "compare-no-inverse", "strong-error", "moments",
-        "compare-constant-volatility"])
+        "compare-constant-volatility", "compare-jumpy", "strong-error-jumpy"])
 def test_results_do_not_depend_on_chunk_size(estimate, spec, psi_exponent, monkeypatch):
     """A path's result must not depend on the batch it runs in, although the
     implicit solve iterates until every row of its batch has settled, and
@@ -403,3 +425,73 @@ def test_results_do_not_depend_on_chunk_size(estimate, spec, psi_exponent, monke
     monkeypatch.undo()
     results.append(comparable(estimate(spec, policy, 1e-2, 0.5, 130, 21, threads=2)))
     assert all(result == results[0] for result in results[1:])
+
+
+@pytest.mark.parametrize("values, dtype", [
+    ([0, 127], np.int8), ([3, 128], np.int16),
+    ([32767], np.int16), ([1, 32768], np.int32),
+    ([2**31 - 1], np.int32), ([0, 2**31], np.int64),
+    ([], np.int8),
+])
+def test_kept_counts_narrow_exactly(values, dtype):
+    # a kept block of counts or regimes is stored in the narrowest signed
+    # type that holds its maximum, and widened back to the int64 it was drawn as
+    counts = np.array([values, values[::-1]], dtype=np.int64)
+    narrow = estimators._narrow(counts)
+    assert narrow.dtype == dtype
+    assert narrow.tolist() == counts.tolist()
+    brownian = np.ones(counts.shape)
+    ((b, n, r),) = estimators._widened([(brownian, narrow, narrow)])
+    assert b is brownian
+    for wide in (n, r):
+        assert wide.dtype == np.int64 and np.array_equal(wide, counts)
+
+
+@pytest.mark.parametrize("estimate", [scheme_comparison, strong_error_at],
+                         ids=["compare", "strong-error"])
+def test_narrow_kept_noise_changes_no_result(estimate, monkeypatch):
+    """Jump-heavy runs keep Poisson blocks on both sides of 127, and give
+    the bits they give with their kept noise left int64."""
+    policy = default_mu_for(JUMPY, psi_exponent=2 / 3)
+    monkeypatch.setattr(estimators, "CHUNK_SIZE", 7)
+    monkeypatch.setattr(engine, "DRAW_STEPS", 7)
+    narrow, maxima = estimators._narrow, []
+
+    def spy(counts):
+        maxima.append(int(counts.max(initial=0)))
+        return narrow(counts)
+
+    monkeypatch.setattr(estimators, "_narrow", spy)
+    narrowed = comparable(estimate(JUMPY, policy, 1e-2, 0.5, 130, 21))
+    # a regime is 1 or 2: a larger maximum is a block of Poisson counts
+    assert min(top for top in maxima if top > 2) <= 127 < max(maxima)
+    monkeypatch.setattr(estimators, "_narrow", lambda counts: counts)
+    assert comparable(estimate(JUMPY, policy, 1e-2, 0.5, 130, 21)) == narrowed
+
+
+def test_converge_chunk_memory():
+    """The traced peak of a strong-error run stays within its values, its
+    kept noise with narrow counts and regimes, one draw block and a slack:
+    17.8 MB. It peaks at 15.9 MB; with its counts and regimes kept int64
+    it peaked at 21.4 MB."""
+    paths, ladder, reference, horizon = 64, [2 / 1024, 4 / 1024], 1 / 1024, 8.0
+    policy = default_mu_for(NO_INVERSE, psi_exponent=0.25)
+    grid = engine.resolve_grid(NO_INVERSE.tau, reference, horizon)
+    m, k, draw = grid.tau_steps, grid.num_steps, engine.DRAW_STEPS
+    factors = [round(delta / grid.delta) for delta in ladder]
+    values = paths * (m + k + 1) * 8
+    # per level: float64 Brownian sums, int8 counts and int8 regimes, which
+    # carry one more node per draw block
+    kept = sum(paths * (k // f * 10 + k // draw) for f in factors)
+    # a draw block: Brownian increments, chain uniforms, counts, regimes
+    block = 4 * paths * draw * 8
+    # slack: the coarse runs, one held while the next runs, their
+    # differences and the march's scratch
+    slack = values * 3 // 2
+    tracemalloc.start()
+    try:
+        strong_error(NO_INVERSE, policy, ladder, reference, horizon, 2.0, paths, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= values + kept + block + slack
