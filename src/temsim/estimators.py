@@ -291,7 +291,9 @@ def _tem_runs(spec, policy, levels) -> tuple:
 
 
 def _sup_errors(factors, fine, runs) -> tuple:
-    return tuple(_abs_max(coarse - fine[:, ::factor]) for factor, coarse in zip(factors, runs))
+    # no name holds a run's values while the next run is pulled (a loop
+    # variable would), so a chunk holds one run's values at a time
+    return tuple(_abs_max(next(runs) - fine[:, ::factor]) for factor in factors)
 
 
 def strong_error(
@@ -361,7 +363,8 @@ def strong_error(
 
 
 def _moments(p, _fine, runs) -> tuple:
-    return tuple(np.abs(values) ** p for values in runs)
+    # map, not a loop variable: each run's values are dropped before the next
+    return tuple(map(lambda values: np.abs(values) ** p, runs))
 
 
 def moment_curves(

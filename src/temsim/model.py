@@ -230,10 +230,13 @@ class CoefficientTables:
         """Tables whose row j holds the coefficients of regime indices ``ridx[j]``.
 
         Passing a row number as ``ridx`` to the result reads a contiguous
-        row, made once here, instead of gathering on every call.
+        row, made once here, instead of gathering on every call. Without
+        the 1/x term nothing reads ``a_m1``, so the result's is None and a
+        read of it fails.
         """
         rows = copy.copy(self)
-        for name in ("a_m1", "a0", "a1", "a2", "a3"):
+        rows.a_m1 = list(self.a_m1[ridx]) if self.include_inverse else None
+        for name in ("a0", "a1", "a2", "a3"):
             setattr(rows, name, list(getattr(self, name)[ridx]))
         return rows
 

@@ -105,9 +105,12 @@ def _march_chain(transition: np.ndarray, initial_state,
         return paths
     cum = np.cumsum(transition, axis=1)[:, : n - 1]
     # 0-based states; per block, tabulate each step's successor of every
-    # state at once (the count of partial sums <= u), so a step is one
-    # lookup in contiguous (block, P) rows
+    # state at once (the count of partial sums <= u). A step on which every
+    # state is its own successor on every path moves no path, so only the
+    # other steps are looked up, and the rows between them are filled with
+    # the states they keep
     states = paths[:, 0] - 1
+    identity = np.arange(n)[:, None]
     cols = np.arange(num_paths)
     size = min(num_steps, BLOCK_STEPS)
     block = np.empty((size, num_paths), dtype=np.int64)
@@ -116,9 +119,16 @@ def _march_chain(transition: np.ndarray, initial_state,
         u = uniforms[:, start:stop].T
         successor = np.count_nonzero(cum[:, None, None, :] <= u[None, :, :, None],
                                      axis=-1)
-        for j in range(stop - start):
+        # the least and greatest successor of each state and step over the
+        # paths: reductions, where a (N, B, P) comparison raised peak memory
+        moves = ((successor.min(axis=2) != identity)
+                 | (successor.max(axis=2) != identity)).any(axis=0)
+        filled = 0
+        for j in np.flatnonzero(moves).tolist():
+            block[filled:j] = states
             states = successor[states, j, cols]
-            block[j] = states
+            filled = j
+        block[filled : stop - start] = states
         paths[:, start + 1 : stop + 1] = block[: stop - start].T + 1
     return paths
 

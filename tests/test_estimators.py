@@ -472,8 +472,9 @@ def test_narrow_kept_noise_changes_no_result(estimate, monkeypatch):
 def test_converge_chunk_memory():
     """The traced peak of a strong-error run stays within its values, its
     kept noise with narrow counts and regimes, one draw block and a slack:
-    17.8 MB. It peaks at 15.9 MB; with its counts and regimes kept int64
-    it peaked at 21.4 MB."""
+    17.8 MB. It peaks at 14.3 MB; with a level's values held through the
+    next level's run it peaked at 15.9 MB, and with its counts and regimes
+    kept int64 too at 21.4 MB."""
     paths, ladder, reference, horizon = 64, [2 / 1024, 4 / 1024], 1 / 1024, 8.0
     policy = default_mu_for(NO_INVERSE, psi_exponent=0.25)
     grid = engine.resolve_grid(NO_INVERSE.tau, reference, horizon)
@@ -485,8 +486,7 @@ def test_converge_chunk_memory():
     kept = sum(paths * (k // f * 10 + k // draw) for f in factors)
     # a draw block: Brownian increments, chain uniforms, counts, regimes
     block = 4 * paths * draw * 8
-    # slack: the coarse runs, one held while the next runs, their
-    # differences and the march's scratch
+    # slack: a coarse run's values, its difference and the march's scratch
     slack = values * 3 // 2
     tracemalloc.start()
     try:
@@ -495,3 +495,40 @@ def test_converge_chunk_memory():
     finally:
         tracemalloc.stop()
     assert peak <= values + kept + block + slack
+
+
+@pytest.mark.parametrize("estimator", ["strong_error", "moment_curves"])
+def test_one_run_of_values_held_at_a_time(monkeypatch, estimator):
+    """When the last level's march starts, the level before it has been
+    reduced and its (P, (M+K)/f + 1) values dropped: traced memory then
+    exceeds that at the start of the level's own march by its reduction
+    only (a sup per path, or a moment per path and node)."""
+    paths, ladder, reference, horizon = 64, [2 / 1024, 4 / 1024], 1 / 1024, 8.0
+    policy = default_mu_for(NO_INVERSE, psi_exponent=0.25)
+    grid = engine.resolve_grid(NO_INVERSE.tau, reference, horizon)
+    # strong_error runs its coarse levels from the coarsest (factor 4), so
+    # the values dropped are factor 4's; moment_curves runs them as given
+    # (factor 2 first), after the reference level, which marches nothing
+    first = 4 if estimator == "strong_error" else 2
+    values = paths * ((grid.tau_steps + grid.num_steps) // first + 1) * 8
+    reduced = paths * 8 * (1 if estimator == "strong_error"
+                           else grid.num_steps // first + 1)
+    at_entry = []
+    march = engine.simulate_tem_batch
+
+    def traced(*args):
+        at_entry.append(tracemalloc.get_traced_memory()[0])
+        return march(*args)
+
+    monkeypatch.setattr(engine, "simulate_tem_batch", traced)
+    tracemalloc.start()
+    try:
+        if estimator == "strong_error":
+            strong_error(NO_INVERSE, policy, ladder, reference, horizon, 2.0, paths, 3)
+        else:
+            moment_curves(NO_INVERSE, policy, [reference, *ladder], horizon, 2.0, paths, 3)
+    finally:
+        tracemalloc.stop()
+    # the reference march, then one per coarse level
+    assert len(at_entry) == 3
+    assert at_entry[2] - at_entry[1] < reduced + values // 2

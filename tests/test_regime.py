@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temsim.regime import (
+    BLOCK_STEPS,
     GeneratorError,
     GeneratorMatrix,
     _march_chain,
@@ -25,6 +28,34 @@ def demo_transition_closed_form(delta: float) -> np.ndarray:
 def one_step(state: int, transition: np.ndarray, u: float) -> int:
     """The sampler's next state from ``state`` on the single uniform ``u``."""
     return int(_march_chain(transition, state, np.array([[u]]))[0, 1])
+
+
+def reference_march(transition: np.ndarray, initial_state,
+                    uniforms: np.ndarray) -> np.ndarray:
+    """The block march that looked up every step, kept verbatim but for its
+    initial-state check: the march that steps only where a path can switch
+    must reproduce it bit for bit."""
+    n = transition.shape[0]
+    num_paths, num_steps = uniforms.shape
+    paths = np.empty((num_paths, num_steps + 1), dtype=np.int64)
+    paths[:, 0] = initial_state
+    if num_steps == 0:
+        return paths
+    cum = np.cumsum(transition, axis=1)[:, : n - 1]
+    states = paths[:, 0] - 1
+    cols = np.arange(num_paths)
+    size = min(num_steps, BLOCK_STEPS)
+    block = np.empty((size, num_paths), dtype=np.int64)
+    for start in range(0, num_steps, size):
+        stop = min(start + size, num_steps)
+        u = uniforms[:, start:stop].T
+        successor = np.count_nonzero(cum[:, None, None, :] <= u[None, :, :, None],
+                                     axis=-1)
+        for j in range(stop - start):
+            states = successor[states, j, cols]
+            block[j] = states
+        paths[:, start + 1 : stop + 1] = block[: stop - start].T + 1
+    return paths
 
 
 def random_generator(rng, n: int) -> GeneratorMatrix:
@@ -183,3 +214,62 @@ class TestChainSampling:
                 se = np.sqrt(prob * (1.0 - prob) / n)
                 assert abs(freq - prob) <= 3.0 * se + 1e-12
 
+
+# the largest double below 1.0, the top of a uniform draw's range
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+@st.composite
+def chain_cases(draw):
+    """A generator, a step, a start and uniforms for :func:`_march_chain`.
+
+    The rates are slow (a switch every few thousand steps) or fast (one on
+    most steps); a state may be absorbing, or the whole generator zero. A
+    drawn share of the uniforms is replaced by the transition's partial
+    sums, where the selection rule moves to the next state, by 0.0 and by
+    the largest double below 1.0.
+    """
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = rng.uniform(0.1, 3.0, (n, n)) * draw(st.sampled_from([0.02, 1.0, 60.0]))
+    shape = draw(st.sampled_from(["full", "absorbing", "zero"]))
+    if shape == "absorbing":
+        rates[draw(st.integers(0, n - 1))] = 0.0
+    elif shape == "zero":
+        rates[:] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    transition = matrix_exponential(GeneratorMatrix(rates),
+                                    draw(st.sampled_from([2.0**-14, 1e-3, 1e-2, 2.0**-7])))
+    num_paths = draw(st.integers(1, 5))
+    num_steps = draw(st.sampled_from([0, 1, 255, 256, 257, 1025]))
+    uniforms = rng.random((num_paths, num_steps))
+    edges = np.concatenate([np.cumsum(transition, axis=1).ravel(), [0.0, _BELOW_ONE]])
+    edges = edges[edges < 1.0]
+    placed = rng.random(uniforms.shape) < draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    uniforms[placed] = rng.choice(edges, placed.sum())
+    if draw(st.booleans()):
+        initial = int(rng.integers(1, n + 1))
+    else:
+        initial = rng.integers(1, n + 1, num_paths)
+    return transition, initial, uniforms
+
+
+class TestChainMarch:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(chain_cases())
+    def test_matches_reference_march(self, case):
+        transition, initial, uniforms = case
+        np.testing.assert_array_equal(_march_chain(transition, initial, uniforms),
+                                      reference_march(transition, initial, uniforms))
+
+    def test_every_step_moves(self):
+        # fast rates at 2^-7: some path switches on every step, so no step
+        # is skipped
+        generator = GeneratorMatrix(np.array([[-40.0, 40.0], [20.0, -20.0]]))
+        transition = matrix_exponential(generator, 2.0**-7)
+        uniforms = substream(17, 0, 2).random((128, 1025))
+        expected = reference_march(transition, 1, uniforms)
+        assert (np.diff(expected, axis=1) != 0).any(axis=0).all()
+        np.testing.assert_array_equal(
+            sample_chain_paths_batch(generator, 1, 2.0**-7, 1025, uniforms), expected)

@@ -208,3 +208,21 @@ def test_diffusion_is_nan_at_nan(spec, band):
     got = tables.diffusion(xs)
     assert math.isnan(got[0])
     assert got[1:].tobytes() == ReferenceTables(spec).diffusion(xs)[1:].tobytes()
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in CASES[:2]])
+def test_gathered_rows_carry_the_inverse_coefficient_only_with_its_term(spec):
+    # without the 1/x term nothing reads a_m1, so the rows carry none and a
+    # read of it fails instead of returning a coefficient nothing uses
+    tables = CoefficientTables(spec)
+    ridx = np.array([[0, 1, 1], [1, 0, 0]])
+    rows = tables.gather(ridx)
+    for name in ("a0", "a1", "a2", "a3"):
+        assert [list(row) for row in getattr(rows, name)] == \
+            [list(row) for row in getattr(tables, name)[ridx]]
+    if spec.include_inverse_drift:
+        assert [list(row) for row in rows.a_m1] == [list(row) for row in tables.a_m1[ridx]]
+    else:
+        assert rows.a_m1 is None
+        with pytest.raises(TypeError):
+            rows.a_m1[0]
