@@ -31,13 +31,11 @@ _EXPORTS = {
     "constant_segment": "model",
     "default_mu_for": "truncation",
     "khasminskii_check": "model",
-    "make_noise": "noise",
     "matrix_exponential": "regime",
     "moment_curves": "estimators",
     "path_streams": "rng",
     "psi": "truncation",
     "resolve_grid": "engine",
-    "sample_chain_path": "regime",
     "scheme_comparison": "estimators",
     "sigmoid_volatility": "model",
     "simulate_tem_path": "schemes",

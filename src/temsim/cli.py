@@ -27,7 +27,7 @@ from . import export
 from .config import ConfigError, RunConfig, load_config, resolve_config
 from .engine import SimulationError, resolve_grid
 from .estimators import (
-    NoStepError,
+    ArgumentError,
     barrier_option_price,
     bond_price,
     scheme_comparison,
@@ -41,6 +41,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
+
+# the config field that sets each estimator argument an ArgumentError names
+_FIELDS = {"coarse_deltas": "experiment.step_ladder", "horizon": "simulation.horizon",
+           "num_paths": "simulation.num_paths"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,29 +116,18 @@ def cmd_converge(run: RunConfig, header: list[str]) -> tuple[str, int]:
     exp = run.experiment
     if exp.reference_delta is None:
         raise ConfigError("experiment.reference_delta", "required for converge")
-    if run.num_paths < 2:
-        raise ConfigError("simulation.num_paths",
-                          "converge needs at least 2 paths for a standard error")
-    try:
-        report = strong_error(
-            run.spec, run.policy, list(exp.step_ladder), exp.reference_delta,
-            run.horizon, exp.p, run.num_paths, run.seed, threads=run.threads,
-        )
-    except TruncationError:
-        raise  # an inadmissible step is a numerical failure, as in every command
-    except ValueError as exc:
-        raise ConfigError("experiment.step_ladder", str(exc)) from exc
+    report = strong_error(
+        run.spec, run.policy, list(exp.step_ladder), exp.reference_delta,
+        run.horizon, exp.p, run.num_paths, run.seed, threads=run.threads,
+    )
     return export.render_convergence_csv(report, header), EXIT_OK
 
 
 def cmd_compare_schemes(run: RunConfig, header: list[str]) -> tuple[str, int]:
-    try:
-        result = scheme_comparison(
-            run.spec, run.policy, run.delta, run.horizon, run.num_paths, run.seed,
-            threads=run.threads,
-        )
-    except NoStepError as exc:
-        raise ConfigError("simulation.horizon", str(exc)) from exc
+    result = scheme_comparison(
+        run.spec, run.policy, run.delta, run.horizon, run.num_paths, run.seed,
+        threads=run.threads,
+    )
     return export.render_comparison_csv(result, header), EXIT_OK
 
 
@@ -178,6 +171,9 @@ def main(argv=None) -> int:
         output, code = handler(run, header)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArgumentError as exc:
+        print(f"config error: {_FIELDS[exc.argument]}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationError, TruncationError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

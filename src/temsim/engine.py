@@ -191,7 +191,7 @@ def _march(spec, grid, tables, noise, step) -> np.ndarray:
     one; ``d_n`` is None on a step where no path jumps, which each block
     finds with one call. Each new state is copied into (B, P) scratch, and
     the block is written back into the (P, M+K+1) result with one
-    transposed copy.
+    transposed copy. A non-finite value is a :class:`SimulationError`.
     """
     m, k = grid.tau_steps, grid.num_steps
     num_paths = noise.shape[0]
@@ -207,7 +207,7 @@ def _march(spec, grid, tables, noise, step) -> np.ndarray:
     block = np.empty((size, num_paths))
     x = values[:, m].copy()
     start = 0
-    # overflow to inf is caught by the callers' finiteness check
+    # overflow to inf is caught by the finiteness check before the return
     with np.errstate(over="ignore", invalid="ignore"):
         for brownian, poisson, regimes in noise:
             width = np.shape(brownian)[-1]
@@ -237,6 +237,7 @@ def _march(spec, grid, tables, noise, step) -> np.ndarray:
     if start != k:
         # a drawn source is spent by the first run through it
         raise ValueError(f"noise blocks covered {start} of {k} steps")
+    _check_finite(values, m, noise)
     return values
 
 
@@ -276,9 +277,7 @@ def simulate_tem_batch(
     # 0-d arrays: the same products as Python floats, cheaper ufunc operands
     lower, upper = map(np.asarray, truncation_band(grid.delta, policy))
     step = partial(tem_update, delta=np.asarray(grid.delta), lower=lower, upper=upper)
-    values = _march(spec, grid, CoefficientTables(spec), noise, step)
-    _check_finite(values, grid.tau_steps, noise)
-    return values
+    return _march(spec, grid, CoefficientTables(spec), noise, step)
 
 
 def simulate_bem_batch(
@@ -309,9 +308,7 @@ def simulate_bem_batch(
             seed=noise.seed, delta=noise.delta, factor=noise.factor,
         )
     step = partial(bem_update, delta=grid.delta, noise=noise)
-    values = _march(spec, grid, tables, noise, step)
-    _check_finite(values, grid.tau_steps, noise)
-    return values
+    return _march(spec, grid, tables, noise, step)
 
 
 def implicit_drift_solve(

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import engine
-from .engine import Grid, resolve_grid
+from .engine import Grid, SimulationError, resolve_grid
 from .model import ModelSpec
 from .truncation import TruncationPolicy
 
@@ -75,9 +75,13 @@ class SchemeComparison:
     quantiles: dict[float, float]
 
 
-class NoStepError(ValueError):
-    """A horizon that leaves a run's grid no step: every error or distance
-    it measured would read 0."""
+class ArgumentError(ValueError):
+    """An estimator argument refused before any path is drawn; ``argument``
+    names the parameter, and a step list is ``coarse_deltas`` in every estimator."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
 
 
 def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
@@ -106,29 +110,26 @@ def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
     Poisson counts and regimes narrowed (:func:`_narrow`), which are widened
     back as the level's run pulls the block, and ``runs`` yields
     ``simulate(noise)`` of each level in order, so a reduction holds one
-    level's values at a time; ``simulate`` None is the TEM run itself, and
-    keeps no noise. Each level's noise carries the replay coordinates of
-    the drawn noise and its factor. ``nodes`` and each run are the values
-    at nodes 0..K, the initial segment sliced off.
+    level's values at a time. Each level's noise carries the replay
+    coordinates of the drawn noise and its factor. ``nodes`` and each run
+    are the values at nodes 0..K, the initial segment sliced off.
     """
     indices = np.arange(*path_range)
     # a draw block of whole coarse steps at every level
     lcm = math.lcm(*(factor for _, factor in levels))
     noise = engine.draw_batch_noise(spec, grid, seed, indices,
                                     -(-engine.DRAW_STEPS // lcm) * lcm)
-    kept = [None if simulate is None else [] for simulate, _ in levels]
+    kept = [[] for _ in levels]
 
     def keep_block(block):
         for blocks, (_, factor) in zip(kept, levels):
-            if blocks is not None:
-                brownian, poisson, regimes = (block if factor == 1 else
-                                              engine.coarsen_batch(*block, factor))
-                blocks.append((brownian, _narrow(poisson), _narrow(regimes)))
+            brownian, poisson, regimes = (block if factor == 1 else
+                                          engine.coarsen_batch(*block, factor))
+            blocks.append((brownian, _narrow(poisson), _narrow(regimes)))
 
     nodes = engine.simulate_tem_batch(spec, policy, grid,
                                       noise.tap(keep_block))[:, grid.tau_steps:]
-    runs = (nodes if blocks is None else
-            simulate(replace(noise, shape=(len(indices), grid.num_steps // factor),
+    runs = (simulate(replace(noise, shape=(len(indices), grid.num_steps // factor),
                              blocks=_widened(blocks),
                              factor=factor))[:, grid.tau_steps // factor:]
             for (simulate, factor), blocks in zip(levels, kept))
@@ -238,8 +239,8 @@ def scheme_comparison(
     nothing."""
     grid = resolve_grid(spec.tau, delta, horizon)
     if not grid.num_steps:
-        raise NoStepError(f"horizon {horizon:g} leaves the grid no step: "
-                          "every distance would read 0")
+        raise ArgumentError("horizon", f"horizon {horizon:g} leaves the grid no step: "
+                                       "every distance would read 0")
     # BEM on the blocks the TEM run drew, kept whole (factor 1)
     bem = (partial(engine.simulate_bem_batch, spec, grid), 1)
     (distances,) = _samples(spec, policy, grid, master_seed, _tem_bem_distance, (bem,),
@@ -260,23 +261,24 @@ def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
                    reference_delta: float, horizon: float) -> tuple[Grid, list[tuple[Grid, int]]]:
     """Reference grid plus (coarse grid, coarsening factor) per level; at
     least one level, and no two levels may share a grid."""
+    refuse = partial(ArgumentError, "coarse_deltas")
     if not coarse_deltas:
-        raise ValueError("no step to compare: the step list is empty")
+        raise refuse("no step to compare: the step list is empty")
     ref = resolve_grid(spec.tau, reference_delta, horizon)
     levels, given = [], {}
     for delta in coarse_deltas:
         snapped = resolve_grid(spec.tau, delta, horizon)
         if snapped.tau_steps in given:
-            raise ValueError(f"steps {given[snapped.tau_steps]:g} and {delta:g} both "
-                             f"snap to tau/{snapped.tau_steps} = {snapped.delta:g}")
+            raise refuse(f"steps {given[snapped.tau_steps]:g} and {delta:g} both "
+                         f"snap to tau/{snapped.tau_steps} = {snapped.delta:g}")
         given[snapped.tau_steps] = delta
         if ref.tau_steps % snapped.tau_steps:
-            raise ValueError(f"step {delta:g} (tau/{snapped.tau_steps}) is not an integer "
-                             f"multiple of the reference step tau/{ref.tau_steps}")
+            raise refuse(f"step {delta:g} (tau/{snapped.tau_steps}) is not an integer "
+                         f"multiple of the reference step tau/{ref.tau_steps}")
         factor = ref.tau_steps // snapped.tau_steps
         if ref.num_steps % factor:
-            raise ValueError(f"horizon {horizon:g} does not align step {delta:g} with "
-                             "the reference grid")
+            raise refuse(f"horizon {horizon:g} does not align step {delta:g} with "
+                         "the reference grid")
         grid = Grid(delta=snapped.delta, tau_steps=snapped.tau_steps,
                     num_steps=ref.num_steps // factor)
         levels.append((grid, factor))
@@ -284,9 +286,8 @@ def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
 
 
 def _tem_runs(spec, policy, levels) -> tuple:
-    """Each level's declared run: TEM on its grid, or the pipeline's own at factor 1."""
-    return tuple((None if factor == 1 else
-                  partial(engine.simulate_tem_batch, spec, policy, grid), factor)
+    """Each level's declared run: TEM on its grid, on the noise coarsened by its factor."""
+    return tuple((partial(engine.simulate_tem_batch, spec, policy, grid), factor)
                  for grid, factor in levels)
 
 
@@ -317,28 +318,35 @@ def strong_error(
     carries the p-th-moment error per level and the least-squares slope of
     log2(error) against log2(step). An empty ladder, a horizon that leaves
     the reference grid no step, and a level on the reference grid are
-    errors: each would measure nothing.
+    errors: each would measure nothing. So is a p whose power of a level's
+    sup errors underflows to 0 or overflows: its error would read 0 or inf.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
     if num_paths < 2:
-        raise ValueError(
-            f"num_paths must be at least 2 for a standard error, got {num_paths}")
+        raise ArgumentError("num_paths", "num_paths must be at least 2 for a standard "
+                            f"error, got {num_paths}")
     deltas_desc = sorted(map(float, coarse_deltas), reverse=True)
     ref_grid, levels = _coupled_grids(spec, deltas_desc, reference_delta, horizon)
     if not ref_grid.num_steps:
-        raise NoStepError(f"horizon {horizon:g} leaves the reference grid no step: "
-                          "every error would read 0")
+        raise ArgumentError("horizon", f"horizon {horizon:g} leaves the reference grid no "
+                                       "step: every error would read 0")
     for delta, (_, factor) in zip(deltas_desc, levels):
         if factor == 1:
-            raise ValueError(f"step {delta:g} snaps to the reference step "
-                             f"{ref_grid.delta:g}: its error would read 0")
-    sups = _samples(spec, policy, ref_grid, master_seed,
-                    partial(_sup_errors, [factor for _, factor in levels]),
-                    _tem_runs(spec, policy, levels), num_paths, threads)
+            raise ArgumentError("coarse_deltas", f"step {delta:g} snaps to the reference "
+                                f"step {ref_grid.delta:g}: its error would read 0")
+    sups = np.stack(_samples(spec, policy, ref_grid, master_seed,
+                             partial(_sup_errors, [factor for _, factor in levels]),
+                             _tem_runs(spec, policy, levels), num_paths, threads))
 
-    powered = np.stack(sups)**p
+    step_sizes = np.array([g.delta for g, _ in levels])
+    powered = sups**p
     mean_powered = powered.mean(axis=1)
+    for delta, mean, level in zip(step_sizes, mean_powered, sups):
+        # an under- or overflowed power would print an error of 0 or inf
+        if not math.isfinite(mean) or (mean == 0.0 and level.any()):
+            raise SimulationError(f"p = {p:g} takes the mean p-th power at step {delta:g} "
+                                  f"to {mean:g} (largest sup error {level.max():g})")
     se_powered = powered.std(axis=1, ddof=1) / np.sqrt(num_paths)
     errors = mean_powered ** (1.0 / p)
     # delta method for the 1/p root of a sample mean
@@ -346,7 +354,6 @@ def strong_error(
         std_errors = np.where(mean_powered > 0.0,
                               se_powered / p * mean_powered ** (1.0 / p - 1.0), 0.0)
 
-    step_sizes = np.array([g.delta for g, _ in levels])
     if step_sizes.size >= 2 and np.all(errors > 0.0):
         slope = np.polyfit(np.log2(step_sizes), np.log2(errors), 1)[0]
     else:
@@ -362,9 +369,9 @@ def strong_error(
     )
 
 
-def _moments(p, _fine, runs) -> tuple:
+def _moments(p, fine, runs) -> tuple:
     # map, not a loop variable: each run's values are dropped before the next
-    return tuple(map(lambda values: np.abs(values) ** p, runs))
+    return (np.abs(fine) ** p, *map(lambda values: np.abs(values) ** p, runs))
 
 
 def moment_curves(
@@ -390,6 +397,9 @@ def moment_curves(
     # an empty list fails in _coupled_grids, before its reference is read
     fine_grid, levels = _coupled_grids(spec, list(deltas), min(deltas, default=math.nan),
                                        horizon)
+    # the finest step (factor 1) is the TEM run's own grid: its moments are the nodes'
+    coarse = [(grid, factor) for grid, factor in levels if factor > 1]
     rows = _samples(spec, policy, fine_grid, master_seed, partial(_moments, p),
-                    _tem_runs(spec, policy, levels), num_paths, threads)
-    return {grid.delta: row.mean(axis=0) for (grid, _), row in zip(levels, rows)}
+                    _tem_runs(spec, policy, coarse), num_paths, threads)
+    by_factor = dict(zip([1] + [factor for _, factor in coarse], rows))
+    return {grid.delta: by_factor[factor].mean(axis=0) for grid, factor in levels}

@@ -386,8 +386,6 @@ def validate_assumptions(spec: ModelSpec) -> tuple[CheckResult, ...]:
         positive = bool(np.all(xi > 0.0))
         holder = True
         for stride in (1, 10, 100, 1000):
-            if stride >= len(ts):
-                break
             dt = ts[stride:] - ts[:-stride]
             dxi = np.abs(xi[stride:] - xi[:-stride])
             if np.any(dxi > seg.holder_constant * dt**seg.holder_exponent + 1e-12):

@@ -343,7 +343,7 @@ class TestCliCommands:
                              "reference_delta": 0.0009765625}
         path = write_config(tmp_path, cfg)
         assert self.run_cli(["converge", "--config", path]) == 2
-        assert ("config error: experiment.step_ladder: horizon 0 leaves the reference "
+        assert ("config error: simulation.horizon: horizon 0 leaves the reference "
                 "grid no step") in capsys.readouterr().err
 
     @pytest.mark.parametrize("horizon", [0.0, 0.004])
@@ -410,6 +410,19 @@ class TestCliCommands:
         path = write_config(tmp_path, cfg)
         assert self.run_cli(["converge", "--config", path]) == 2
         assert "simulation.num_paths" in capsys.readouterr().err
+
+    def test_converge_underflowed_power_is_numerical_failure(self, tmp_path, capsys):
+        # the 400th powers of sups near 0.08 underflowed: it printed error
+        # 0.0 on both levels and fitted order NaN, exit 0
+        cfg = demo_config(horizon=0.5, num_paths=16)
+        cfg["model"]["include_inverse_drift"] = False
+        cfg["truncation"]["psi_exponent"] = 0.25
+        cfg["experiment"] = {"step_ladder": [0.0078125, 0.00390625],
+                             "reference_delta": 0.0009765625, "p": 400.0}
+        path = write_config(tmp_path, cfg)
+        assert self.run_cli(["converge", "--config", path]) == 4
+        assert capsys.readouterr().err.startswith(
+            "numerical error: p = 400 takes the mean p-th power at step 0.0078125 to 0")
 
     def test_converge_writes_fitted_order_footer(self, tmp_path):
         cfg = demo_config()

@@ -9,9 +9,9 @@ from temsim import engine, estimators
 from temsim.config import two_regime_demo
 from temsim.engine import SimulationError
 from temsim.estimators import (
+    ArgumentError,
     ConvergenceReport,
     EstimatorResult,
-    NoStepError,
     barrier_option_price,
     bond_price,
     moment_curves,
@@ -234,6 +234,31 @@ class TestStrongError:
         with pytest.raises(ValueError, match=match):
             strong_error(NO_INVERSE, POLICY, ladder, 0.0009765625, horizon, 2.0, 8, 0)
 
+    def test_underflowed_power_rejected(self):
+        # the sups are near 0.08, so their 400th powers underflowed to 0: it
+        # printed error 0.0 on both levels and fitted order NaN, exit 0
+        policy = default_mu_for(NO_INVERSE, psi_exponent=0.25)
+        ladder, reference = [0.0078125, 0.00390625], 0.0009765625
+        report = strong_error(NO_INVERSE, policy, ladder, reference, 0.5, 2.0, 16, 3)
+        assert report.errors == pytest.approx([0.0833, 0.0501], abs=1e-4)
+        with pytest.raises(SimulationError, match=r"^p = 400 takes the mean p-th power at "
+                                                  r"step 0.0078125 to 0 \(largest sup "
+                                                  r"error 0.0863746\)$"):
+            strong_error(NO_INVERSE, policy, ladder, reference, 0.5, 400.0, 16, 3)
+
+    def test_overflowed_power_rejected(self, monkeypatch):
+        # sups of 10 at p = 400 printed error inf
+        monkeypatch.setattr(estimators, "_samples", lambda *_args: (np.full(4, 10.0),))
+        with pytest.raises(SimulationError, match=r"to inf \(largest sup error 10\)$"), \
+                np.errstate(over="ignore"):
+            strong_error(DEMO, POLICY, [2**-5], 2**-7, 0.5, 400.0, 4, 0)
+
+    def test_zero_sups_at_a_large_power_read_zero(self):
+        # a constant path's sups are all 0: its error is 0 at any p
+        report = strong_error(CONST_SPEC, CONST_POLICY, [2**-3, 2**-4], 2**-6, 0.5,
+                              400.0, 4, 0)
+        assert report.errors.tolist() == [0.0, 0.0]
+
     def test_zero_noise_euler_order_one(self):
         spec = ode_spec()
         policy = default_mu_for(spec, psi_exponent=2 / 3)
@@ -322,9 +347,10 @@ class TestSchemeComparison:
             raise AssertionError("paths simulated before the horizon was checked")
 
         monkeypatch.setattr(estimators, "_run_chunks", no_paths)
-        with pytest.raises(NoStepError, match=f"^horizon {horizon:g} leaves the grid no "
-                                              "step: every distance would read 0$"):
+        with pytest.raises(ArgumentError, match=f"^horizon {horizon:g} leaves the grid no "
+                                                "step: every distance would read 0$") as info:
             scheme_comparison(DEMO, POLICY, 1e-2, horizon, 8, 0)
+        assert info.value.argument == "horizon"
 
     def test_quantiles_ordered(self):
         result = scheme_comparison(DEMO, POLICY, 1e-2, 0.5, 64, 3)
@@ -508,7 +534,8 @@ def test_one_run_of_values_held_at_a_time(monkeypatch, estimator):
     grid = engine.resolve_grid(NO_INVERSE.tau, reference, horizon)
     # strong_error runs its coarse levels from the coarsest (factor 4), so
     # the values dropped are factor 4's; moment_curves runs them as given
-    # (factor 2 first), after the reference level, which marches nothing
+    # (factor 2 first), after the reference step's moments, which it takes
+    # from the TEM run's own nodes
     first = 4 if estimator == "strong_error" else 2
     values = paths * ((grid.tau_steps + grid.num_steps) // first + 1) * 8
     reduced = paths * 8 * (1 if estimator == "strong_error"
