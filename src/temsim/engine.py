@@ -155,17 +155,22 @@ def _drawn_blocks(spec, grid, streams, size):
     # one block of no steps when k = 0: the regime at node 0
     for start in range(0, max(k, 1), size):
         width = min(size, k - start)
-        brownian, uniforms = np.empty((p, width)), np.empty((p, width))
-        poisson = np.empty((p, width), dtype=np.int64)
+        # the chain first, its uniforms freed before the increments exist,
+        # so a block holds three (P, width) arrays at a time; each channel
+        # has its own substream, so the order moves no value
+        uniforms = np.empty((p, width))
         for row, path in enumerate(streams):
-            draw_increments(path, sqrt_dt, mean_jumps, brownian[row], poisson[row])
             path.chain.random(out=uniforms[row])
         regimes = sample_chain_paths_batch(
             spec.generator, states, grid.delta, width, uniforms
         )
+        del uniforms
         # a copy: a view would keep this block's regimes alive
         states = regimes[:, -1].copy()
-        del uniforms
+        brownian = np.empty((p, width))
+        poisson = np.empty((p, width), dtype=np.int64)
+        for row, path in enumerate(streams):
+            draw_increments(path, sqrt_dt, mean_jumps, brownian[row], poisson[row])
         yield brownian, poisson, regimes
         del brownian, poisson, regimes
 

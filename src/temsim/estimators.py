@@ -145,10 +145,12 @@ def _narrow(counts: np.ndarray) -> np.ndarray:
                               if top <= np.iinfo(dtype).max))
 
 
-def _widened(blocks):
+def _widened(blocks: list):
     """Each kept block as it is pulled, its counts and regimes int64 again:
-    a run sees the arrays of the draw."""
-    for brownian, poisson, regimes in blocks:
+    a run sees the arrays of the draw. A block leaves ``blocks`` as it is
+    pulled, so the run's spent blocks are freed as it goes."""
+    while blocks:
+        brownian, poisson, regimes = blocks.pop(0)
         yield brownian, poisson.astype(np.int64), regimes.astype(np.int64)
 
 
@@ -216,13 +218,15 @@ def barrier_option_price(
         (), num_paths, threads))
 
 
-def _abs_max(diff: np.ndarray) -> np.ndarray:
-    """Each row's largest ``|diff|``, the absolute value taken in place."""
+def _sup_distance(run: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Each row's largest ``|run - other|``, the difference and its absolute
+    value taken in place in the run's own values."""
+    diff = np.subtract(run, other, out=run)
     return np.abs(diff, out=diff).max(axis=1)
 
 
 def _tem_bem_distance(tem, runs) -> tuple:
-    return (_abs_max(tem - next(runs)),)
+    return (_sup_distance(next(runs), tem),)
 
 
 def scheme_comparison(
@@ -294,7 +298,7 @@ def _tem_runs(spec, policy, levels) -> tuple:
 def _sup_errors(factors, fine, runs) -> tuple:
     # no name holds a run's values while the next run is pulled (a loop
     # variable would), so a chunk holds one run's values at a time
-    return tuple(_abs_max(next(runs) - fine[:, ::factor]) for factor in factors)
+    return tuple(_sup_distance(next(runs), fine[:, ::factor]) for factor in factors)
 
 
 def strong_error(
@@ -340,8 +344,10 @@ def strong_error(
                              _tem_runs(spec, policy, levels), num_paths, threads))
 
     step_sizes = np.array([g.delta for g, _ in levels])
-    powered = sups**p
-    mean_powered = powered.mean(axis=1)
+    # an overflowed power or mean is refused below, by name: no numpy warning
+    with np.errstate(over="ignore"):
+        powered = sups**p
+        mean_powered = powered.mean(axis=1)
     for delta, mean, level in zip(step_sizes, mean_powered, sups):
         # an under- or overflowed power would print an error of 0 or inf
         if not math.isfinite(mean) or (mean == 0.0 and level.any()):

@@ -230,14 +230,24 @@ class CoefficientTables:
         """Tables whose row j holds the coefficients of regime indices ``ridx[j]``.
 
         Passing a row number as ``ridx`` to the result reads a contiguous
-        row, made once here, instead of gathering on every call. Without
-        the 1/x term nothing reads ``a_m1``, so the result's is None and a
-        read of it fails.
+        row, made once here, instead of gathering on every call. A row is
+        made only where some index differs from the row before; the rows
+        between share it. Without the 1/x term nothing reads ``a_m1``, so
+        the result's is None and a read of it fails.
         """
+        # the first row and every row that differs from the one before it;
+        # row j reads the last of those at or before it
+        new = np.r_[True, (ridx[1:] != ridx[:-1]).any(axis=1)]
+        shared, distinct = (np.cumsum(new) - 1).tolist(), ridx[new]
+
+        def rows_of(table):
+            made = list(table[distinct])
+            return [made[i] for i in shared]
+
         rows = copy.copy(self)
-        rows.a_m1 = list(self.a_m1[ridx]) if self.include_inverse else None
+        rows.a_m1 = rows_of(self.a_m1) if self.include_inverse else None
         for name in ("a0", "a1", "a2", "a3"):
-            setattr(rows, name, list(getattr(self, name)[ridx]))
+            setattr(rows, name, rows_of(getattr(self, name)))
         return rows
 
 
@@ -253,15 +263,35 @@ _SIGMOID_SCALE = (0.5, 0.25)
 
 
 def sigmoid_volatility_vec(y: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """Vectorized two-regime sigmoid volatility (regimes 1 and 2)."""
+    """Vectorized two-regime sigmoid volatility (regimes 1 and 2).
+
+    ``scale * where(y >= 0, tanh(yp) + exp(-yp) / (1 + exp(-2 yp)), 0.5)``
+    with ``yp = where(y >= 0, y, 0)``: (1 + e^y - e^-y)/(e^y + e^-y)
+    rewritten as tanh(y) + sech-type term, stable for arbitrarily large y.
+    Its operations run on the same operands, so they give the same bits, in
+    two scratch arrays of the result's shape.
+    """
     y = np.asarray(y, dtype=float)
-    scale = np.where(np.asarray(i) == 1, _SIGMOID_SCALE[0], _SIGMOID_SCALE[1])
     nonnegative = y >= 0.0
-    yp = np.where(nonnegative, y, 0.0)
-    # (1 + e^y - e^-y)/(e^y + e^-y) rewritten as tanh(y) + sech-type term,
-    # stable for arbitrarily large y
-    ratio = np.tanh(yp) + np.exp(-yp) / (1.0 + np.exp(-2.0 * yp))
-    return scale * np.where(nonnegative, ratio, 0.5)
+    shape = np.broadcast_shapes(y.shape, np.shape(i))
+    a, b = np.empty(shape), np.empty(shape)
+
+    def clipped(out):
+        """yp, written into ``out``."""
+        out[...] = 0.0
+        np.copyto(out, y, where=nonnegative)
+        return out
+
+    # 1 + exp(-2 yp) in b, exp(-yp) over it, tanh(yp) added
+    np.exp(np.multiply(-2.0, clipped(b), out=b), out=b)
+    np.add(1.0, b, out=b)
+    np.divide(np.exp(np.negative(clipped(a), out=a), out=a), b, out=b)
+    ratio = np.add(np.tanh(clipped(a), out=a), b, out=b)
+    np.copyto(ratio, 0.5, where=~nonnegative)
+    # the regime's scale in a
+    a[...] = _SIGMOID_SCALE[1]
+    np.copyto(a, _SIGMOID_SCALE[0], where=np.asarray(i) == 1)
+    return np.multiply(a, ratio, out=ratio)
 
 
 # sup of (1 + e^y - e^-y)/(e^y + e^-y) over y >= 0, attained at y = arcsinh(2);

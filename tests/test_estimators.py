@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from temsim.model import (
     build_volatility,
     constant_segment,
 )
-from temsim.regime import GeneratorMatrix
+from temsim.regime import BLOCK_STEPS, GeneratorMatrix
 from temsim.truncation import default_mu_for
 
 DEMO = two_regime_demo()
@@ -246,11 +247,12 @@ class TestStrongError:
                                                   r"error 0.0863746\)$"):
             strong_error(NO_INVERSE, policy, ladder, reference, 0.5, 400.0, 16, 3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_power_rejected(self, monkeypatch):
-        # sups of 10 at p = 400 printed error inf
+        # sups of 10 at p = 400 printed error inf; the refusal names the
+        # overflow, so numpy's overflow warning is not printed above it
         monkeypatch.setattr(estimators, "_samples", lambda *_args: (np.full(4, 10.0),))
-        with pytest.raises(SimulationError, match=r"to inf \(largest sup error 10\)$"), \
-                np.errstate(over="ignore"):
+        with pytest.raises(SimulationError, match=r"to inf \(largest sup error 10\)$"):
             strong_error(DEMO, POLICY, [2**-5], 2**-7, 0.5, 400.0, 4, 0)
 
     def test_zero_sups_at_a_large_power_read_zero(self):
@@ -498,9 +500,11 @@ def test_narrow_kept_noise_changes_no_result(estimate, monkeypatch):
 def test_converge_chunk_memory():
     """The traced peak of a strong-error run stays within its values, its
     kept noise with narrow counts and regimes, one draw block and a slack:
-    17.8 MB. It peaks at 14.3 MB; with a level's values held through the
-    next level's run it peaked at 15.9 MB, and with its counts and regimes
-    kept int64 too at 21.4 MB."""
+    17.8 MB. It peaks at 12.4 MB; with a kept block held until its level's
+    run ended, the chain's uniforms drawn with the increments, a
+    coefficient row per step and the volatility's temporaries it peaked at
+    14.3 MB, with a level's values held through the next level's run too
+    at 15.9 MB, and with its counts and regimes kept int64 too at 21.4 MB."""
     paths, ladder, reference, horizon = 64, [2 / 1024, 4 / 1024], 1 / 1024, 8.0
     policy = default_mu_for(NO_INVERSE, psi_exponent=0.25)
     grid = engine.resolve_grid(NO_INVERSE.tau, reference, horizon)
@@ -521,6 +525,34 @@ def test_converge_chunk_memory():
     finally:
         tracemalloc.stop()
     assert peak <= values + kept + block + slack
+
+
+def test_bond_chunk_memory():
+    """The traced peak of a bond chunk (the shipped demo: P = 128, M = 1000,
+    K = 2000) stays within its values, three (P, D) draw arrays, eight
+    (P, B) arrays of march scratch and a 1 MB slack: 9.3 MB. It peaks at
+    8.8 MB. Before the chain's uniforms were freed ahead of the increments,
+    the coefficient rows made once per regime change and the volatility
+    taken in two scratch arrays, it peaked at 11.4 MB."""
+    paths, grid = estimators.CHUNK_SIZE, engine.resolve_grid(DEMO.tau, 1e-3, 2.0)
+    m, k = grid.tau_steps, grid.num_steps
+    chunk = partial(estimators._chunk, DEMO, POLICY, grid, 1,
+                    partial(estimators._discount, grid.delta), (), (0, paths))
+    chunk()  # first-call allocations that stay
+    tracemalloc.start()
+    try:
+        chunk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values = paths * (m + k + 1) * 8
+    # Brownian increments, Poisson counts and regimes; the chain's
+    # uniforms are freed before the increments are drawn
+    draw = 3 * paths * engine.DRAW_STEPS * 8
+    # the noise copies, the new states, the volatility's two scratch
+    # arrays, its transposed copy and the regime indices
+    march = 8 * paths * BLOCK_STEPS * 8
+    assert peak <= values + draw + march + 1_000_000
 
 
 @pytest.mark.parametrize("estimator", ["strong_error", "moment_curves"])

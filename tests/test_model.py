@@ -144,6 +144,43 @@ class TestSigmoidVolatility:
                          for y, i in zip(ys, regimes)])
         np.testing.assert_array_equal(vec, scal)
 
+    # the expression sigmoid_volatility_vec evaluates in two scratch arrays
+    @staticmethod
+    def expression(y, i):
+        y = np.asarray(y, dtype=float)
+        scale = np.where(np.asarray(i) == 1, 0.5, 0.25)
+        nonnegative = y >= 0.0
+        yp = np.where(nonnegative, y, 0.0)
+        ratio = np.tanh(yp) + np.exp(-yp) / (1.0 + np.exp(-2.0 * yp))
+        return scale * np.where(nonnegative, ratio, 0.5)
+
+    EDGES = (0.0, -0.0, -3.0, 1.44, 800.0, 1e308, math.inf, -math.inf, math.nan)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("i", [1, 2])
+    @pytest.mark.parametrize("y", EDGES)
+    def test_zero_dimensional_bits_equal_the_expression(self, y, i):
+        # the 0-d path sigmoid_volatility, and so validate, takes
+        want = np.float64(self.expression(np.float64(y), np.int64(i))).tobytes()
+        got = sigmoid_volatility_vec(np.float64(y), np.int64(i))
+        assert np.shape(got) == ()
+        assert np.float64(got).tobytes() == want
+        assert np.float64(sigmoid_volatility(y, i)).tobytes() == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_array_bits_equal_the_expression(self):
+        rng = np.random.default_rng(8)
+        values = rng.normal(0.0, 3.0, (64, 600))
+        values[0, : len(self.EDGES)] = self.EDGES
+        regimes = rng.integers(1, 3, values.shape)
+        # the march passes a strided (P, B) slice of its values
+        for y, i in ((values, regimes), (values[:, 100:356], regimes[:, :256]),
+                     (values[0], 2), (1.44, regimes[:3, :4])):
+            want = self.expression(y, i)
+            got = sigmoid_volatility_vec(y, i)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_bound_holds_on_random_sample(self):
         rng = np.random.default_rng(17)
         ys = rng.uniform(-1e6, 1e6, 100_000)

@@ -173,7 +173,7 @@ def test_noise_must_span_the_grid():
 def test_converge_chunk_holds_blocks_not_paths():
     """A converge-shaped chunk (P = 16, M = 2048, K = 4096, factors 8 to 64)
     allocates at most its values, its coarse noise and a few blocks of P
-    values: per draw block the four (P, DRAW_STEPS) noise arrays, per march
+    values: per draw block its (P, DRAW_STEPS) noise arrays, per march
     block the (P, BLOCK_STEPS) scratch and the gathered coefficient rows,
     whose Python objects weigh more than their data at P = 16. Allocating
     the whole noise of the paths again, as a single draw, breaks this."""

@@ -210,6 +210,37 @@ def test_diffusion_is_nan_at_nan(spec, band):
     assert got[1:].tobytes() == ReferenceTables(spec).diffusion(xs)[1:].tobytes()
 
 
+def switching_blocks():
+    """(B, P) regime indices: no switch, a path switching every step, and
+    one switch on the last step only."""
+    steps, paths = 9, 5
+    still = np.zeros((steps, paths), dtype=np.int64)
+    every = still.copy()
+    every[:, 2] = np.arange(steps) % 2
+    last = still.copy()
+    last[-1, 4] = 1
+    return {"none": (still, 1), "every step": (every, steps), "last step": (last, 2)}
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in CASES[:2]])
+@pytest.mark.parametrize("block", list(switching_blocks()))
+def test_gathered_rows_equal_the_per_step_gather(spec, block):
+    # a row is made only at a step where some path's regime differs from
+    # the step before, and the steps between share it
+    ridx, made = switching_blocks()[block]
+    tables = CoefficientTables(spec)
+    rows = tables.gather(ridx)
+    names = ["a0", "a1", "a2", "a3"] + (["a_m1"] if spec.include_inverse_drift else [])
+    for name in names:
+        gathered = getattr(rows, name)
+        assert len(gathered) == len(ridx)
+        for j, step in enumerate(ridx):
+            per_step = getattr(tables, name)[step]
+            assert gathered[j].flags.c_contiguous
+            assert gathered[j].tobytes() == per_step.tobytes()
+        assert len({id(row) for row in gathered}) == made
+
+
 @pytest.mark.parametrize("spec", [spec for spec, _ in CASES[:2]])
 def test_gathered_rows_carry_the_inverse_coefficient_only_with_its_term(spec):
     # without the 1/x term nothing reads a_m1, so the rows carry none and a
