@@ -156,9 +156,20 @@ _COMMANDS = {
 }
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that ``open`` would refuse, before the run."""
+    if os.path.isdir(path):
+        raise ConfigError("--out", f"{path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError("--out", f"{parent} is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         run = resolve_config(load_config(args.config), seed=args.seed,
                              threads=args.threads)
     except (ConfigError, OSError, yaml.YAMLError) as exc:

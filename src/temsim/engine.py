@@ -21,7 +21,7 @@ import numpy as np
 from . import rng
 from .model import _ZERO, CoefficientTables, ModelSpec  # noqa: F401 (re-exported)
 from .noise import draw_increments
-from .regime import BLOCK_STEPS, sample_chain_paths_batch
+from .regime import sample_chain_paths_batch
 from .truncation import TruncationPolicy, truncation_band
 
 
@@ -29,6 +29,10 @@ from .truncation import TruncationPolicy, truncation_band
 # cheaper ufunc calls
 _HALF, _ONE, _TINY = np.asarray(0.5), np.asarray(1.0), np.asarray(1e-300)
 _F_TOL, _BRACKET_TOL = np.asarray(1e-14), np.asarray(1e-15)
+
+# Time steps per block of the march (:func:`_march`): bounds the contiguous
+# (block, P) scratch it steps through.
+BLOCK_STEPS = 256
 
 
 class SimulationError(RuntimeError):

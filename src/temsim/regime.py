@@ -15,10 +15,6 @@ import numpy as np
 
 _GENERATOR_TOL = 1e-10
 
-# Time steps per block of the batch step loops (here and in the engine):
-# bounds the contiguous (block, P) scratch those loops step through.
-BLOCK_STEPS = 256
-
 
 class GeneratorError(ValueError):
     """Raised for matrices that are not valid chain generators."""
@@ -96,41 +92,29 @@ def _march_chain(transition: np.ndarray, initial_state,
     """
     n = transition.shape[0]
     num_paths, num_steps = uniforms.shape
-    paths = np.empty((num_paths, num_steps + 1), dtype=np.int64)
-    paths[:, 0] = initial_state
-    outside = (paths[:, 0] < 1) | (paths[:, 0] > n)
+    initial = np.full(num_paths, initial_state, dtype=np.int64)
+    outside = (initial < 1) | (initial > n)
     if outside.any():
-        raise ValueError(f"state {paths[outside, 0][0]} outside 1..{n}")
-    if num_steps == 0:
-        return paths
+        raise ValueError(f"state {initial[outside][0]} outside 1..{n}")
     cum = np.cumsum(transition, axis=1)[:, : n - 1]
-    # 0-based states; per block, tabulate each step's successor of every
-    # state at once (the count of partial sums <= u). A step on which every
-    # state is its own successor on every path moves no path, so only the
-    # other steps are looked up, and the rows between them are filled with
-    # the states they keep
-    states = paths[:, 0] - 1
-    identity = np.arange(n)[:, None]
-    cols = np.arange(num_paths)
-    size = min(num_steps, BLOCK_STEPS)
-    block = np.empty((size, num_paths), dtype=np.int64)
-    for start in range(0, num_steps, size):
-        stop = min(start + size, num_steps)
-        u = uniforms[:, start:stop].T
-        successor = np.count_nonzero(cum[:, None, None, :] <= u[None, :, :, None],
-                                     axis=-1)
-        # the least and greatest successor of each state and step over the
-        # paths: reductions, where a (N, B, P) comparison raised peak memory
-        moves = ((successor.min(axis=2) != identity)
-                 | (successor.max(axis=2) != identity)).any(axis=0)
-        filled = 0
-        for j in np.flatnonzero(moves).tolist():
-            block[filled:j] = states
-            states = successor[states, j, cols]
-            filled = j
-        block[filled : stop - start] = states
-        paths[:, start + 1 : stop + 1] = block[: stop - start].T + 1
-    return paths
+    # the partial sums of a row never decrease, so state i stays on u
+    # exactly when cum[i, i-1] <= u < cum[i, i] (the first state has no
+    # lower end, the last no upper end), and a step on which every uniform
+    # lies in every state's interval moves no path. The rule is applied on
+    # the other steps only, on their uniforms gathered once (0-based
+    # states: the count of partial sums <= u), and each state found is
+    # repeated over the nodes up to the next such step
+    low = np.diagonal(cum, -1).max(initial=-np.inf)
+    high = np.diagonal(cum).min(initial=np.inf)
+    moves = np.flatnonzero((uniforms.min(axis=0) < low) | (uniforms.max(axis=0) >= high))
+    states = initial - 1
+    kept = [states]
+    for u in uniforms[:, moves].T[:, :, None]:
+        states = (cum.take(states, axis=0) <= u).sum(axis=1)
+        kept.append(states)
+    held = np.stack(kept, axis=1)
+    held += 1
+    return np.repeat(held, np.diff(np.r_[0, moves + 1, num_steps + 1]), axis=1)
 
 
 def sample_chain_path(

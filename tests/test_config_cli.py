@@ -284,6 +284,19 @@ class TestCliCommands:
     def test_missing_config_file(self, capsys):
         assert self.run_cli(["simulate", "--config", "/nonexistent.yaml"]) == 2
 
+    @pytest.mark.parametrize("out", ["missing/bond.csv", "."])
+    def test_unwritable_out_refused_before_the_run(self, out, tmp_path, capsys,
+                                                   monkeypatch):
+        # the whole run happened, and then open raised: a traceback, exit 1
+        def no_config(*_args, **_kwargs):
+            raise AssertionError("config resolved before --out was checked")
+
+        monkeypatch.setattr(cli, "resolve_config", no_config)
+        cfg = write_config(tmp_path, demo_config())
+        out = str(tmp_path / out)
+        assert self.run_cli(["price-bond", "--config", cfg, "--out", out]) == 2
+        assert "config error: --out: " in capsys.readouterr().err
+
     def test_simulate_row_count(self, tmp_path):
         cfg = write_config(tmp_path, demo_config(delta=0.02, horizon=0.1))
         out = tmp_path / "path.csv"

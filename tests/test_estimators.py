@@ -8,7 +8,7 @@ import pytest
 
 from temsim import engine, estimators
 from temsim.config import two_regime_demo
-from temsim.engine import SimulationError
+from temsim.engine import BLOCK_STEPS, SimulationError
 from temsim.estimators import (
     ArgumentError,
     ConvergenceReport,
@@ -25,7 +25,7 @@ from temsim.model import (
     build_volatility,
     constant_segment,
 )
-from temsim.regime import BLOCK_STEPS, GeneratorMatrix
+from temsim.regime import GeneratorMatrix
 from temsim.truncation import default_mu_for
 
 DEMO = two_regime_demo()

@@ -8,14 +8,29 @@ with T = exp(delta Q), and E[X_K] is the sum of m_K. A coarse level runs
 on the fine counts summed and the fine regimes at its own nodes, so the
 same recursion holds at its step: this checks the Poisson draw, the
 chain, the coarsening, the jump coefficient and the step rule together.
+Each regime's term m_K[j] checks the chain's law on its own, which the sum
+can hide. With zero drift and no jumps, a step adds phi * g * dB with dB
+independent of all before it, so E[X_K] = x_0 whatever the volatility and
+the band do.
 """
+
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
+from temsim import estimators
+from temsim.engine import (
+    NoiseBlocks,
+    coarsen_batch,
+    draw_batch_noise,
+    resolve_grid,
+    simulate_tem_batch,
+)
 from temsim.estimators import moment_curves
 from temsim.model import ModelSpec, RegimeParams, build_volatility, constant_segment
 from temsim.regime import GeneratorMatrix, matrix_exponential
-from temsim.truncation import default_mu_for
+from temsim.truncation import default_mu_for, truncation_band
 
 ALPHA_3 = np.array([0.05, 0.6])
 INTENSITY = 4.0
@@ -28,15 +43,20 @@ JUMPS_ONLY = ModelSpec(
 )
 
 
-def exact_mean(delta, num_steps):
-    """E[X_K] of the scheme at step ``delta`` after ``num_steps`` steps, from X_0 = 1."""
-    transition = matrix_exponential(GENERATOR, delta)
-    growth = 1.0 + ALPHA_3 * INTENSITY * delta
-    m = np.zeros(len(ALPHA_3))
-    m[JUMPS_ONLY.initial_regime - 1] = 1.0
+def exact_moments(spec, delta, num_steps):
+    """m_K[j] = E[X_K 1{r_K = j + 1}] of the jumps-only scheme ``spec`` at
+    step ``delta`` after ``num_steps`` steps, from X_0 = 1."""
+    transition = matrix_exponential(spec.generator, delta)
+    growth = 1.0 + np.array([r.alpha_3 for r in spec.regimes]) * spec.jump_intensity * delta
+    m = np.zeros(len(spec.regimes))
+    m[spec.initial_regime - 1] = 1.0
     for _ in range(num_steps):
         m = (m * growth) @ transition
-    return m.sum()
+    return m
+
+
+def z_score(samples, exact):
+    return (samples.mean() - exact) / (samples.std() / np.sqrt(samples.size))
 
 
 def test_every_moment_curves_level_has_the_exact_mean():
@@ -56,6 +76,62 @@ def test_every_moment_curves_level_has_the_exact_mean():
         # every path stays at or above 1, so |X| is X
         mean = curve[-1]
         std_error = np.sqrt((second[step][-1] - mean**2) / num_paths)
-        z = (mean - exact_mean(step, len(curve) - 1)) / std_error
+        z = (mean - exact_moments(JUMPS_ONLY, step, len(curve) - 1).sum()) / std_error
         assert abs(z) < 3.0, (step, z)
 
+
+def test_each_regime_has_its_exact_moment_at_every_level():
+    """E[X_K 1{r_K = j}] per regime, 10^4 paths at delta = 2^-6 over 16
+    steps and on that noise coarsened by 2 and 4, with jumps at intensity
+    16. r_K is read off the drawn regimes through a tap, as the chunk
+    pipeline reads them. At seed 7 |z| is at most 1.6. The chain stepped
+    with T(2 delta) reaches z = 22, a coarse step's regime taken at the
+    last fine node of the step z = 12.6 (regime 2 at factor 4)."""
+    spec = replace(JUMPS_ONLY, jump_intensity=16.0)
+    policy = default_mu_for(spec, psi_exponent=2 / 3)
+    delta, horizon, num_paths = 2.0**-6, 0.25, 10**4
+    grid = resolve_grid(spec.tau, delta, horizon)
+    blocks = []
+    noise = draw_batch_noise(spec, grid, 7, np.arange(num_paths)).tap(blocks.append)
+    fine = simulate_tem_batch(spec, policy, grid, noise)
+    regime = blocks[-1][2][:, -1]
+    for factor in (1, 2, 4):
+        coarse = resolve_grid(spec.tau, factor * delta, horizon)
+        values = fine if factor == 1 else simulate_tem_batch(
+            spec, policy, coarse,
+            NoiseBlocks((num_paths, coarse.num_steps),
+                        [coarsen_batch(*block, factor) for block in blocks]))
+        exact = exact_moments(spec, coarse.delta, coarse.num_steps)
+        for j, m in enumerate(exact, start=1):
+            z = z_score(values[:, -1] * (regime == j), m)
+            assert abs(z) < 3.0, (factor, j, z)
+
+
+MARTINGALE = replace(JUMPS_ONLY, regimes=(RegimeParams(0.0, 0.0, 0.0, 0.0, 0.0),) * 2,
+                     jump_intensity=0.0, volatility=build_volatility("sigmoid_s5"))
+
+
+def _last_nodes(nodes, runs) -> tuple:
+    return (nodes[:, -1], *(run[:, -1] for run in runs))
+
+
+def test_zero_drift_is_a_martingale_at_every_level():
+    """E[X_K] = 1 at delta = 2^-6 and at factors 2 and 4 of one chunk's
+    noise, 10^4 paths over horizon 1, with the delayed sigmoid volatility.
+    At q = 1/2 the band's upper edge is 1.63 at 2^-6 and 1.15 at 2^-4, so
+    g is clamped on a share of the steps. At seed 7 z is -1.07 to -1.22.
+    The diffusion taken at the post-step state adds about
+    phi^2 g g' delta per step: z = 35 to 44."""
+    policy = default_mu_for(MARTINGALE, psi_exponent=0.5)
+    delta, horizon, num_paths = 2.0**-6, 1.0, 10**4
+    grid = resolve_grid(MARTINGALE.tau, delta, horizon)
+    levels = tuple((partial(simulate_tem_batch, MARTINGALE, policy,
+                            resolve_grid(MARTINGALE.tau, factor * delta, horizon)), factor)
+                   for factor in (2, 4))
+    lasts = estimators._chunk(MARTINGALE, policy, grid, 7, _last_nodes, levels,
+                              (0, num_paths))
+    for factor, last in zip((1, 2, 4), lasts):
+        z = z_score(last, 1.0)
+        assert abs(z) < 3.0, (factor, z)
+        # the band binds: paths end above its upper edge, where g is clamped
+        assert (last > truncation_band(factor * delta, policy)[1]).mean() > 0.05

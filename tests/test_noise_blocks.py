@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from temsim import engine, estimators, rng
 from temsim.config import two_regime_demo
-from temsim.engine import Grid, NoiseBlocks, coarsen_batch, draw_batch_noise
-from temsim.regime import BLOCK_STEPS, sample_chain_paths_batch
+from temsim.engine import BLOCK_STEPS, Grid, NoiseBlocks, coarsen_batch, draw_batch_noise
+from temsim.regime import sample_chain_paths_batch
 from temsim.truncation import default_mu_for
 
 # frequent jumps, so the Poisson rows are not all zero

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from temsim.engine import BLOCK_STEPS
 from temsim.regime import (
-    BLOCK_STEPS,
     GeneratorError,
     GeneratorMatrix,
     _march_chain,
@@ -187,7 +187,7 @@ class TestChainSampling:
 
     @pytest.mark.parametrize("state", [0, -1, 3])
     def test_state_outside_space_rejected(self, state):
-        # 0 and -1 would index the successor table and give wrong paths
+        # 0 and -1 would index the table of partial sums and give wrong paths
         uniforms = substream(0, 0, 2).random((2, 5))
         with pytest.raises(ValueError, match="outside 1..2"):
             sample_chain_paths_batch(DEMO_GENERATOR, state, 0.01, 5, uniforms)
