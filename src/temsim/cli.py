@@ -21,7 +21,6 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
-import yaml
 
 from . import export
 from .config import ConfigError, RunConfig, load_config, resolve_config
@@ -43,8 +42,9 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 # the config field that sets each estimator argument an ArgumentError names
-_FIELDS = {"coarse_deltas": "experiment.step_ladder", "horizon": "simulation.horizon",
-           "num_paths": "simulation.num_paths"}
+_FIELDS = {"barrier": "experiment.barrier", "coarse_deltas": "experiment.step_ladder",
+           "horizon": "simulation.horizon", "num_paths": "simulation.num_paths",
+           "p": "experiment.p", "strike": "experiment.strike"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,19 +167,13 @@ def _check_out(path: str) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _ = _COMMANDS[args.command]
     try:
         if args.out:
             _check_out(args.out)
         run = resolve_config(load_config(args.config), seed=args.seed,
                              threads=args.threads)
-    except (ConfigError, OSError, yaml.YAMLError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    handler, _ = _COMMANDS[args.command]
-    header = export.config_header(run.resolved, args.command)
-    try:
-        output, code = handler(run, header)
+        output, code = handler(run, export.config_header(run.resolved, args.command))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -84,16 +85,26 @@ class RunConfig:
 
 
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fobj:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fobj:
             raw = yaml.safe_load(fobj)
-        except ValueError as exc:  # an integer past Python's 4300-digit limit
-            raise ConfigError("<root>", str(exc)) from exc
+    # ValueError: a file that is not UTF-8, or an integer over 4300 digits
+    except (OSError, yaml.YAMLError, ValueError) as exc:
+        raise ConfigError("--config", str(exc)) from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a mapping of sections")
     return raw
+
+
+@contextmanager
+def _owned_at(path: str):
+    """An owner's refusal in the block (a ValueError) as a ConfigError at ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _section(raw: dict, name: str, required: bool = False, **flags) -> dict:
@@ -199,11 +210,9 @@ def _parse_regimes(model: dict) -> list[RegimeParams]:
             raise ConfigError(path, "expected a mapping of coefficients")
         names = ("alpha_m1", "alpha_0", "alpha_1", "alpha_2", "alpha_3")
         _only(entry, path, names)
-        kwargs = {name: _number(entry, name, path, minimum=0.0) for name in names}
-        try:
-            regimes.append(RegimeParams(**kwargs))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        # _number refuses every value RegimeParams would
+        regimes.append(RegimeParams(**{name: _number(entry, name, path, minimum=0.0)
+                                       for name in names}))
     return regimes
 
 
@@ -221,10 +230,8 @@ def _parse_generator(model: dict, num_regimes: int) -> GeneratorMatrix:
             "model.generator",
             f"expected a {num_regimes}x{num_regimes} matrix, got shape {arr.shape}",
         )
-    try:
+    with _owned_at("model.generator"):
         return GeneratorMatrix(arr)
-    except ValueError as exc:
-        raise ConfigError("model.generator", str(exc)) from exc
 
 
 def _parse_volatility(model: dict):
@@ -241,10 +248,8 @@ def _parse_volatility(model: dict):
     if name == "constant":
         echo["level"] = _number(vol, "level", "model.volatility",
                                 default=CONSTANT_LEVEL, minimum=0.0)
-    try:
+    with _owned_at("model.volatility.name"):
         volatility = build_volatility(**echo)
-    except ValueError as exc:
-        raise ConfigError("model.volatility.name", str(exc)) from exc
     if name != "constant" and vol.get("level") is not None:
         raise ConfigError("model.volatility.level",
                           f"applies only to the 'constant' volatility, not {name!r}")
@@ -297,11 +302,9 @@ def _read_model(model_raw: dict) -> tuple[ModelSpec, dict]:
         "include_inverse_drift": _boolean(model_raw, "include_inverse_drift", "model",
                                           True),
     }
-    try:
+    with _owned_at("model"):
         spec = ModelSpec(regimes=tuple(regimes), volatility=volatility,
                          initial_segment=segment, generator=generator, **scalars)
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from exc
     model = {**scalars, "regimes": [asdict(r) for r in regimes],
              "volatility": vol_echo, "initial_segment": seg_echo,
              "generator": generator.entries.tolist()}
@@ -343,11 +346,9 @@ def resolve_config(
     if given["mu_preset"] not in (None, *MU_PRESETS):
         raise ConfigError("truncation.mu", f"unknown preset {given['mu_preset']!r}; "
                           f"known: {', '.join(MU_PRESETS)}")
-    try:
+    with _owned_at("truncation"):
         policy = default_mu_for(spec, **{key: value for key, value in given.items()
                                          if value is not None})
-    except ValueError as exc:
-        raise ConfigError("truncation", str(exc)) from exc
     truncation = {"psi_exponent": policy.psi_exponent, "mu": policy.mu.name,
                   "delta_star": policy.delta_star}
 

@@ -84,6 +84,9 @@ def resolve_grid(tau: float, delta: float, horizon: float) -> Grid:
     return Grid(delta=eff, tau_steps=m, num_steps=k)
 
 
+# The largest mean numpy's Poisson sampler takes ("lam value too large" above it)
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
 # Steps per noise draw: a chunk holds its noise one block of this many
 # steps at a time, a multiple of the march block of :func:`_march`
 DRAW_STEPS = 4 * BLOCK_STEPS
@@ -143,18 +146,25 @@ def draw_batch_noise(
     Row p is drawn from the substreams of ``path_indices[p]`` alone, and
     each block continues those streams and the chain where the last one
     stopped, so a row depends neither on the other rows nor on the block
-    size; a single path is the width-1 draw.
+    size; a single path is the width-1 draw. A Poisson mean
+    ``jump_intensity * delta`` that numpy's sampler would refuse is refused
+    first, before any stream is built.
     """
+    mean_jumps = spec.jump_intensity * grid.delta
+    if not mean_jumps <= POISSON_MEAN_MAX:
+        raise SimulationError(f"jump_intensity {spec.jump_intensity:g} at step "
+                              f"{grid.delta:g} gives a Poisson mean of {mean_jumps:g}, "
+                              f"above numpy's limit {POISSON_MEAN_MAX:g}")
     streams = [rng.path_streams(master_seed, int(idx)) for idx in path_indices]
     return NoiseBlocks((len(streams), grid.num_steps),
-                       _drawn_blocks(spec, grid, streams, block_steps or DRAW_STEPS),
+                       _drawn_blocks(spec, grid, streams, block_steps or DRAW_STEPS,
+                                     mean_jumps),
                        master_seed, path_indices, grid.delta)
 
 
-def _drawn_blocks(spec, grid, streams, size):
+def _drawn_blocks(spec, grid, streams, size, mean_jumps):
     p, k = len(streams), grid.num_steps
     sqrt_dt = np.sqrt(grid.delta)
-    mean_jumps = spec.jump_intensity * grid.delta
     states = spec.initial_regime
     # one block of no steps when k = 0: the regime at node 0
     for start in range(0, max(k, 1), size):

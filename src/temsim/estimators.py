@@ -40,10 +40,15 @@ class EstimatorResult:
             value = float(samples[0])
             return cls(estimate=value, std_error=0.0, num_paths=n,
                        confidence_95=(value, value))
-        mean = float(samples.mean())
-        se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return cls(estimate=mean, std_error=se, num_paths=n,
-                   confidence_95=(mean - 1.96 * se, mean + 1.96 * se))
+        # an overflowed mean or spread is refused below, by name: no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(samples.mean())
+            se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        summary = (mean, se, mean - 1.96 * se, mean + 1.96 * se)
+        if not all(map(math.isfinite, summary)):
+            raise SimulationError(f"the summary of {n} samples is not finite: mean "
+                                  f"{mean:g}, standard error {se:g}")
+        return cls(estimate=mean, std_error=se, num_paths=n, confidence_95=summary[2:])
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,14 @@ class ArgumentError(ValueError):
         super().__init__(message)
         self.argument = argument
 
+    def __reduce__(self):  # whole through a pool's pickle, not from the message alone
+        return type(self), (self.argument, str(self))
+
 
 def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
     """Apply a picklable chunk worker to every path range, in order."""
     if num_paths < 1:
-        raise ValueError(f"num_paths must be at least 1, got {num_paths}")
+        raise ArgumentError("num_paths", f"num_paths must be at least 1, got {num_paths}")
     ranges = [(lo, min(lo + CHUNK_SIZE, num_paths))
               for lo in range(0, num_paths, CHUNK_SIZE)]
     if threads > 1 and len(ranges) > 1:
@@ -209,9 +217,10 @@ def barrier_option_price(
     """
     # written so that NaN fails: it compares false with every number
     if not 0.0 <= strike < math.inf:
-        raise ValueError(f"strike must be finite and >= 0, got {strike}")
+        raise ArgumentError("strike", f"strike must be finite and >= 0, got {strike}")
     if not barrier > 0.0:
-        raise ValueError(f"barrier must be > 0 (inf: no knock-out), got {barrier}")
+        raise ArgumentError("barrier",
+                            f"barrier must be > 0 (inf: no knock-out), got {barrier}")
     grid = resolve_grid(spec.tau, delta, horizon)
     return EstimatorResult.from_samples(*_samples(
         spec, policy, grid, master_seed, partial(_knock_out, strike, barrier),
@@ -283,9 +292,8 @@ def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
         if ref.num_steps % factor:
             raise refuse(f"horizon {horizon:g} does not align step {delta:g} with "
                          "the reference grid")
-        grid = Grid(delta=snapped.delta, tau_steps=snapped.tau_steps,
-                    num_steps=ref.num_steps // factor)
-        levels.append((grid, factor))
+        # aligned, so its own grid has ref.num_steps // factor steps
+        levels.append((snapped, factor))
     return ref, levels
 
 
@@ -323,10 +331,11 @@ def strong_error(
     log2(error) against log2(step). An empty ladder, a horizon that leaves
     the reference grid no step, and a level on the reference grid are
     errors: each would measure nothing. So is a p whose power of a level's
-    sup errors underflows to 0 or overflows: its error would read 0 or inf.
+    sup errors underflows to 0 or overflows, or whose standard error
+    overflows: the error or its standard error would read 0 or inf.
     """
     if not 1.0 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
+        raise ArgumentError("p", f"p must be finite and >= 1, got {p}")
     if num_paths < 2:
         raise ArgumentError("num_paths", "num_paths must be at least 2 for a standard "
                             f"error, got {num_paths}")
@@ -344,21 +353,23 @@ def strong_error(
                              _tem_runs(spec, policy, levels), num_paths, threads))
 
     step_sizes = np.array([g.delta for g, _ in levels])
-    # an overflowed power or mean is refused below, by name: no numpy warning
-    with np.errstate(over="ignore"):
+    # an overflowed power, mean or spread is refused below, by name: no numpy warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         powered = sups**p
         mean_powered = powered.mean(axis=1)
-    for delta, mean, level in zip(step_sizes, mean_powered, sups):
+        se_powered = powered.std(axis=1, ddof=1) / np.sqrt(num_paths)
+        # delta method for the 1/p root of a sample mean
+        std_errors = np.where(mean_powered > 0.0,
+                              se_powered / p * mean_powered ** (1.0 / p - 1.0), 0.0)
+    for delta, mean, se, level in zip(step_sizes, mean_powered, std_errors, sups):
         # an under- or overflowed power would print an error of 0 or inf
         if not math.isfinite(mean) or (mean == 0.0 and level.any()):
             raise SimulationError(f"p = {p:g} takes the mean p-th power at step {delta:g} "
                                   f"to {mean:g} (largest sup error {level.max():g})")
-    se_powered = powered.std(axis=1, ddof=1) / np.sqrt(num_paths)
+        if not math.isfinite(se):
+            raise SimulationError(f"p = {p:g} takes the standard error at step {delta:g} "
+                                  f"to {se:g} (largest sup error {level.max():g})")
     errors = mean_powered ** (1.0 / p)
-    # delta method for the 1/p root of a sample mean
-    with np.errstate(divide="ignore", invalid="ignore"):
-        std_errors = np.where(mean_powered > 0.0,
-                              se_powered / p * mean_powered ** (1.0 / p - 1.0), 0.0)
 
     if step_sizes.size >= 2 and np.all(errors > 0.0):
         slope = np.polyfit(np.log2(step_sizes), np.log2(errors), 1)[0]
@@ -399,7 +410,7 @@ def moment_curves(
     chunk size.
     """
     if not math.isfinite(p):
-        raise ValueError(f"p must be finite, got {p}")
+        raise ArgumentError("p", f"p must be finite, got {p}")
     # an empty list fails in _coupled_grids, before its reference is read
     fine_grid, levels = _coupled_grids(spec, list(deltas), min(deltas, default=math.nan),
                                        horizon)

@@ -106,10 +106,14 @@ def _check_exponent(q: float) -> None:
 def _profile(delta: float, q: float) -> float:
     """``delta^-q`` at a step ``delta`` > 0, as a Python float power: the one
     place the power is taken and the step checked, for :func:`psi` and
-    :func:`band_edge`."""
+    :func:`band_edge`. A power past the largest float is refused, by name."""
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    return float(delta) ** -q
+    try:
+        return float(delta) ** -q
+    except OverflowError:
+        raise TruncationError(f"psi_exponent {q:g} takes delta^-q past the largest "
+                              f"float at step {delta:g}") from None
 
 
 def psi(delta: float, policy: TruncationPolicy) -> float:

@@ -1,9 +1,11 @@
+import ast
 import copy
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -283,6 +285,99 @@ class TestCliCommands:
 
     def test_missing_config_file(self, capsys):
         assert self.run_cli(["simulate", "--config", "/nonexistent.yaml"]) == 2
+        assert capsys.readouterr().err == ("config error: --config: [Errno 2] No such "
+                                           "file or directory: '/nonexistent.yaml'\n")
+
+    @pytest.mark.parametrize("content,shown", [
+        ("", "Is a directory"),
+        ("model: [\n", "while parsing a flow node"),
+        pytest.param("simulation: {seed: " + "9" * 5000 + "}\n",
+                     "Exceeds the limit (4300 digits)",
+                     marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                              reason="no integer digit limit")),
+    ], ids=["directory", "yaml", "digits"])
+    def test_config_read_and_parse_failures_name_the_flag(self, content, shown, tmp_path,
+                                                          capsys):
+        # the read and YAML failures printed no field, and the 4300-digit
+        # literal was reported at <root>
+        path = tmp_path / "run.yaml"
+        if content:
+            path.write_text(content)
+        else:
+            path.mkdir()
+        assert self.run_cli(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --config: ") and shown in err, err
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_overflowing_step_profile_is_config_error(self, command, tmp_path, capsys):
+        # delta_star's search takes 1e-12^-26 past the largest float: float **
+        # raised OverflowError out of the config read, a traceback at exit 1
+        cfg = demo_config()
+        cfg["truncation"]["psi_exponent"] = 26
+        assert self.run_cli([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: truncation: psi_exponent 26 takes delta^-q past the largest "
+            "float at step 1e-12\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "price-bond"])
+    def test_poisson_mean_past_numpy_limit_is_numerical_failure(self, command, tmp_path,
+                                                                capsys):
+        # numpy refused the mean inside the draw ("lam value too large"): a
+        # traceback at exit 1
+        cfg = demo_config(num_paths=4, horizon=0.1)
+        cfg["model"]["jump_intensity"] = 1.0e300
+        assert self.run_cli([command, "--config", write_config(tmp_path, cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "numerical error: jump_intensity 1e+300 at step 0.01 gives a Poisson mean of "
+            "1e+298, above numpy's limit 9.22337e+18\n")
+
+    @pytest.mark.parametrize("command,model,sim,experiment,shown", [
+        # jumps of rate 2^63 take the distances near 1e168, whose squares overflow
+        ("compare-schemes", {"jump_intensity": 2**63}, {"num_paths": 4, "horizon": 0.1},
+         {}, "the summary of 4 samples is not finite: mean 8.91102e+167, standard "
+             "error inf"),
+        # CI's overflow-power config at p = 200: the mean power is a float, its
+        # spread is not
+        ("converge", {}, {"num_paths": 16, "horizon": 2.0},
+         {"step_ladder": [0.0625, 0.03125], "reference_delta": 0.0078125, "p": 200.0},
+         "p = 200 takes the standard error at step 0.0625 to inf (largest sup error "),
+    ], ids=["compare-schemes", "converge"])
+    def test_non_finite_summary_is_numerical_failure(self, command, model, sim,
+                                                     experiment, shown, tmp_path, capsys):
+        # each printed std_error inf (compare-schemes also ci_low -inf) at
+        # exit 0, under numpy's "overflow encountered in square"
+        cfg = demo_config(**sim)
+        cfg["model"].update(model)
+        cfg["experiment"] = experiment
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run_cli([command, "--config", path]) == 4
+        assert capsys.readouterr().err.startswith(f"numerical error: {shown}")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_every_argument_error_maps_to_a_field(self):
+        # each parameter an ArgumentError names in src/, directly or through
+        # partial(ArgumentError, name), has its config field in cli._FIELDS
+        named = set()
+        for source in (SRC / "temsim").glob("*.py"):
+            for node in ast.walk(ast.parse(source.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                args = node.args
+                if isinstance(node.func, ast.Name) and node.func.id == "partial" and \
+                        args and isinstance(args[0], ast.Name) and \
+                        args[0].id == "ArgumentError":
+                    args = args[1:]
+                elif not (isinstance(node.func, ast.Name)
+                          and node.func.id == "ArgumentError"):
+                    continue
+                assert args and isinstance(args[0], ast.Constant), \
+                    f"{source.name}:{node.lineno} names its argument by no literal"
+                named.add(args[0].value)
+        assert {"p", "strike", "barrier", "num_paths"} <= named
+        assert named <= set(cli._FIELDS), named - set(cli._FIELDS)
 
     @pytest.mark.parametrize("out", ["missing/bond.csv", "."])
     def test_unwritable_out_refused_before_the_run(self, out, tmp_path, capsys,

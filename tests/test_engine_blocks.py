@@ -16,6 +16,7 @@ may depend on the memory layout of the arrays passed in.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temsim.config import two_regime_demo
+from temsim import rng
 from temsim.engine import (
+    POISSON_MEAN_MAX,
     CoefficientTables,
     Grid,
     NoiseBlocks,
@@ -440,3 +443,23 @@ def test_results_do_not_depend_on_array_layout(layout, num_paths, m, k, seed, in
         sample_chain_paths_batch(spec.generator, 2, grid.delta, k,
                                  relayout(uniforms, layout)),
         sample_chain_paths_batch(spec.generator, 2, grid.delta, k, uniforms))
+
+
+def test_poisson_mean_past_numpy_limit_refused_before_any_stream(monkeypatch):
+    # numpy refused the mean itself ("lam value too large") inside a chunk's
+    # first draw: a traceback at exit 1 in every command that simulates
+    grid = Grid(delta=1.0, tau_steps=1, num_steps=3)
+    at_limit = replace(two_regime_demo(), tau=1.0, jump_intensity=POISSON_MEAN_MAX)
+    _, poisson, _ = next(iter(draw_batch_noise(at_limit, grid, 0, np.arange(2))))
+    assert poisson.shape == (2, 3) and np.all(poisson > 0)
+
+    def no_streams(*_args):
+        raise AssertionError("a stream was built before the Poisson mean was checked")
+
+    monkeypatch.setattr(rng, "path_streams", no_streams)
+    for intensity, shown in ((np.nextafter(POISSON_MEAN_MAX, np.inf), "9.22337e+18"),
+                             (1e300, "1e+300")):
+        spec = replace(at_limit, jump_intensity=intensity)
+        with pytest.raises(SimulationError, match=f"^jump_intensity {re.escape(shown)} "
+                                                  "at step 1 gives a Poisson mean of "):
+            draw_batch_noise(spec, grid, 0, np.arange(2))

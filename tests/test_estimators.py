@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import pickle
+import re
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -69,8 +72,9 @@ CONST_POLICY = default_mu_for(CONST_SPEC, psi_exponent=2 / 3,
 ], ids=["bond", "barrier", "comparison", "strong_error", "moments"])
 @pytest.mark.parametrize("num_paths", [0, -3])
 def test_entry_points_reject_empty_path_counts(estimate, num_paths):
-    with pytest.raises(ValueError, match="num_paths"):
+    with pytest.raises(ArgumentError, match="num_paths") as refused:
         estimate(num_paths)
+    assert refused.value.argument == "num_paths"
 
 
 def test_strong_error_needs_two_paths():
@@ -78,7 +82,29 @@ def test_strong_error_needs_two_paths():
         strong_error(DEMO, POLICY, [2**-5], 2**-7, 0.5, 2.0, 1, 0)
 
 
+def test_argument_error_survives_a_pickle_round_trip():
+    # a pool worker's exception reaches the parent pickled: the default
+    # rebuilt it from the message alone, a TypeError for the missing argument
+    sent = ArgumentError("horizon", "horizon 0 leaves the grid no step")
+    got = pickle.loads(pickle.dumps(sent))
+    assert type(got) is ArgumentError and isinstance(got, ValueError)
+    assert (got.argument, str(got)) == ("horizon", "horizon 0 leaves the grid no step")
+
+
 class TestEstimatorResult:
+    @pytest.mark.parametrize("samples,shown", [
+        # their squares overflow: std_error inf and ci (-inf, inf) at exit 0
+        ([1.0e168, 2.0e168, 3.0e168], "mean 2e+168, standard error inf"),
+        # their sum overflows
+        ([1.5e308, 1.5e308, 1.0e308], "mean inf, standard error "),
+    ], ids=["spread", "mean"])
+    def test_non_finite_summary_refused_without_a_warning(self, samples, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match="^the summary of 3 samples is "
+                                                      f"not finite: {re.escape(shown)}"):
+                EstimatorResult.from_samples(np.array(samples))
+
     def test_interval_definition(self):
         result = EstimatorResult.from_samples(np.array([1.0, 2.0, 3.0]))
         assert result.estimate == pytest.approx(2.0)
@@ -175,10 +201,12 @@ class TestBarrierOption:
         assert result.estimate >= 0.0
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError) as refused:
             barrier_option_price(DEMO, POLICY, 1e-2, 1.0, -0.1, 1.0, 8, 0)
-        with pytest.raises(ValueError):
+        assert refused.value.argument == "strike"
+        with pytest.raises(ArgumentError) as refused:
             barrier_option_price(DEMO, POLICY, 1e-2, 1.0, 0.1, 0.0, 8, 0)
+        assert refused.value.argument == "barrier"
 
 
 NON_FINITE_INPUTS = {
@@ -203,8 +231,10 @@ def test_non_finite_input_rejected_before_any_path(case, bad, monkeypatch):
 
     monkeypatch.setattr(estimators, "_run_chunks", no_paths)
     name = case.rsplit("-", 1)[-1]
-    with pytest.raises(ValueError, match=f"^{name} must be "):
+    # an ArgumentError naming the parameter, which the CLI maps to its field
+    with pytest.raises(ArgumentError, match=f"^{name} must be ") as refused:
         NON_FINITE_INPUTS[case](bad)
+    assert refused.value.argument == name
 
 
 class TestStrongError:

@@ -125,6 +125,21 @@ class TestPsi:
             with pytest.raises(ValueError, match="delta must be positive"):
                 truncation_band(delta, POLICY)
 
+    def test_overflowing_profile_is_refused_by_name(self):
+        # 1e-12^-26 is past the largest float: float ** raised OverflowError
+        # out of default_mu_for's delta_star search, a traceback in every command
+        with pytest.warns(StepProfileWarning):
+            steep = replace(POLICY, psi_exponent=26.0)
+        for call in (lambda: psi(1e-12, steep),
+                     lambda: band_edge(POLICY.mu, 26.0, 1e-12),
+                     lambda: default_mu_for(DEMO, psi_exponent=26.0)):
+            with pytest.raises(TruncationError, match="^psi_exponent 26 takes delta"
+                                                      r"\^-q past the largest float at "
+                                                      "step 1e-12$"):
+                call()
+        # just below the edge of the floats the power is taken
+        assert band_edge(POLICY.mu, 25.6, 1e-12) > 1.0
+
     def test_band_edge_takes_the_profile_of_psi(self):
         # one power for both: the edge is mu's inverse of psi, bit for bit,
         # and psi is a Python float, which validate prints
