@@ -107,41 +107,52 @@ def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
     return [worker(r) for r in ranges]
 
 
-def _chunk(spec, policy, grid, seed, reduce, levels, path_range):
+def _needs_two_paths(num_paths: int) -> None:
+    """Refuse fewer than 2 paths to an estimator that reports a standard
+    error, before any path is drawn: one path's would read 0."""
+    if num_paths < 2:
+        raise ArgumentError("num_paths", "num_paths must be at least 2 for a standard "
+                            f"error, got {num_paths}")
+
+
+def _chunk(spec, policy, grid, seed, heads, levels, path_range):
     """The chunk pipeline of every estimator: run TEM on ``grid`` over the
     noise of the paths in ``path_range``, drawn one block at a time, and
-    return ``reduce(nodes, runs)``, a tuple of per-path arrays.
+    return a tuple of per-path arrays: ``head(nodes)`` for each of ``heads``,
+    then ``compare(run, nodes[:, ::factor])`` for each level.
 
-    ``levels`` declares the runs on that noise as ``(simulate, factor)``
-    pairs: each noise block is coarsened by ``factor`` for its level as the
-    TEM run draws it (factor 1 keeps the block itself) and kept with its
-    Poisson counts and regimes narrowed (:func:`_narrow`), which are widened
-    back as the level's run pulls the block, and ``runs`` yields
-    ``simulate(noise)`` of each level in order, so a reduction holds one
-    level's values at a time. Each level's noise carries the replay
+    ``levels`` declares the runs on that noise as ``(simulate, factor,
+    compare)`` triples: each noise block is coarsened by ``factor`` for its
+    level as the TEM run draws it (factor 1 keeps the block itself) and kept
+    with its Poisson counts and regimes narrowed (:func:`_narrow`), which
+    are widened back as the level's run pulls the block. Each level's run is
+    ``simulate(noise)``, compared as it returns, so the chunk holds one
+    run's values at a time. Each level's noise carries the replay
     coordinates of the drawn noise and its factor. ``nodes`` and each run
     are the values at nodes 0..K, the initial segment sliced off.
     """
     indices = np.arange(*path_range)
     # a draw block of whole coarse steps at every level
-    lcm = math.lcm(*(factor for _, factor in levels))
+    lcm = math.lcm(*(factor for _, factor, _ in levels))
     noise = engine.draw_batch_noise(spec, grid, seed, indices,
                                     -(-engine.DRAW_STEPS // lcm) * lcm)
     kept = [[] for _ in levels]
 
     def keep_block(block):
-        for blocks, (_, factor) in zip(kept, levels):
+        for blocks, (_, factor, _) in zip(kept, levels):
             brownian, poisson, regimes = (block if factor == 1 else
                                           engine.coarsen_batch(*block, factor))
             blocks.append((brownian, _narrow(poisson), _narrow(regimes)))
 
     nodes = engine.simulate_tem_batch(spec, policy, grid,
                                       noise.tap(keep_block))[:, grid.tau_steps:]
-    runs = (simulate(replace(noise, shape=(len(indices), grid.num_steps // factor),
-                             blocks=_widened(blocks),
-                             factor=factor))[:, grid.tau_steps // factor:]
-            for (simulate, factor), blocks in zip(levels, kept))
-    return reduce(nodes, runs)
+    reduced = [head(nodes) for head in heads]
+    for (simulate, factor, compare), blocks in zip(levels, kept):
+        level = replace(noise, shape=(len(indices), grid.num_steps // factor),
+                        blocks=_widened(blocks), factor=factor)
+        reduced.append(compare(simulate(level)[:, grid.tau_steps // factor:],
+                               nodes[:, ::factor]))
+    return tuple(reduced)
 
 
 def _narrow(counts: np.ndarray) -> np.ndarray:
@@ -162,14 +173,14 @@ def _widened(blocks: list):
         yield brownian, poisson.astype(np.int64), regimes.astype(np.int64)
 
 
-def _samples(spec, policy, grid, seed, reduce, levels, num_paths, threads) -> tuple:
+def _samples(spec, policy, grid, seed, heads, levels, num_paths, threads) -> tuple:
     """Each per-path array of :func:`_chunk` over ``num_paths`` paths, in path order."""
-    worker = partial(_chunk, spec, policy, grid, seed, reduce, levels)
+    worker = partial(_chunk, spec, policy, grid, seed, heads, levels)
     return tuple(map(np.concatenate, zip(*_run_chunks(worker, num_paths, threads))))
 
 
-def _discount(delta, nodes, _runs) -> tuple:
-    return (np.exp(-(nodes[:, :-1].sum(axis=1) * delta)),)
+def _discount(delta, nodes) -> np.ndarray:
+    return np.exp(-(nodes[:, :-1].sum(axis=1) * delta))
 
 
 def bond_price(
@@ -186,15 +197,16 @@ def bond_price(
     The step-process integral is the exact left-rectangle sum of grid
     values times the step, so a constant path prices to exp(-x T) exactly.
     """
+    _needs_two_paths(num_paths)
     grid = resolve_grid(spec.tau, delta, horizon)
     return EstimatorResult.from_samples(*_samples(
-        spec, policy, grid, master_seed, partial(_discount, grid.delta), (), num_paths,
+        spec, policy, grid, master_seed, (partial(_discount, grid.delta),), (), num_paths,
         threads))
 
 
-def _knock_out(strike, barrier, nodes, _runs) -> tuple:
+def _knock_out(strike, barrier, nodes) -> np.ndarray:
     payoff = np.maximum(nodes[:, -1] - strike, 0.0)
-    return (payoff * (nodes.max(axis=1) < barrier),)
+    return payoff * (nodes.max(axis=1) < barrier)
 
 
 def barrier_option_price(
@@ -215,6 +227,7 @@ def barrier_option_price(
     observable; a barrier at or below the initial value prices to zero, and
     a barrier at +inf never knocks out.
     """
+    _needs_two_paths(num_paths)
     # written so that NaN fails: it compares false with every number
     if not 0.0 <= strike < math.inf:
         raise ArgumentError("strike", f"strike must be finite and >= 0, got {strike}")
@@ -223,7 +236,7 @@ def barrier_option_price(
                             f"barrier must be > 0 (inf: no knock-out), got {barrier}")
     grid = resolve_grid(spec.tau, delta, horizon)
     return EstimatorResult.from_samples(*_samples(
-        spec, policy, grid, master_seed, partial(_knock_out, strike, barrier),
+        spec, policy, grid, master_seed, (partial(_knock_out, strike, barrier),),
         (), num_paths, threads))
 
 
@@ -232,10 +245,6 @@ def _sup_distance(run: np.ndarray, other: np.ndarray) -> np.ndarray:
     value taken in place in the run's own values."""
     diff = np.subtract(run, other, out=run)
     return np.abs(diff, out=diff).max(axis=1)
-
-
-def _tem_bem_distance(tem, runs) -> tuple:
-    return (_sup_distance(next(runs), tem),)
 
 
 def scheme_comparison(
@@ -250,14 +259,14 @@ def scheme_comparison(
     """Pathwise sup-distance between TEM and BEM under shared noise. A
     horizon that leaves the grid no step is an error: it would measure
     nothing."""
+    _needs_two_paths(num_paths)
     grid = resolve_grid(spec.tau, delta, horizon)
     if not grid.num_steps:
         raise ArgumentError("horizon", f"horizon {horizon:g} leaves the grid no step: "
                                        "every distance would read 0")
     # BEM on the blocks the TEM run drew, kept whole (factor 1)
-    bem = (partial(engine.simulate_bem_batch, spec, grid), 1)
-    (distances,) = _samples(spec, policy, grid, master_seed, _tem_bem_distance, (bem,),
-                            num_paths, threads)
+    bem = (partial(engine.simulate_bem_batch, spec, grid), 1, _sup_distance)
+    (distances,) = _samples(spec, policy, grid, master_seed, (), (bem,), num_paths, threads)
     base = EstimatorResult.from_samples(distances)
     return SchemeComparison(
         delta=grid.delta,
@@ -297,16 +306,10 @@ def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
     return ref, levels
 
 
-def _tem_runs(spec, policy, levels) -> tuple:
-    """Each level's declared run: TEM on its grid, on the noise coarsened by its factor."""
-    return tuple((partial(engine.simulate_tem_batch, spec, policy, grid), factor)
+def _tem_runs(spec, policy, levels, compare) -> tuple:
+    """Each level's declared run: TEM on its grid and its factor's noise, and ``compare``."""
+    return tuple((partial(engine.simulate_tem_batch, spec, policy, grid), factor, compare)
                  for grid, factor in levels)
-
-
-def _sup_errors(factors, fine, runs) -> tuple:
-    # no name holds a run's values while the next run is pulled (a loop
-    # variable would), so a chunk holds one run's values at a time
-    return tuple(_sup_distance(next(runs), fine[:, ::factor]) for factor in factors)
 
 
 def strong_error(
@@ -336,9 +339,7 @@ def strong_error(
     """
     if not 1.0 <= p < math.inf:
         raise ArgumentError("p", f"p must be finite and >= 1, got {p}")
-    if num_paths < 2:
-        raise ArgumentError("num_paths", "num_paths must be at least 2 for a standard "
-                            f"error, got {num_paths}")
+    _needs_two_paths(num_paths)
     deltas_desc = sorted(map(float, coarse_deltas), reverse=True)
     ref_grid, levels = _coupled_grids(spec, deltas_desc, reference_delta, horizon)
     if not ref_grid.num_steps:
@@ -348,9 +349,9 @@ def strong_error(
         if factor == 1:
             raise ArgumentError("coarse_deltas", f"step {delta:g} snaps to the reference "
                                 f"step {ref_grid.delta:g}: its error would read 0")
-    sups = np.stack(_samples(spec, policy, ref_grid, master_seed,
-                             partial(_sup_errors, [factor for _, factor in levels]),
-                             _tem_runs(spec, policy, levels), num_paths, threads))
+    sups = np.stack(_samples(spec, policy, ref_grid, master_seed, (),
+                             _tem_runs(spec, policy, levels, _sup_distance), num_paths,
+                             threads))
 
     step_sizes = np.array([g.delta for g, _ in levels])
     # an overflowed power, mean or spread is refused below, by name: no numpy warning
@@ -386,9 +387,8 @@ def strong_error(
     )
 
 
-def _moments(p, fine, runs) -> tuple:
-    # map, not a loop variable: each run's values are dropped before the next
-    return (np.abs(fine) ** p, *map(lambda values: np.abs(values) ** p, runs))
+def _moments(p, values, _fine=None) -> np.ndarray:
+    return np.abs(values) ** p
 
 
 def moment_curves(
@@ -416,7 +416,8 @@ def moment_curves(
                                        horizon)
     # the finest step (factor 1) is the TEM run's own grid: its moments are the nodes'
     coarse = [(grid, factor) for grid, factor in levels if factor > 1]
-    rows = _samples(spec, policy, fine_grid, master_seed, partial(_moments, p),
-                    _tem_runs(spec, policy, coarse), num_paths, threads)
+    moments = partial(_moments, p)
+    rows = _samples(spec, policy, fine_grid, master_seed, (moments,),
+                    _tem_runs(spec, policy, coarse, moments), num_paths, threads)
     by_factor = dict(zip([1] + [factor for _, factor in coarse], rows))
     return {grid.delta: by_factor[factor].mean(axis=0) for grid, factor in levels}

@@ -519,6 +519,21 @@ class TestCliCommands:
         assert self.run_cli(["converge", "--config", path]) == 2
         assert "simulation.num_paths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["price-bond", "price-barrier", "compare-schemes"])
+    def test_single_path_standard_error_rejected(self, command, tmp_path, capsys,
+                                                 monkeypatch):
+        # one path printed std_error 0.0 and a zero-width interval at exit 0
+        def no_paths(*_args):
+            raise AssertionError("paths simulated before the run was checked")
+
+        monkeypatch.setattr(estimators, "_run_chunks", no_paths)
+        path = write_config(tmp_path, demo_config(num_paths=1))
+        assert self.run_cli([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: simulation.num_paths: num_paths must be "
+                                "at least 2 for a standard error, got 1\n")
+
     def test_converge_underflowed_power_is_numerical_failure(self, tmp_path, capsys):
         # the 400th powers of sups near 0.08 underflowed: it printed error
         # 0.0 on both levels and fitted order NaN, exit 0

@@ -82,6 +82,13 @@ def test_strong_error_needs_two_paths():
         strong_error(DEMO, POLICY, [2**-5], 2**-7, 0.5, 2.0, 1, 0)
 
 
+def test_moment_curves_run_on_one_path():
+    # they report no standard error, so one path is not refused as it is
+    # where a standard error is reported
+    (curve,) = moment_curves(DEMO, POLICY, [2**-5], 0.5, 2.0, 1, 0).values()
+    assert curve.shape == (17,) and np.isfinite(curve).all()
+
+
 def test_argument_error_survives_a_pickle_round_trip():
     # a pool worker's exception reaches the parent pickled: the default
     # rebuilt it from the message alone, a TypeError for the missing argument
@@ -567,7 +574,7 @@ def test_bond_chunk_memory():
     paths, grid = estimators.CHUNK_SIZE, engine.resolve_grid(DEMO.tau, 1e-3, 2.0)
     m, k = grid.tau_steps, grid.num_steps
     chunk = partial(estimators._chunk, DEMO, POLICY, grid, 1,
-                    partial(estimators._discount, grid.delta), (), (0, paths))
+                    (partial(estimators._discount, grid.delta),), (), (0, paths))
     chunk()  # first-call allocations that stay
     tracemalloc.start()
     try:

@@ -12,12 +12,20 @@ Each regime's term m_K[j] checks the chain's law on its own, which the sum
 can hide. With zero drift and no jumps, a step adds phi * g * dB with dB
 independent of all before it, so E[X_K] = x_0 whatever the volatility and
 the band do.
+
+The count's variance equals its mean, so E[(1 + a3 dN)^2] is
+(1 + a3 lambda delta)^2 + a3^2 lambda delta, and the second moments
+E[X_k^2 1{r_k = j}] follow the same recursion with that factor: a count of
+the right mean and the wrong law (one of at most one jump) fails it. With
+zero drift and no 1/x term, BEM's implicit solve returns its explicit
+target, so BEM meets the same closed forms.
 """
 
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
+import pytest
 
 from temsim import estimators
 from temsim.engine import (
@@ -25,6 +33,7 @@ from temsim.engine import (
     coarsen_batch,
     draw_batch_noise,
     resolve_grid,
+    simulate_bem_batch,
     simulate_tem_batch,
 )
 from temsim.estimators import moment_curves
@@ -43,11 +52,15 @@ JUMPS_ONLY = ModelSpec(
 )
 
 
-def exact_moments(spec, delta, num_steps):
-    """m_K[j] = E[X_K 1{r_K = j + 1}] of the jumps-only scheme ``spec`` at
-    step ``delta`` after ``num_steps`` steps, from X_0 = 1."""
+def exact_moments(spec, delta, num_steps, power=1):
+    """m_K[j] = E[X_K^power 1{r_K = j + 1}] of the jumps-only scheme ``spec``
+    at step ``delta`` after ``num_steps`` steps, from X_0 = 1; ``power`` is
+    1 or 2."""
     transition = matrix_exponential(spec.generator, delta)
-    growth = 1.0 + np.array([r.alpha_3 for r in spec.regimes]) * spec.jump_intensity * delta
+    alpha_3 = np.array([r.alpha_3 for r in spec.regimes])
+    growth = 1.0 + alpha_3 * spec.jump_intensity * delta
+    if power == 2:
+        growth = growth**2 + alpha_3**2 * spec.jump_intensity * delta
     m = np.zeros(len(spec.regimes))
     m[spec.initial_regime - 1] = 1.0
     for _ in range(num_steps):
@@ -111,8 +124,8 @@ MARTINGALE = replace(JUMPS_ONLY, regimes=(RegimeParams(0.0, 0.0, 0.0, 0.0, 0.0),
                      jump_intensity=0.0, volatility=build_volatility("sigmoid_s5"))
 
 
-def _last_nodes(nodes, runs) -> tuple:
-    return (nodes[:, -1], *(run[:, -1] for run in runs))
+def _last_node(values, _fine=None):
+    return values[:, -1]
 
 
 def test_zero_drift_is_a_martingale_at_every_level():
@@ -126,12 +139,61 @@ def test_zero_drift_is_a_martingale_at_every_level():
     delta, horizon, num_paths = 2.0**-6, 1.0, 10**4
     grid = resolve_grid(MARTINGALE.tau, delta, horizon)
     levels = tuple((partial(simulate_tem_batch, MARTINGALE, policy,
-                            resolve_grid(MARTINGALE.tau, factor * delta, horizon)), factor)
+                            resolve_grid(MARTINGALE.tau, factor * delta, horizon)), factor,
+                    _last_node)
                    for factor in (2, 4))
-    lasts = estimators._chunk(MARTINGALE, policy, grid, 7, _last_nodes, levels,
+    lasts = estimators._chunk(MARTINGALE, policy, grid, 7, (_last_node,), levels,
                               (0, num_paths))
     for factor, last in zip((1, 2, 4), lasts):
         z = z_score(last, 1.0)
         assert abs(z) < 3.0, (factor, z)
         # the band binds: paths end above its upper edge, where g is clamped
         assert (last > truncation_band(factor * delta, policy)[1]).mean() > 0.05
+
+
+def test_each_regime_has_its_exact_second_moment_at_every_level():
+    """E[X_K^2 1{r_K = j}] per regime, 2 x 10^4 paths at delta = 2^-5 over 8
+    steps and on that noise coarsened by 2 and 4, with a3 halved to
+    (0.025, 0.3) and jumps at intensity 24: lambda delta = 3/4, so the
+    count's square adds a3^2 (lambda delta)^2 to regime 2's growth, 3 % of
+    it per step. At seed 7 |z| is at most 1.8. One Bernoulli count of the
+    same mean per fine step reaches z = -15.7 (regime 2 at factor 1) and
+    passes every first-moment check. X_K^2 is heavy-tailed: over seeds 1 to
+    20 the largest |z| passes 3 at one seed (3.6)."""
+    spec = replace(JUMPS_ONLY, jump_intensity=24.0,
+                   regimes=tuple(RegimeParams(0.0, 0.0, 0.0, 0.0, a3 / 2) for a3 in ALPHA_3))
+    policy = default_mu_for(spec, psi_exponent=2 / 3)
+    delta, horizon, num_paths = 2.0**-5, 0.25, 2 * 10**4
+    grid = resolve_grid(spec.tau, delta, horizon)
+    blocks = []
+    noise = draw_batch_noise(spec, grid, 7, np.arange(num_paths)).tap(blocks.append)
+    fine = simulate_tem_batch(spec, policy, grid, noise)
+    regime = blocks[-1][2][:, -1]
+    zs = []
+    for factor in (1, 2, 4):
+        coarse = resolve_grid(spec.tau, factor * delta, horizon)
+        values = fine if factor == 1 else simulate_tem_batch(
+            spec, policy, coarse,
+            NoiseBlocks((num_paths, coarse.num_steps),
+                        [coarsen_batch(*block, factor) for block in blocks]))
+        exact = exact_moments(spec, coarse.delta, coarse.num_steps, power=2)
+        zs += [z_score(values[:, -1]**2 * (regime == j), m)
+               for j, m in enumerate(exact, start=1)]
+    assert np.abs(zs).max() < 3.0, zs
+
+
+@pytest.mark.parametrize("spec, horizon", [(JUMPS_ONLY, 1.5), (MARTINGALE, 1.0)],
+                         ids=["jumps-only", "martingale"])
+def test_bem_meets_the_exact_mean(spec, horizon):
+    """E[X_K] of BEM, run as the chunk's level of factor 1, 10^4 paths at
+    delta = 2^-6: the jumps-only family at intensity 4 over horizon 1.5,
+    and the zero-drift martingale with the delayed sigmoid volatility over
+    horizon 1. At seed 7 z is -0.44 and -1.12. The martingale's closed form
+    is the jumps-only recursion with no jumps: 1."""
+    policy = default_mu_for(spec, psi_exponent=0.5)
+    delta, num_paths = 2.0**-6, 10**4
+    grid = resolve_grid(spec.tau, delta, horizon)
+    bem = (partial(simulate_bem_batch, spec, grid), 1, _last_node)
+    (last,) = estimators._chunk(spec, policy, grid, 7, (), (bem,), (0, num_paths))
+    z = z_score(last, exact_moments(spec, delta, grid.num_steps).sum())
+    assert abs(z) < 3.0, z

@@ -145,8 +145,9 @@ def test_replay_coordinates_travel_with_the_noise():
         return np.zeros((noise.shape[0],
                          grid.tau_steps // noise.factor + noise.shape[1] + 1))
 
-    estimators._chunk(SPEC, policy, grid, 9, lambda _nodes, runs: list(runs),
-                      ((simulate, 1), (simulate, 4)), (4, 7))
+    estimators._chunk(SPEC, policy, grid, 9, (),
+                      ((simulate, 1, estimators._sup_distance),
+                       (simulate, 4, estimators._sup_distance)), (4, 7))
     assert [noise.shape for noise in seen] == [(3, 40), (3, 10)]
     assert [coordinates(noise) for noise in seen] == [(9, [4, 5, 6], grid.delta, 1),
                                                       (9, [4, 5, 6], grid.delta, 4)]
@@ -182,11 +183,10 @@ def test_converge_chunk_holds_blocks_not_paths():
     num_paths, m, k = 16, 2048, 4096
     ref, levels = estimators._coupled_grids(
         spec, [spec.tau * f / m for f in (64, 32, 16, 8)], spec.tau / m, 2 * spec.tau)
-    runs = estimators._tem_runs(spec, policy, levels)
-    factors = [factor for _, factor in runs]
+    runs = estimators._tem_runs(spec, policy, levels, estimators._sup_distance)
+    factors = [factor for _, factor, _ in runs]
     assert (ref.tau_steps, ref.num_steps, factors) == (m, k, [64, 32, 16, 8])
-    chunk = partial(estimators._chunk, spec, policy, ref, 3,
-                    partial(estimators._sup_errors, factors), runs, (0, num_paths))
+    chunk = partial(estimators._chunk, spec, policy, ref, 3, (), runs, (0, num_paths))
     chunk()  # first-call allocations that stay
     tracemalloc.start()
     try:
