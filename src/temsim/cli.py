@@ -41,10 +41,12 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
-# the config field that sets each estimator argument an ArgumentError names
+# the config field that sets each argument an ArgumentError names
 _FIELDS = {"barrier": "experiment.barrier", "coarse_deltas": "experiment.step_ladder",
-           "horizon": "simulation.horizon", "num_paths": "simulation.num_paths",
-           "p": "experiment.p", "strike": "experiment.strike"}
+           "delta": "simulation.delta", "horizon": "simulation.horizon",
+           "num_paths": "simulation.num_paths", "p": "experiment.p",
+           "reference_delta": "experiment.reference_delta", "strike": "experiment.strike",
+           "tau": "model.tau"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_validate(run: RunConfig, header: list[str]) -> tuple[str, int]:
-    lines = list(header)
+def cmd_validate(run: RunConfig) -> tuple[list[str], int]:
+    lines = []
 
     checks = validate_assumptions(run.spec)
     for check in checks:
@@ -103,47 +105,45 @@ def cmd_validate(run: RunConfig, header: list[str]) -> tuple[str, int]:
     lines.append(("PASS" if cap_ok else "FAIL") + " truncated_coefficient_cap")
     lines.append(("PASS" if interior_ok else "FAIL") + " band_interior_identity")
     passed = all(c.passed for c in checks) and cap_ok and interior_ok
-    return "\n".join(lines) + "\n", EXIT_OK if passed else EXIT_VALIDATION
+    return lines, EXIT_OK if passed else EXIT_VALIDATION
 
 
-def cmd_simulate(run: RunConfig, header: list[str]) -> tuple[str, int]:
+def cmd_simulate(run: RunConfig) -> tuple[list[str], int]:
     state = simulate_tem_path(run.spec, run.policy, run.delta, run.horizon,
                               seed=run.seed)
-    return export.render_path_csv(state, header), EXIT_OK
+    return export.render_path_csv(state), EXIT_OK
 
 
-def cmd_converge(run: RunConfig, header: list[str]) -> tuple[str, int]:
-    exp = run.experiment
-    if exp.reference_delta is None:
+def cmd_converge(run: RunConfig) -> tuple[list[str], int]:
+    if run.reference_delta is None:
         raise ConfigError("experiment.reference_delta", "required for converge")
     report = strong_error(
-        run.spec, run.policy, list(exp.step_ladder), exp.reference_delta,
-        run.horizon, exp.p, run.num_paths, run.seed, threads=run.threads,
+        run.spec, run.policy, list(run.step_ladder), run.reference_delta,
+        run.horizon, run.p, run.num_paths, run.seed, threads=run.threads,
     )
-    return export.render_convergence_csv(report, header), EXIT_OK
+    return export.render_convergence_csv(report), EXIT_OK
 
 
-def cmd_compare_schemes(run: RunConfig, header: list[str]) -> tuple[str, int]:
+def cmd_compare_schemes(run: RunConfig) -> tuple[list[str], int]:
     result = scheme_comparison(
         run.spec, run.policy, run.delta, run.horizon, run.num_paths, run.seed,
         threads=run.threads,
     )
-    return export.render_comparison_csv(result, header), EXIT_OK
+    return export.render_comparison_csv(result), EXIT_OK
 
 
-def cmd_price_bond(run: RunConfig, header: list[str]) -> tuple[str, int]:
+def cmd_price_bond(run: RunConfig) -> tuple[list[str], int]:
     result = bond_price(run.spec, run.policy, run.delta, run.horizon,
                         run.num_paths, run.seed, threads=run.threads)
-    return export.render_price_csv(result, header), EXIT_OK
+    return export.render_price_csv(result), EXIT_OK
 
 
-def cmd_price_barrier(run: RunConfig, header: list[str]) -> tuple[str, int]:
-    exp = run.experiment
+def cmd_price_barrier(run: RunConfig) -> tuple[list[str], int]:
     result = barrier_option_price(
-        run.spec, run.policy, run.delta, run.horizon, exp.strike, exp.barrier,
+        run.spec, run.policy, run.delta, run.horizon, run.strike, run.barrier,
         run.num_paths, run.seed, threads=run.threads,
     )
-    return export.render_price_csv(result, header), EXIT_OK
+    return export.render_price_csv(result), EXIT_OK
 
 
 _COMMANDS = {
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
             _check_out(args.out)
         run = resolve_config(load_config(args.config), seed=args.seed,
                              threads=args.threads)
-        output, code = handler(run, export.config_header(run.resolved, args.command))
+        lines, code = handler(run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -184,6 +184,7 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    output = "\n".join(export.config_header(run.resolved, args.command) + lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fobj:
             fobj.write(output)

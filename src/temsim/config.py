@@ -63,15 +63,6 @@ MODEL_PRESETS: dict[str, dict] = {
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    strike: float
-    barrier: float
-    step_ladder: tuple[float, ...]
-    reference_delta: Optional[float]
-    p: float
-
-
-@dataclass(frozen=True)
 class RunConfig:
     spec: ModelSpec
     policy: TruncationPolicy
@@ -80,7 +71,11 @@ class RunConfig:
     num_paths: int
     seed: int
     threads: int
-    experiment: ExperimentConfig
+    strike: float
+    barrier: float
+    step_ladder: tuple[float, ...]
+    reference_delta: Optional[float]
+    p: float
     resolved: dict = field(repr=False, default_factory=dict)
 
 
@@ -383,8 +378,7 @@ def resolve_config(
 
     return RunConfig(
         spec=spec, policy=policy, **simulation,
-        experiment=ExperimentConfig(**{**experiment,
-                                       "step_ladder": tuple(experiment["step_ladder"])}),
+        **{**experiment, "step_ladder": tuple(experiment["step_ladder"])},
         resolved={"model": model, "truncation": truncation,
                   "simulation": simulation, "experiment": experiment},
     )

@@ -68,20 +68,56 @@ class Grid:
     num_steps: int
 
 
+class ArgumentError(ValueError):
+    """An argument refused before any path is drawn; ``argument`` names the
+    parameter, and a step list is ``coarse_deltas`` in every estimator."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+    def __reduce__(self):  # whole through a pool's pickle, not from the message alone
+        return type(self), (self.argument, str(self))
+
+
+# The most float64 values one numpy array holds: its size in bytes must fit
+# numpy's index type
+ARRAY_LEN_MAX = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
 def resolve_grid(tau: float, delta: float, horizon: float) -> Grid:
     """Snap a requested step to ``tau / M`` and the horizon to a multiple.
 
     The delay must span a whole number of steps; the requested ``delta`` is
     rounded to the nearest ``tau / M`` and the horizon to the nearest
-    multiple of the effective step.
+    multiple of the effective step. A grid of more nodes (M + K + 1) than a
+    numpy array holds is an :class:`ArgumentError`, before any array is
+    made. It names the length or the step of the count that overflows,
+    whichever is larger, a step counting as one over it: ``tau`` or
+    ``delta`` for the M steps of the delay, ``horizon`` or the step for
+    the K steps of the horizon. A step that is the whole delay (M = 1) is
+    ``tau``'s.
     """
     if not (0.0 < delta < math.inf and 0.0 <= horizon < math.inf):
         raise ValueError(f"need a finite delta > 0 and a finite horizon >= 0, "
                          f"got delta={delta!r}, horizon={horizon!r}")
+    if tau / delta >= ARRAY_LEN_MAX:
+        message = _too_many_nodes("the delay", tau, delta)
+        raise ArgumentError("tau", message) if tau * delta > 1.0 else \
+            ArgumentError("delta", message)
     m = max(1, round(tau / delta))
     eff = tau / m
+    if m + horizon / eff >= ARRAY_LEN_MAX:
+        message = _too_many_nodes("the horizon", horizon, eff)
+        raise (ArgumentError("horizon", message) if horizon * eff > 1.0 else
+               ArgumentError("delta", message) if m > 1 else ArgumentError("tau", message))
     k = round(horizon / eff)
     return Grid(delta=eff, tau_steps=m, num_steps=k)
+
+
+def _too_many_nodes(what: str, length: float, step: float) -> str:
+    return (f"{what} {length:g} spans {length / step:.3g} steps of {step:g}: more "
+            f"nodes than a numpy array holds ({ARRAY_LEN_MAX})")
 
 
 # The largest mean numpy's Poisson sampler takes ("lam value too large" above it)

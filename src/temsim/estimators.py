@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import engine
-from .engine import Grid, SimulationError, resolve_grid
+from .engine import ArgumentError, Grid, SimulationError, resolve_grid
 from .model import ModelSpec
 from .truncation import TruncationPolicy
 
@@ -34,7 +34,8 @@ class EstimatorResult:
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "EstimatorResult":
         n = samples.size
-        if n and samples.min() == samples.max():
+        _needs_two_paths(n)
+        if samples.min() == samples.max():
             # degenerate estimator: the mean of identical samples is that
             # value exactly (float reductions would smear it by ulps)
             value = float(samples[0])
@@ -43,7 +44,7 @@ class EstimatorResult:
         # an overflowed mean or spread is refused below, by name: no numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float(samples.mean())
-            se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            se = float(samples.std(ddof=1) / np.sqrt(n))
         summary = (mean, se, mean - 1.96 * se, mean + 1.96 * se)
         if not all(map(math.isfinite, summary)):
             raise SimulationError(f"the summary of {n} samples is not finite: mean "
@@ -80,29 +81,22 @@ class SchemeComparison:
     quantiles: dict[float, float]
 
 
-class ArgumentError(ValueError):
-    """An estimator argument refused before any path is drawn; ``argument``
-    names the parameter, and a step list is ``coarse_deltas`` in every estimator."""
-
-    def __init__(self, argument: str, message: str):
-        super().__init__(message)
-        self.argument = argument
-
-    def __reduce__(self):  # whole through a pool's pickle, not from the message alone
-        return type(self), (self.argument, str(self))
-
-
 def _run_chunks(worker: Callable, num_paths: int, threads: int) -> list:
-    """Apply a picklable chunk worker to every path range, in order."""
+    """Apply a picklable chunk worker to every path range, in order; the
+    ranges are generated, never listed whole."""
     if num_paths < 1:
         raise ArgumentError("num_paths", f"num_paths must be at least 1, got {num_paths}")
-    ranges = [(lo, min(lo + CHUNK_SIZE, num_paths))
-              for lo in range(0, num_paths, CHUNK_SIZE)]
-    if threads > 1 and len(ranges) > 1:
+    if num_paths > engine.ARRAY_LEN_MAX:
+        raise ArgumentError("num_paths", f"num_paths {num_paths:.3g} is more samples than "
+                            f"a numpy array holds ({engine.ARRAY_LEN_MAX})")
+    ranges = ((lo, min(lo + CHUNK_SIZE, num_paths))
+              for lo in range(0, num_paths, CHUNK_SIZE))
+    workers = min(threads, -(-num_paths // CHUNK_SIZE))
+    if workers > 1:
         # imported here: a run without a pool does not load it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, ranges))
     return [worker(r) for r in ranges]
 
@@ -279,6 +273,17 @@ def scheme_comparison(
     )
 
 
+def _step_grid(spec, delta, horizon, refuse) -> Grid:
+    """``resolve_grid`` at a step the estimator takes as an argument: a step
+    too fine for a numpy array is refused by ``refuse``, under that argument."""
+    try:
+        return resolve_grid(spec.tau, delta, horizon)
+    except ArgumentError as exc:
+        if exc.argument != "delta":
+            raise
+        raise refuse(str(exc)) from None
+
+
 def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
                    reference_delta: float, horizon: float) -> tuple[Grid, list[tuple[Grid, int]]]:
     """Reference grid plus (coarse grid, coarsening factor) per level; at
@@ -286,10 +291,12 @@ def _coupled_grids(spec: ModelSpec, coarse_deltas: Sequence[float],
     refuse = partial(ArgumentError, "coarse_deltas")
     if not coarse_deltas:
         raise refuse("no step to compare: the step list is empty")
-    ref = resolve_grid(spec.tau, reference_delta, horizon)
+    # the steps first: moment_curves' reference is its finest step
+    grids = [_step_grid(spec, delta, horizon, refuse) for delta in coarse_deltas]
+    ref = _step_grid(spec, reference_delta, horizon,
+                     partial(ArgumentError, "reference_delta"))
     levels, given = [], {}
-    for delta in coarse_deltas:
-        snapped = resolve_grid(spec.tau, delta, horizon)
+    for delta, snapped in zip(coarse_deltas, grids):
         if snapped.tau_steps in given:
             raise refuse(f"steps {given[snapped.tau_steps]:g} and {delta:g} both "
                          f"snap to tau/{snapped.tau_steps} = {snapped.delta:g}")

@@ -1,14 +1,13 @@
 """Plain-text/CSV rendering of runs and estimates.
 
-Every artifact starts with '#'-prefixed comment lines echoing the fully
-resolved configuration, so any output file can be reproduced from its own
-header. Floats are written with shortest round-trip formatting and no
-timestamps or environment data are included, keeping reruns byte-identical.
+``cli.main`` writes every artifact as the '#'-prefixed echo of the fully
+resolved configuration (``config_header``), so any output file can be
+reproduced from its own header, then the command's own lines (``render_*``).
+Floats are written with shortest round-trip formatting and no timestamps or
+environment data are included, keeping reruns byte-identical.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import yaml
 
@@ -29,14 +28,14 @@ def config_header(resolved: dict, command: str) -> list[str]:
     return lines
 
 
-def render_path_csv(state: PathState, header: Iterable[str]) -> str:
+def render_path_csv(state: PathState) -> list[str]:
     """Rows (k, t, X, regime, dB, dN) over the whole grid -M..K.
 
     Regime and increment columns are zero-filled where undefined: the chain
     starts at node 0 (earlier rows echo the initial regime) and increments
     belong to steps 0..K-1.
     """
-    lines = list(header)
+    lines = []
     lines.append(f"# effective_delta: {state.delta!r}")
     lines.append(f"# tau_steps: {state.tau_steps}")
     lines.append(f"# num_steps: {state.num_steps}")
@@ -53,22 +52,22 @@ def render_path_csv(state: PathState, header: Iterable[str]) -> str:
             f"{k},{_fmt(k * state.delta)},{_fmt(state.value(k))},{regime},"
             f"{_fmt(float(db))},{dn}"
         )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def render_price_csv(result: EstimatorResult, header: Iterable[str]) -> str:
-    lines = list(header)
+def render_price_csv(result: EstimatorResult) -> list[str]:
+    lines = []
     lines.append("estimate,std_error,ci_low,ci_high,num_paths")
     lines.append(
         f"{_fmt(result.estimate)},{_fmt(result.std_error)},"
         f"{_fmt(result.confidence_95[0])},{_fmt(result.confidence_95[1])},"
         f"{result.num_paths}"
     )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def render_convergence_csv(report: ConvergenceReport, header: Iterable[str]) -> str:
-    lines = list(header)
+def render_convergence_csv(report: ConvergenceReport) -> list[str]:
+    lines = []
     lines.append(f"# reference_delta: {report.reference_delta!r}")
     lines.append(f"# p: {report.p!r}")
     lines.append(f"# num_paths: {report.num_paths}")
@@ -76,11 +75,11 @@ def render_convergence_csv(report: ConvergenceReport, header: Iterable[str]) -> 
     for delta, err, se in zip(report.step_sizes, report.errors, report.std_errors):
         lines.append(f"{_fmt(float(delta))},{_fmt(float(err))},{_fmt(float(se))}")
     lines.append(f"# fitted_order = {_fmt(float(report.fitted_order))}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def render_comparison_csv(result: SchemeComparison, header: Iterable[str]) -> str:
-    lines = list(header)
+def render_comparison_csv(result: SchemeComparison) -> list[str]:
+    lines = []
     lines.append("stat,value")
     lines.append(f"delta,{_fmt(result.delta)}")
     lines.append(f"num_paths,{result.num_paths}")
@@ -91,4 +90,4 @@ def render_comparison_csv(result: SchemeComparison, header: Iterable[str]) -> st
     lines.append(f"max,{_fmt(result.max)}")
     for q, value in sorted(result.quantiles.items()):
         lines.append(f"q{int(round(q * 100))},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return lines

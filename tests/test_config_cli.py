@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from temsim import cli, estimators, export
+from temsim import cli, engine, estimators, export
 from temsim.cli import main
 from temsim.config import (
     MODEL_PRESETS,
@@ -332,6 +332,52 @@ class TestCliCommands:
             "numerical error: jump_intensity 1e+300 at step 0.01 gives a Poisson mean of "
             "1e+298, above numpy's limit 9.22337e+18\n")
 
+    @pytest.mark.parametrize("command,section,key,value,field", [
+        ("simulate", "simulation", "horizon", 1.0e300, "simulation.horizon"),
+        ("validate", "model", "tau", 1.0e300, "model.tau"),
+        # the delay, shorter than the step, is the step: 1e299 steps of 1e-300
+        ("price-bond", "model", "tau", 1.0e-300, "model.tau"),
+        ("compare-schemes", "simulation", "delta", 1.0e-300, "simulation.delta"),
+        ("price-barrier", "simulation", "horizon", 2**63, "simulation.horizon"),
+        ("converge", "experiment", "reference_delta", 1.0e-300,
+         "experiment.reference_delta"),
+        ("converge", "experiment", "step_ladder", [0.02, 1.0e-300],
+         "experiment.step_ladder"),
+    ])
+    def test_grid_numpy_cannot_index_refused(self, command, section, key, value, field,
+                                             tmp_path, capsys, monkeypatch):
+        # numpy raised "Maximum allowed dimension exceeded" as the arrays
+        # were made (a traceback, exit 1), and validate passed
+        def no_noise(*_args):
+            raise AssertionError("noise drawn before the grid was checked")
+
+        monkeypatch.setattr(engine, "draw_batch_noise", no_noise)
+        cfg = demo_config(num_paths=4, horizon=0.1)
+        cfg["experiment"] = {"step_ladder": [0.02, 0.01], "reference_delta": 0.005}
+        cfg[section][key] = value
+        assert self.run_cli([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert re.fullmatch(rf"config error: {re.escape(field)}: the (delay|horizon) "
+                            r"\S+ spans \S+ steps of \S+: more nodes than a numpy array "
+                            r"holds \(\d+\)\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("num_paths", [1.0e300, 2**63])
+    @pytest.mark.parametrize("command", ["converge", "compare-schemes", "price-bond",
+                                         "price-barrier"])
+    def test_path_count_numpy_cannot_index_refused(self, command, num_paths, tmp_path,
+                                                   capsys, monkeypatch):
+        # _run_chunks listed every chunk range before any worker ran: a
+        # MemoryError, exit 1
+        def no_noise(*_args):
+            raise AssertionError("noise drawn before the path count was checked")
+
+        monkeypatch.setattr(engine, "draw_batch_noise", no_noise)
+        cfg = demo_config(num_paths=num_paths, horizon=0.1)
+        cfg["experiment"] = {"step_ladder": [0.02, 0.01], "reference_delta": 0.005}
+        assert self.run_cli([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: simulation.num_paths: num_paths {num_paths:.3g} is more "
+            "samples than a numpy array holds (1152921504606846975)\n")
+
     @pytest.mark.parametrize("command,model,sim,experiment,shown", [
         # jumps of rate 2^63 take the distances near 1e168, whose squares overflow
         ("compare-schemes", {"jump_intensity": 2**63}, {"num_paths": 4, "horizon": 0.1},
@@ -342,7 +388,11 @@ class TestCliCommands:
         ("converge", {}, {"num_paths": 16, "horizon": 2.0},
          {"step_ladder": [0.0625, 0.03125], "reference_delta": 0.0078125, "p": 200.0},
          "p = 200 takes the standard error at step 0.0625 to inf (largest sup error "),
-    ], ids=["compare-schemes", "converge"])
+        # and at p = 2000 the mean power itself overflows
+        ("converge", {}, {"num_paths": 16, "horizon": 2.0},
+         {"step_ladder": [0.0625, 0.03125], "reference_delta": 0.0078125, "p": 2000.0},
+         "p = 2000 takes the mean p-th power at step 0.0625 to inf (largest sup error "),
+    ], ids=["compare-schemes", "converge", "converge-power"])
     def test_non_finite_summary_is_numerical_failure(self, command, model, sim,
                                                      experiment, shown, tmp_path, capsys):
         # each printed std_error inf (compare-schemes also ci_low -inf) at

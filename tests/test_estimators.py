@@ -112,6 +112,15 @@ class TestEstimatorResult:
                                                       f"not finite: {re.escape(shown)}"):
                 EstimatorResult.from_samples(np.array(samples))
 
+    @pytest.mark.parametrize("samples", [[], [1.0]], ids=["none", "one"])
+    def test_fewer_than_two_samples_refused(self, samples):
+        # one sample returned a standard error of 0.0
+        with pytest.raises(ArgumentError, match="^num_paths must be at least 2 for a "
+                                                f"standard error, got {len(samples)}$") \
+                as refused:
+            EstimatorResult.from_samples(np.array(samples))
+        assert refused.value.argument == "num_paths"
+
     def test_interval_definition(self):
         result = EstimatorResult.from_samples(np.array([1.0, 2.0, 3.0]))
         assert result.estimate == pytest.approx(2.0)

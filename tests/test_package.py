@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 import temsim
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,3 +114,20 @@ def test_cli_import_defaults_single_threaded_blas_and_loads_no_pool():
     assert fresh_interpreter(REPORT.format(module="temsim.cli"),
                              OPENBLAS_NUM_THREADS="3") == ["True", "False", "True", "3"]
 
+
+
+def test_pooled_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a pooled price-bond writes the same bytes under the CLI's
+    # single-threaded BLAS default and under a user's OPENBLAS_NUM_THREADS=2
+    raw = yaml.safe_load((ROOT / "configs" / "two_regime.yaml").read_text())
+    raw["simulation"].update(num_paths=300, horizon=0.05)
+    config = tmp_path / "small.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    outputs = []
+    for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        out = tmp_path / f"bond-{len(outputs)}.csv"
+        argv = ["price-bond", "--config", str(config), "--threads", "2", "--out", str(out)]
+        fresh_interpreter(f"import sys; from temsim.cli import main; sys.exit(main({argv!r}))",
+                          **env)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
