@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import rng
-from .model import _ZERO, CoefficientTables, ModelSpec  # noqa: F401 (re-exported)
+from .model import _ONE, _ZERO, CoefficientTables, ModelSpec  # noqa: F401 (re-exported)
 from .noise import draw_increments
 from .regime import sample_chain_paths_batch
 from .truncation import TruncationPolicy, truncation_band
@@ -27,7 +26,7 @@ from .truncation import TruncationPolicy, truncation_band
 
 # 0-d operands of the implicit solve: the same arithmetic as the floats,
 # cheaper ufunc calls
-_HALF, _ONE, _TINY = np.asarray(0.5), np.asarray(1.0), np.asarray(1e-300)
+_HALF, _TINY, _LOWER_FLOOR = np.asarray(0.5), np.asarray(1e-300), np.asarray(1e-8)
 _F_TOL, _BRACKET_TOL = np.asarray(1e-14), np.asarray(1e-15)
 
 # Time steps per block of the march (:func:`_march`): bounds the contiguous
@@ -232,7 +231,7 @@ def initial_values(spec: ModelSpec, grid: Grid) -> np.ndarray:
     return np.array([spec.initial_segment.eval(float(t)) for t in ts])
 
 
-def _march(spec, grid, tables, noise, step) -> np.ndarray:
+def _march(spec, grid, tables, noise, step, *rule_args) -> np.ndarray:
     """Block loop shared by the TEM and BEM schemes: the method of steps.
 
     Pulls the noise from ``noise`` (:class:`NoiseBlocks`) one block at a
@@ -241,12 +240,14 @@ def _march(spec, grid, tables, noise, step) -> np.ndarray:
     nodes already computed. Each march block evaluates the volatility on
     the (P, B) delayed slice once, gathers the regime coefficients once,
     and copies its noise into contiguous (B, P) scratch. Then
-    ``step(x, rows, j, phi, d_b, d_n, node)`` maps the length-P state ``x``
-    at ``node`` (step j of the block, coefficients ``rows``) to the next
-    one; ``d_n`` is None on a step where no path jumps, which each block
-    finds with one call. Each new state is copied into (B, P) scratch, and
-    the block is written back into the (P, M+K+1) result with one
-    transposed copy. A non-finite value is a :class:`SimulationError`.
+    ``step(x, rows, j, phi, d_b, d_n, node, *rule_args)`` maps the length-P
+    state ``x`` at ``node`` (step j of the block, coefficients ``rows``) to
+    the next one; ``d_n`` is None on a step where no path jumps, which each
+    block finds with one call. Each new state is copied into (B, P)
+    scratch, and the block is written back into the (P, M+K+1) result with
+    one transposed copy. A non-finite value is a :class:`SimulationError`:
+    the initial segment is checked once and each block as it is written
+    back, and the whole result is scanned only to name the first one.
     """
     m, k = grid.tau_steps, grid.num_steps
     num_paths = noise.shape[0]
@@ -254,7 +255,9 @@ def _march(spec, grid, tables, noise, step) -> np.ndarray:
         raise ValueError(f"noise covers {noise.shape[1]} steps, the grid {k}")
 
     values = np.empty((num_paths, m + k + 1))
-    values[:, : m + 1] = initial_values(spec, grid)[None, :]
+    segment = initial_values(spec, grid)
+    values[:, : m + 1] = segment[None, :]
+    finite = bool(np.isfinite(segment).all())
     size = max(1, min(m, BLOCK_STEPS))
     d_b = np.empty((size, num_paths))
     # Poisson counts as floats: the same products, without a mixed-type call
@@ -272,27 +275,29 @@ def _march(spec, grid, tables, noise, step) -> np.ndarray:
                 raise ValueError("regimes must have shape (num_paths, num_steps + 1)")
             for lo in range(0, width, size):
                 hi = min(lo + size, width)
+                steps = hi - lo
                 phi = spec.volatility.evaluate_many(
-                    values[:, start:start + hi - lo], regimes[:, lo:hi])
+                    values[:, start:start + steps], regimes[:, lo:hi])
                 phi = np.ascontiguousarray(phi.T)
                 rows = tables.gather(np.ascontiguousarray(regimes[:, lo:hi].T) - 1)
-                np.copyto(d_b[: hi - lo], brownian[:, lo:hi].T)
-                np.copyto(d_n[: hi - lo], poisson[:, lo:hi].T)
-                jumps = d_n[: hi - lo].any(axis=1).tolist()
-                for j, (phi_j, d_b_j, d_n_j, jumped) in enumerate(
-                        zip(phi, d_b, d_n, jumps)):
-                    x = step(x, rows, j, phi_j, d_b_j, d_n_j if jumped else None,
-                             start + j)
+                np.copyto(d_b[:steps], brownian[:, lo:hi].T)
+                np.copyto(d_n[:steps], poisson[:, lo:hi].T)
+                jumps = d_n[:steps].any(axis=1).tolist()
+                for j, (phi_j, d_b_j, jumped) in enumerate(zip(phi, d_b, jumps)):
+                    x = step(x, rows, j, phi_j, d_b_j, d_n[j] if jumped else None,
+                             start + j, *rule_args)
                     block[j] = x
-                values[:, m + start + 1 : m + start + hi - lo + 1] = block[: hi - lo].T
-                start += hi - lo
+                values[:, m + start + 1 : m + start + steps + 1] = block[:steps].T
+                finite = finite and bool(np.isfinite(block[:steps]).all())
+                start += steps
             # no reference to a spent block while the next one is drawn,
             # here or in a generator feeding this loop: a chunk holds one block
             del brownian, poisson, regimes
     if start != k:
         # a drawn source is spent by the first run through it
         raise ValueError(f"noise blocks covered {start} of {k} steps")
-    _check_finite(values, m, noise)
+    if not finite:
+        _raise_non_finite(values, m, noise)
     return values
 
 
@@ -301,18 +306,20 @@ def tem_update(x, rows, ridx, phi, d_b, d_n, _node, delta, lower, upper):
     diffusion truncated to the band ``[lower, upper]``; ``d_n`` is None on
     a step without jumps."""
     fd, gd = rows.truncated(x, ridx, lower, upper)
-    out = x + fd * delta + phi * gd * d_b
+    # x + fd delta + phi gd dB, each product and sum in that order
+    out = np.add(np.add(x, np.multiply(fd, delta)),
+                 np.multiply(np.multiply(phi, gd), d_b))
     if d_n is not None:
-        out += rows.jump(x, ridx) * d_n
+        out = np.add(out, np.multiply(rows.jump(x, ridx), d_n))
     return out
 
 
 def bem_update(x, rows, ridx, phi, d_b, d_n, node, delta, noise):
     """The backward-EM step rule of :func:`_march` (see :func:`simulate_bem_batch`);
     a failed solve names the replay coordinates of ``noise``."""
-    target = x + phi * rows.diffusion(x) * d_b
+    target = np.add(x, np.multiply(np.multiply(phi, rows.diffusion(x)), d_b))
     if d_n is not None:
-        target += rows.jump(x, ridx) * d_n
+        target = np.add(target, np.multiply(rows.jump(x, ridx), d_n))
     return implicit_drift_solve(rows, ridx, target, delta, noise, node)
 
 
@@ -331,8 +338,8 @@ def simulate_tem_batch(
     """
     # 0-d arrays: the same products as Python floats, cheaper ufunc operands
     lower, upper = map(np.asarray, truncation_band(grid.delta, policy))
-    step = partial(tem_update, delta=np.asarray(grid.delta), lower=lower, upper=upper)
-    return _march(spec, grid, CoefficientTables(spec), noise, step)
+    return _march(spec, grid, CoefficientTables(spec), noise, tem_update,
+                  np.asarray(grid.delta), lower, upper)
 
 
 def simulate_bem_batch(
@@ -362,8 +369,7 @@ def simulate_bem_batch(
             f"(needs delta < {1.0 / max_a1:g})",
             seed=noise.seed, delta=noise.delta, factor=noise.factor,
         )
-    step = partial(bem_update, delta=grid.delta, noise=noise)
-    return _march(spec, grid, tables, noise, step)
+    return _march(spec, grid, tables, noise, bem_update, np.asarray(grid.delta), noise)
 
 
 def implicit_drift_solve(
@@ -393,32 +399,36 @@ def implicit_drift_solve(
     step_size = np.asarray(delta)
 
     abs_target = np.abs(target)
+    # both bracket ends in one pair, so that they take one residual call
+    ends = np.empty((2,) + np.shape(target))
+    lo, hi = ends
     if tables.include_inverse:
         # every iterate is +0 or more: the lower bracket end starts
         # positive and only shrinks, and each iterate lies inside the bracket
         def residual(z):
-            return z - step_size * tables.drift(z, ridx) - target
+            return np.subtract(np.subtract(z, np.multiply(step_size, tables.drift(z, ridx))),
+                               target)
 
         def slope_at(z):
-            return _ONE - step_size * tables.drift_derivative(z, ridx)
+            return np.subtract(_ONE, np.multiply(step_size, tables.drift_derivative(z, ridx)))
 
         # residual -> -inf as z -> 0+ through the a_m1/z term
-        lo = np.minimum(np.maximum(abs_target, 1e-8), 0.5)
+        np.minimum(np.maximum(abs_target, _LOWER_FLOOR), _HALF, out=lo)
         lower = (lambda end: end * 0.125), 400, "positive lower"
     else:
         # boundary-value extension: drift frozen at its z = 0 value below zero
         def residual(z):
-            return z - step_size * tables.drift(np.maximum(z, _ZERO), ridx) - target
+            drift = tables.drift(np.maximum(z, _ZERO), ridx)
+            return np.subtract(np.subtract(z, np.multiply(step_size, drift)), target)
 
         def slope_at(z):
-            return np.where(
-                z > _ZERO,
-                _ONE - step_size * tables.drift_derivative(np.maximum(z, _TINY), ridx),
-                _ONE,
-            )
+            slope = tables.drift_derivative(np.maximum(z, _TINY), ridx)
+            return np.where(np.greater(z, _ZERO),
+                            np.subtract(_ONE, np.multiply(step_size, slope)), _ONE)
 
-        lo = np.minimum(target, 0.0) - 1.0
+        np.subtract(np.minimum(target, _ZERO), _ONE, out=lo)
         lower = (lambda end: 2.0 * end - 1.0), 200, "lower"
+    np.add(abs_target, _ONE, out=hi)
 
     def widen(end, res, fails, grow, tries, kind):
         """Grow ``end`` on the failing rows until no row fails, given the
@@ -426,46 +436,50 @@ def implicit_drift_solve(
         failing, so a non-finite target raises here, at its step."""
         for _ in range(tries):
             bad = fails(res)
-            if not bad.any():
+            if not np.count_nonzero(bad):
                 return end
             end = np.where(bad, grow(end), end)
             res = residual(end)
         raise _path_error(f"implicit solve found no {kind} bracket end at step {step}",
                           np.argmax(fails(res)), step, noise)
 
-    hi = abs_target + 1.0
-    # one residual call for both ends; the widening loops run only for a
-    # batch with a failing row
-    at_lo, at_hi = residual(np.stack((lo, hi)))
-    lo = widen(lo, at_lo, lambda res: ~(res < 0.0), *lower)
-    hi = widen(hi, at_hi, lambda res: ~(res > 0.0),
-               lambda end: 2.0 * end + 1.0, 200, "upper")
-
-    z = _HALF * (lo + hi)
-    active = np.ones(z.shape, dtype=bool)
+    # a lower end shrunk to +0 divides by zero on its way to the error it
+    # raises: no numpy warning
     with np.errstate(divide="ignore", invalid="ignore"):
+        # the widening loops run only for a batch with a failing row
+        at_lo, at_hi = residual(ends)
+        lo = widen(lo, at_lo, lambda res: np.logical_not(np.less(res, _ZERO)), *lower)
+        hi = widen(hi, at_hi, lambda res: np.logical_not(np.greater(res, _ZERO)),
+                   lambda end: 2.0 * end + 1.0, 200, "upper")
+
+        z = np.multiply(_HALF, np.add(lo, hi))
+        active = np.ones(z.shape, dtype=bool)
         for _ in range(200):
             f = residual(z)
             # a settled row never reads its bracket again
-            np.putmask(lo, f < _ZERO, z)
-            np.putmask(hi, f >= _ZERO, z)
-            near = _ONE + np.abs(z)
-            active &= ~((np.abs(f) <= _F_TOL * (near + abs_target))
-                        | ((hi - lo) <= _BRACKET_TOL * near))
+            np.putmask(lo, np.less(f, _ZERO), z)
+            np.putmask(hi, np.greater_equal(f, _ZERO), z)
+            near = np.add(_ONE, np.abs(z))
+            settled = np.logical_or(
+                np.less_equal(np.abs(f), np.multiply(_F_TOL, np.add(near, abs_target))),
+                np.less_equal(np.subtract(hi, lo), np.multiply(_BRACKET_TOL, near)))
+            active = np.logical_and(active, np.logical_not(settled))
             if not np.count_nonzero(active):
                 break
-            proposal = z - f / slope_at(z)
-            # a proposal strictly inside the bracket is finite (NaN fails both)
-            inside = (proposal > lo) & (proposal < hi)
-            np.copyto(z, np.where(inside, proposal, _HALF * (lo + hi)), where=active)
+            proposal = np.subtract(z, np.divide(f, slope_at(z)))
+            # a proposal strictly inside the bracket is finite (NaN fails both);
+            # the rows outside it bisect, when there are any
+            inside = np.logical_and(np.greater(proposal, lo), np.less(proposal, hi))
+            if np.count_nonzero(inside) < inside.size:
+                proposal = np.where(inside, proposal, np.multiply(_HALF, np.add(lo, hi)))
+            np.copyto(z, proposal, where=active)
     return z
 
 
-def _check_finite(values, m, noise):
-    finite = np.isfinite(values)
-    if finite.all():
-        return
-    row, col = np.argwhere(~finite)[0]
+def _raise_non_finite(values, m, noise):
+    """The error naming the first non-finite value of ``values``: its lowest
+    row, at that row's first non-finite node."""
+    row, col = np.argwhere(~np.isfinite(values))[0]
     node = int(col) - m
     raise _path_error(f"non-finite value at node {node}", row, node, noise)
 

@@ -33,7 +33,8 @@ def render_path_csv(state: PathState) -> list[str]:
 
     Regime and increment columns are zero-filled where undefined: the chain
     starts at node 0 (earlier rows echo the initial regime) and increments
-    belong to steps 0..K-1.
+    belong to steps 0..K-1. The arrays are read once, as Python floats and
+    ints: the rows print their ``repr``, as ``_fmt`` does.
     """
     lines = []
     lines.append(f"# effective_delta: {state.delta!r}")
@@ -41,17 +42,13 @@ def render_path_csv(state: PathState) -> list[str]:
     lines.append(f"# num_steps: {state.num_steps}")
     lines.append("k,t,X,regime,dB,dN")
     m, k_max = state.tau_steps, state.num_steps
-    for k in range(-m, k_max + 1):
-        regime = state.regimes[k] if k >= 0 else state.regimes[0]
-        if 0 <= k < k_max:
-            db = state.brownian[k]
-            dn = int(state.poisson[k])
-        else:
-            db, dn = 0.0, 0
-        lines.append(
-            f"{k},{_fmt(k * state.delta)},{_fmt(state.value(k))},{regime},"
-            f"{_fmt(float(db))},{dn}"
-        )
+    regimes = state.regimes.tolist()
+    columns = zip(range(-m, k_max + 1), state.values.tolist(), regimes[:1] * m + regimes,
+                  [0.0] * m + state.brownian.tolist() + [0.0],
+                  [0] * m + state.poisson.tolist() + [0])
+    delta = state.delta
+    for k, x, regime, db, dn in columns:
+        lines.append(f"{k},{k * delta!r},{x!r},{regime},{db!r},{dn}")
     return lines
 
 

@@ -193,28 +193,37 @@ class CoefficientTables:
         self.rho = spec.rho
         self.theta = spec.theta
         self.include_inverse = spec.include_inverse_drift
+        # 0-d operands: the same arithmetic as the floats, cheaper ufunc calls
+        self._rho, self._theta = np.asarray(spec.rho), np.asarray(spec.theta)
+        self._rho_less_one = np.asarray(spec.rho - 1.0)
 
     def drift(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
         """f at ``x >= +0`` (or NaN): the drift is defined on the half-line only."""
-        out = self.a1[ridx] * x - self.a0[ridx] - self.a2[ridx] * x ** self.rho
+        # numpy's own x ** 2.0 is np.square(x)
+        power = np.square(x) if self.rho == 2.0 else np.power(x, self._rho)
+        out = np.subtract(np.subtract(np.multiply(self.a1[ridx], x), self.a0[ridx]),
+                          np.multiply(self.a2[ridx], power))
         if self.include_inverse:
-            out = out + self.a_m1[ridx] / x
+            out = np.add(out, np.divide(self.a_m1[ridx], x))
         return out
 
     def drift_derivative(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
         """f' at ``x >= +0`` (or NaN), the only points the implicit solve
         takes it at."""
-        out = self.a1[ridx] - self.a2[ridx] * self.rho * x ** (self.rho - 1.0)
+        # x ** (rho - 1) is x itself at rho = 2: numpy takes x ** 1.0 as a copy
+        power = x if self.rho == 2.0 else np.power(x, self._rho_less_one)
+        out = np.subtract(self.a1[ridx],
+                          np.multiply(np.multiply(self.a2[ridx], self._rho), power))
         if self.include_inverse:
-            out = out - self.a_m1[ridx] / (x * x)
+            out = np.subtract(out, np.divide(self.a_m1[ridx], np.multiply(x, x)))
         return out
 
     def diffusion(self, x: np.ndarray) -> np.ndarray:
         """g at ``x``: x^theta for x >= 0, zero below, NaN at NaN."""
-        return np.maximum(x, _ZERO) ** self.theta
+        return np.power(np.maximum(x, _ZERO), self._theta)
 
     def jump(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
-        return np.where(x > _ZERO, self.a3[ridx] * x, _ZERO)
+        return np.where(np.greater(x, _ZERO), np.multiply(self.a3[ridx], x), _ZERO)
 
     def truncated(self, x, ridx, lower, upper) -> tuple[np.ndarray, np.ndarray]:
         """The truncated drift and diffusion factor at ``x``.
@@ -251,10 +260,12 @@ class CoefficientTables:
         return rows
 
 
-# 0-d zero: the same comparisons and fills as the literal 0.0, with cheaper
-# ufunc calls (a Python float operand costs a conversion on every call)
-_ZERO = np.zeros(())
-_ZERO.flags.writeable = False
+# 0-d operands: the same comparisons, fills and products as the literals,
+# with cheaper ufunc calls (a Python float operand costs a conversion on
+# every call)
+_ZERO, _ONE, _MINUS_TWO = np.zeros(()), np.ones(()), np.asarray(-2.0)
+for _operand in (_ZERO, _ONE, _MINUS_TWO):
+    _operand.flags.writeable = False
 
 
 # -- built-in volatility functions -------------------------------------------
@@ -268,30 +279,23 @@ def sigmoid_volatility_vec(y: np.ndarray, i: np.ndarray) -> np.ndarray:
     ``scale * where(y >= 0, tanh(yp) + exp(-yp) / (1 + exp(-2 yp)), 0.5)``
     with ``yp = where(y >= 0, y, 0)``: (1 + e^y - e^-y)/(e^y + e^-y)
     rewritten as tanh(y) + sech-type term, stable for arbitrarily large y.
-    Its operations run on the same operands, so they give the same bits, in
-    two scratch arrays of the result's shape.
+    The ratio at yp = +-0 is 0.5 exactly, so ``yp = fmax(y, 0)``, which
+    takes a negative or NaN y to zero, gives every value with no mask. It
+    is taken once, and the operations run on the same operands, so they
+    give the same bits, in three scratch arrays of the result's shape.
     """
-    y = np.asarray(y, dtype=float)
-    nonnegative = y >= 0.0
-    shape = np.broadcast_shapes(y.shape, np.shape(i))
-    a, b = np.empty(shape), np.empty(shape)
-
-    def clipped(out):
-        """yp, written into ``out``."""
-        out[...] = 0.0
-        np.copyto(out, y, where=nonnegative)
-        return out
-
+    shape = np.broadcast_shapes(np.shape(y), np.shape(i))
+    yp, a, b = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.fmax(y, _ZERO, out=yp)
     # 1 + exp(-2 yp) in b, exp(-yp) over it, tanh(yp) added
-    np.exp(np.multiply(-2.0, clipped(b), out=b), out=b)
-    np.add(1.0, b, out=b)
-    np.divide(np.exp(np.negative(clipped(a), out=a), out=a), b, out=b)
-    ratio = np.add(np.tanh(clipped(a), out=a), b, out=b)
-    np.copyto(ratio, 0.5, where=~nonnegative)
+    np.exp(np.multiply(_MINUS_TWO, yp, out=b), out=b)
+    np.add(_ONE, b, out=b)
+    np.divide(np.exp(np.negative(yp, out=a), out=a), b, out=b)
+    ratio = np.add(np.tanh(yp, out=a), b, out=b)
     # the regime's scale in a
-    a[...] = _SIGMOID_SCALE[1]
-    np.copyto(a, _SIGMOID_SCALE[0], where=np.asarray(i) == 1)
-    return np.multiply(a, ratio, out=ratio)
+    np.copyto(a, _SIGMOID_SCALE[1])
+    np.copyto(a, _SIGMOID_SCALE[0], where=np.equal(i, 1))
+    return np.multiply(a, ratio, out=yp)
 
 
 # sup of (1 + e^y - e^-y)/(e^y + e^-y) over y >= 0, attained at y = arcsinh(2);

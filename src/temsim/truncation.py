@@ -134,7 +134,8 @@ def truncation_band(delta: float, policy: TruncationPolicy) -> tuple[float, floa
             f"{policy.delta_star:g}"
         )
     upper = float(band_edge(policy.mu, policy.psi_exponent, delta))
-    if upper <= 1.0:
+    # written so that NaN fails: it compares false with every number
+    if not upper > 1.0:
         raise TruncationError(
             f"truncation band degenerate at delta = {delta:g} (upper edge {upper:g})"
         )
@@ -146,10 +147,12 @@ def _band_sups(tables: CoefficientTables,
     """Grid edges ``r`` >= 1 and the sup of |f| and g over each band [1/r, r],
     over the regime indices ``ridx``: the grid is symmetric in log about
     x = 1 and the bands are nested, so each sup is a running maximum
-    outward from x = 1."""
+    outward from x = 1. A power past the largest float gives an infinite or
+    NaN sup, with no numpy warning."""
     xs = np.geomspace(1e-3, 1e3, 4001)
-    drifts = tables.drift(xs, ridx)
-    sup = np.maximum(tables.diffusion(xs), np.abs(drifts).max(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        drifts = tables.drift(xs, ridx)
+        sup = np.maximum(tables.diffusion(xs), np.abs(drifts).max(axis=0))
     mid = xs.size // 2
     return xs[mid:], np.maximum(np.maximum.accumulate(sup[mid:]),
                                 np.maximum.accumulate(sup[mid::-1]))
@@ -157,8 +160,9 @@ def _band_sups(tables: CoefficientTables,
 
 def _verify_domination(mu: Callable, r: np.ndarray, band_sup: np.ndarray) -> None:
     # a band [1/u, u] with r[k] <= u <= r[k+1] lies inside band k+1, and
-    # mu(u) >= mu(r[k]): checking these pairs covers every u, not only r
-    bad = band_sup[1:] > mu(r[:-1]) * (1.0 + 1e-9)
+    # mu(u) >= mu(r[k]): checking these pairs covers every u, not only r;
+    # written so that a NaN sup fails
+    bad = ~(band_sup[1:] <= mu(r[:-1]) * (1.0 + 1e-9))
     if bad.any():
         k = int(np.argmax(bad))
         raise TruncationError(
@@ -220,10 +224,18 @@ def default_mu_for(spec: ModelSpec, psi_exponent: float = 0.25,
     if mu is None:
         m = max(spec.rho, spec.theta) + 1.0
         # dominates by construction, in the sense of _verify_domination
-        mu = _MuPower(float((band_sup[1:] / r[:-1] ** m).max()) * (1.0 + 1e-6), m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = float((band_sup[1:] / r[:-1] ** m).max()) * (1.0 + 1e-6)
+        if not math.isfinite(c):
+            raise TruncationError(
+                f"power-fit mu(u) = c u^m has no finite constant c at the exponent "
+                f"m = max(rho, theta) + 1 = {m:g}: the coefficient sup or r^m is "
+                "past the largest float")
+        mu = _MuPower(c, m)
 
     def admissible(delta: float) -> bool:
-        if float(band_edge(mu, psi_exponent, delta)) <= 1.0:
+        # written so that NaN fails: it compares false with every number
+        if not float(band_edge(mu, psi_exponent, delta)) > 1.0:
             return False
         if spec.include_inverse_drift:
             xs = np.geomspace(delta * 1e-3, delta * (1.0 - 1e-9), 128)

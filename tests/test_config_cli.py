@@ -320,6 +320,40 @@ class TestCliCommands:
             "config error: truncation: psi_exponent 26 takes delta^-q past the largest "
             "float at step 1e-12\n")
 
+    @pytest.mark.parametrize("command", ["validate", "price-bond", "simulate"])
+    @pytest.mark.parametrize("exponent", ["rho", "theta"])
+    def test_power_fit_past_the_largest_float_is_config_error(self, exponent, command,
+                                                             tmp_path, capsys):
+        # mu's fitted constant came out NaN under three numpy RuntimeWarnings:
+        # validate printed a band of [nan, nan] at exit 3, and the runs failed
+        # at node 1 with replay coordinates, exit 4
+        cfg = demo_config(num_paths=4, horizon=0.1)
+        cfg["model"][exponent] = 1.0e300
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run_cli([command, "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: truncation: power-fit mu(u) = c u^m has no finite constant c "
+            "at the exponent m = max(rho, theta) + 1 = 1e+300: the coefficient sup or "
+            "r^m is past the largest float\n")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_bem_bracket_shrunk_to_zero_fails_without_warnings(self, tmp_path, capsys):
+        # the lower bracket end, shrunk by 1/8 on every try, reached +0 and
+        # divided by zero on each try after, printing some 40 numpy
+        # RuntimeWarnings before the solve raised
+        cfg = demo_config(num_paths=4, horizon=0.1)
+        cfg["model"]["initial_segment"] = {"value": 1.0e300}
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run_cli(["compare-schemes", "--config", path]) == 4
+        assert capsys.readouterr().err == (
+            "numerical error: implicit solve found no positive lower bracket end at step 0 "
+            "of path 0 (replay: seed=3, path=0, delta=0.01)\n")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("command", ["simulate", "price-bond"])
     def test_poisson_mean_past_numpy_limit_is_numerical_failure(self, command, tmp_path,
                                                                 capsys):

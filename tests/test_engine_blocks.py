@@ -38,7 +38,7 @@ from temsim.engine import (
     simulate_bem_batch,
     simulate_tem_batch,
 )
-from temsim.model import RegimeParams, VolatilitySpec
+from temsim.model import InitialSegment, RegimeParams, VolatilitySpec
 from temsim.regime import (
     GeneratorMatrix,
     matrix_exponential,
@@ -463,3 +463,38 @@ def test_poisson_mean_past_numpy_limit_refused_before_any_stream(monkeypatch):
         with pytest.raises(SimulationError, match=f"^jump_intensity {re.escape(shown)} "
                                                   "at step 1 gives a Poisson mean of "):
             draw_batch_noise(spec, grid, 0, np.arange(2))
+
+
+def test_non_finite_value_named_at_its_lowest_row_and_first_node():
+    # each march block is checked as it is written back: the error still
+    # names the lowest row with a non-finite value at that row's first, as
+    # a scan of the whole result does, though a higher row failed in an
+    # earlier block
+    spec = replace(two_regime_demo(), tau=0.03)
+    policy = default_mu_for(spec, psi_exponent=2.0 / 3.0, mu_preset="3u2")
+    grid = Grid(delta=0.01, tau_steps=3, num_steps=20)
+    brownian, poisson, regimes = next(iter(
+        draw_batch_noise(spec, grid, 4, np.arange(5), grid.num_steps)))
+    brownian[3, 1] = math.nan    # row 3 from node 2, in the first march block
+    brownian[1, 13] = math.inf   # row 1 from node 14, in the fifth
+    noise = NoiseBlocks(brownian.shape, [(brownian, poisson, regimes)], seed=4,
+                        path_indices=np.arange(10, 15), delta=grid.delta)
+    with pytest.raises(SimulationError, match=r"^non-finite value at node 14 of path 11 "
+                                              r"\(replay: seed=4, path=11, delta=0.01\)$"):
+        simulate_tem_batch(spec, policy, grid, noise)
+    brownian[1, 13] = 0.0
+    with pytest.raises(SimulationError, match="^non-finite value at node 2 of path 13 "):
+        simulate_tem_batch(spec, policy, grid, noise)
+
+
+def test_non_finite_initial_segment_named_at_its_node():
+    # the segment is checked once, before the march: every row holds it,
+    # so row 0 is named, at the segment's node
+    segment = InitialSegment(eval=lambda t: math.nan if -0.015 < t < -0.005 else 0.5)
+    spec = replace(two_regime_demo(), tau=0.03, initial_segment=segment)
+    policy = default_mu_for(spec, psi_exponent=2.0 / 3.0, mu_preset="3u2")
+    grid = Grid(delta=0.01, tau_steps=3, num_steps=2)
+    blocks = next(iter(draw_batch_noise(spec, grid, 4, np.arange(3), grid.num_steps)))
+    noise = NoiseBlocks(blocks[0].shape, [blocks])
+    with pytest.raises(SimulationError, match="^non-finite value at node -1 of path 0$"):
+        simulate_tem_batch(spec, policy, grid, noise)

@@ -144,7 +144,7 @@ class TestSigmoidVolatility:
                          for y, i in zip(ys, regimes)])
         np.testing.assert_array_equal(vec, scal)
 
-    # the expression sigmoid_volatility_vec evaluates in two scratch arrays
+    # the expression sigmoid_volatility_vec evaluates in its scratch arrays
     @staticmethod
     def expression(y, i):
         y = np.asarray(y, dtype=float)

@@ -26,12 +26,18 @@ from hypothesis import strategies as st
 from temsim.config import two_regime_demo
 from temsim.engine import (
     CoefficientTables,
+    Grid,
     NoiseBlocks,
     SimulationError,
     bem_update,
     implicit_drift_solve,
+    initial_values,
+    simulate_bem_batch,
+    simulate_tem_batch,
     tem_update,
 )
+from temsim.estimators import CHUNK_SIZE
+from temsim.model import constant_segment
 from temsim.truncation import default_mu_for, truncation_band
 
 DELTA = 1e-3
@@ -257,3 +263,82 @@ def test_gathered_rows_carry_the_inverse_coefficient_only_with_its_term(spec):
         assert rows.a_m1 is None
         with pytest.raises(TypeError):
             rows.a_m1[0]
+
+
+# the march at the estimators' chunk width against the reference rules
+# stepped one node at a time: consecutive steps of the engine share its
+# block scratch, which a single call of a rule cannot show. rho = 1.7 keeps
+# the demo's theta, so that 1 + rho > 2 theta and the paths stay finite
+MARCH_SPECS = {
+    "rho 2": two_regime_demo(),
+    "rho 2 without 1/x": replace(two_regime_demo(), include_inverse_drift=False),
+    "rho 1.7": replace(two_regime_demo(), rho=1.7),
+    "rho 1.7 without 1/x": replace(two_regime_demo(), rho=1.7, include_inverse_drift=False),
+}
+MARCH_DELTA = 0.01
+
+
+def hand_built_noise(num_paths, num_steps, widths, seed):
+    """Noise of ``num_paths`` rows in draw blocks of ``widths`` steps: wide
+    Brownian increments that carry states across both band edges, jumps on
+    every third step only, and regimes that switch at random."""
+    rng = np.random.default_rng(seed)
+    brownian = rng.normal(0.0, 3.0 * math.sqrt(MARCH_DELTA), (num_paths, num_steps))
+    poisson = np.zeros((num_paths, num_steps), dtype=np.int64)
+    poisson[:, ::3] = rng.poisson(0.05, (num_paths, len(range(0, num_steps, 3))))
+    regimes = rng.integers(1, 3, (num_paths, num_steps + 1))
+    blocks, start = [], 0
+    for width in widths:
+        blocks.append((brownian[:, start:start + width], poisson[:, start:start + width],
+                       regimes[:, start:start + width + 1]))
+        start += width
+    assert start == num_steps
+    return brownian, poisson, regimes, NoiseBlocks((num_paths, num_steps), blocks)
+
+
+def reference_march(spec, grid, update, brownian, poisson, regimes):
+    """``update(x, tables, ridx, phi, d_b, d_n)`` from node 0 to node K, one
+    node at a time on the reference tables, every path at once."""
+    tables = ReferenceTables(spec)
+    m = grid.tau_steps
+    values = np.empty((brownian.shape[0], m + grid.num_steps + 1))
+    values[:, : m + 1] = initial_values(spec, grid)
+    for k in range(grid.num_steps):
+        phi = spec.volatility.evaluate_many(values[:, k], regimes[:, k])
+        values[:, m + k + 1] = update(values[:, m + k], tables, regimes[:, k] - 1, phi,
+                                      brownian[:, k], poisson[:, k].astype(float))
+    return values
+
+
+@pytest.mark.parametrize("tau_steps", [1, 4])
+@pytest.mark.parametrize("name", list(MARCH_SPECS))
+def test_march_at_chunk_width_matches_reference_steps_bitwise(name, tau_steps):
+    spec = replace(MARCH_SPECS[name], tau=tau_steps * MARCH_DELTA,
+                   initial_segment=constant_segment(1.0))
+    policy = default_mu_for(spec, psi_exponent=2 / 3, mu_preset="power_fit")
+    grid = Grid(delta=MARCH_DELTA, tau_steps=tau_steps, num_steps=30)
+    lower, upper = truncation_band(grid.delta, policy)
+    brownian, poisson, regimes, noise = hand_built_noise(CHUNK_SIZE, 30, (7, 1, 22),
+                                                         seed=tau_steps)
+    jumped = poisson.any(axis=0)
+    assert jumped.any() and not jumped.all()
+
+    with np.errstate(all="ignore"):
+        tem = simulate_tem_batch(spec, policy, grid, noise)
+        want = reference_march(
+            spec, grid, lambda x, tables, ridx, phi, d_b, d_n: reference_tem_update(
+                x, tables, ridx, phi, d_b, d_n, np.asarray(grid.delta), np.asarray(lower),
+                np.asarray(upper)),
+            brownian, poisson, regimes)
+    assert tem.shape == (CHUNK_SIZE, tau_steps + 31)
+    # the band binds on both sides somewhere in the march
+    assert (tem < lower).any() and (tem > upper).any()
+    assert tem.tobytes() == want.tobytes()
+
+    with np.errstate(all="ignore"):
+        bem = simulate_bem_batch(spec, grid, noise)
+        want = reference_march(
+            spec, grid, lambda x, tables, ridx, phi, d_b, d_n: reference_bem_update(
+                x, tables, ridx, phi, d_b, d_n, grid.delta),
+            brownian, poisson, regimes)
+    assert bem.tobytes() == want.tobytes()

@@ -100,6 +100,44 @@ class TestDefaultMu:
         with pytest.raises(TruncationError):
             default_mu_for(DEMO, mu_preset="cubic")
 
+    @pytest.mark.parametrize("exponent", ["rho", "theta"])
+    def test_power_fit_past_the_largest_float_is_refused_by_name(self, exponent):
+        # r^m overflowed, so mu's constant was NaN under three numpy
+        # RuntimeWarnings, its band read [nan, nan] and delta_star 0.999999999
+        spec = replace(DEMO, **{exponent: 1.0e300})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for preset in ("auto", "power_fit"):
+                with pytest.raises(TruncationError, match=r"^power-fit mu\(u\) = c u\^m has "
+                                   r"no finite constant c at the exponent m = max\(rho, "
+                                   r"theta\) \+ 1 = 1e\+300: "):
+                    default_mu_for(spec, mu_preset=preset)
+            # the closed form is refused as before, now without the warnings
+            with pytest.raises(TruncationError, match=r"^mu\(1\) = 3 does not dominate "
+                                                      "the coefficient sup inf on "):
+                default_mu_for(spec, mu_preset="3u2")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_nan_coefficient_sup_is_not_dominated(self):
+        # without the x^rho term, 0 * x^rho is NaN past the largest float: a
+        # NaN sup compared false with mu, so 3u2 was taken to dominate it
+        regimes = tuple(replace(r, alpha_2=0.0) for r in DEMO.regimes)
+        spec = replace(DEMO, regimes=regimes, rho=1.0e300)
+        with pytest.raises(TruncationError, match=r"^mu\(1\) = 3 does not dominate "
+                                                  "the coefficient sup nan on "):
+            default_mu_for(spec, mu_preset="3u2")
+
+    def test_nan_band_edge_is_not_admissible(self, monkeypatch):
+        # `upper <= 1.0` let a NaN edge through: the band came out [nan, nan]
+        # and the delta_star search took every step as admissible
+        from temsim import truncation
+        monkeypatch.setattr(truncation, "band_edge", lambda *_args: math.nan)
+        with pytest.raises(TruncationError, match="^truncation band degenerate at "
+                                                  r"delta = 0.001 \(upper edge nan\)$"):
+            truncation_band(1e-3, POLICY)
+        with pytest.raises(TruncationError, match="^no admissible step bound found "):
+            default_mu_for(DEMO)
+
 
 class TestPsi:
     def test_demo_profile_value(self):
