@@ -316,7 +316,10 @@ def tem_update(x, rows, ridx, phi, d_b, d_n, _node, delta, lower, upper):
 
 def bem_update(x, rows, ridx, phi, d_b, d_n, node, delta, noise):
     """The backward-EM step rule of :func:`_march` (see :func:`simulate_bem_batch`);
-    a failed solve names the replay coordinates of ``noise``."""
+    a failed solve names the replay coordinates of ``noise``.
+
+    The solve runs in its caller's numpy error state (see
+    :func:`implicit_drift_solve`)."""
     target = np.add(x, np.multiply(np.multiply(phi, rows.diffusion(x)), d_b))
     if d_n is not None:
         target = np.add(target, np.multiply(rows.jump(x, ridx), d_n))
@@ -369,7 +372,11 @@ def simulate_bem_batch(
             f"(needs delta < {1.0 / max_a1:g})",
             seed=noise.seed, delta=noise.delta, factor=noise.factor,
         )
-    return _march(spec, grid, tables, noise, bem_update, np.asarray(grid.delta), noise)
+    # the solve's error state, entered once for the march: over and
+    # invalid are the march's own
+    with np.errstate(divide="ignore"):
+        return _march(spec, grid, tables, noise, bem_update, np.asarray(grid.delta),
+                      noise)
 
 
 def implicit_drift_solve(
@@ -392,88 +399,127 @@ def implicit_drift_solve(
 
     Both bracket ends take one residual call, and the iteration stops
     before the slope once every row has settled. A row's iterates do not
-    depend on the other rows of the batch. A failed row is named at
+    depend on the other rows of the batch. A 0-d target is solved as a
+    width-1 row and returned as a 0-d array. A failed row is named at
     ``step`` by the replay coordinates of ``noise`` (:class:`NoiseBlocks`).
-    """
-    # 0-d step: the same products as the float, a cheaper ufunc operand
-    step_size = np.asarray(delta)
 
+    The solve runs in its caller's numpy error state. A lower bracket end
+    shrunk to +0 divides by zero on its way to the error it raises:
+    :func:`simulate_bem_batch` ignores division by zero once for its whole
+    march, and another caller that wants no warning wraps the call in
+    ``np.errstate(divide="ignore", invalid="ignore")``.
+    """
+    if not target.ndim:
+        return implicit_drift_solve(tables, ridx, np.reshape(target, 1), delta, noise,
+                                    step).reshape(())
+    # bound per call, so that a wrapper on the class sees every evaluation
+    drift, derivative = tables.drift, tables.drift_derivative
     abs_target = np.abs(target)
     # both bracket ends in one pair, so that they take one residual call
-    ends = np.empty((2,) + np.shape(target))
+    # and one masked copy per iteration
+    ends = np.empty((2,) + target.shape)
     lo, hi = ends
-    if tables.include_inverse:
-        # every iterate is +0 or more: the lower bracket end starts
-        # positive and only shrinks, and each iterate lies inside the bracket
-        def residual(z):
-            return np.subtract(np.subtract(z, np.multiply(step_size, tables.drift(z, ridx))),
-                               target)
-
-        def slope_at(z):
-            return np.subtract(_ONE, np.multiply(step_size, tables.drift_derivative(z, ridx)))
-
-        # residual -> -inf as z -> 0+ through the a_m1/z term
+    positive = tables.include_inverse
+    if positive:
+        residual, slope_at, lower = _residual, _slope, _POSITIVE_LOWER
         np.minimum(np.maximum(abs_target, _LOWER_FLOOR), _HALF, out=lo)
-        lower = (lambda end: end * 0.125), 400, "positive lower"
     else:
-        # boundary-value extension: drift frozen at its z = 0 value below zero
-        def residual(z):
-            drift = tables.drift(np.maximum(z, _ZERO), ridx)
-            return np.subtract(np.subtract(z, np.multiply(step_size, drift)), target)
-
-        def slope_at(z):
-            slope = tables.drift_derivative(np.maximum(z, _TINY), ridx)
-            return np.where(np.greater(z, _ZERO),
-                            np.subtract(_ONE, np.multiply(step_size, slope)), _ONE)
-
+        residual, slope_at, lower = _frozen_residual, _frozen_slope, _LINE_LOWER
         np.subtract(np.minimum(target, _ZERO), _ONE, out=lo)
-        lower = (lambda end: 2.0 * end - 1.0), 200, "lower"
     np.add(abs_target, _ONE, out=hi)
 
-    def widen(end, res, fails, grow, tries, kind):
-        """Grow ``end`` on the failing rows until no row fails, given the
-        residual ``res`` at ``end``. ``fails`` counts a NaN residual as
-        failing, so a non-finite target raises here, at its step."""
-        for _ in range(tries):
-            bad = fails(res)
-            if not np.count_nonzero(bad):
-                return end
-            end = np.where(bad, grow(end), end)
-            res = residual(end)
-        raise _path_error(f"implicit solve found no {kind} bracket end at step {step}",
-                          np.argmax(fails(res)), step, noise)
+    at_ends = residual(ends, drift, ridx, delta, target)
+    # a NaN residual fails both tests, so a non-finite target raises at its step
+    held = np.logical_and(np.less(at_ends[0], _ZERO), np.greater(at_ends[1], _ZERO))
+    if np.count_nonzero(held) < held.size:
+        _widen(ends, at_ends, lower, residual, (drift, ridx, delta, target), noise, step)
 
-    # a lower end shrunk to +0 divides by zero on its way to the error it
-    # raises: no numpy warning
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the widening loops run only for a batch with a failing row
-        at_lo, at_hi = residual(ends)
-        lo = widen(lo, at_lo, lambda res: np.logical_not(np.less(res, _ZERO)), *lower)
-        hi = widen(hi, at_hi, lambda res: np.logical_not(np.greater(res, _ZERO)),
-                   lambda end: 2.0 * end + 1.0, 200, "upper")
-
-        z = np.multiply(_HALF, np.add(lo, hi))
-        active = np.ones(z.shape, dtype=bool)
-        for _ in range(200):
-            f = residual(z)
-            # a settled row never reads its bracket again
-            np.putmask(lo, np.less(f, _ZERO), z)
-            np.putmask(hi, np.greater_equal(f, _ZERO), z)
-            near = np.add(_ONE, np.abs(z))
-            settled = np.logical_or(
-                np.less_equal(np.abs(f), np.multiply(_F_TOL, np.add(near, abs_target))),
-                np.less_equal(np.subtract(hi, lo), np.multiply(_BRACKET_TOL, near)))
-            active = np.logical_and(active, np.logical_not(settled))
-            if not np.count_nonzero(active):
-                break
-            proposal = np.subtract(z, np.divide(f, slope_at(z)))
-            # a proposal strictly inside the bracket is finite (NaN fails both);
-            # the rows outside it bisect, when there are any
-            inside = np.logical_and(np.greater(proposal, lo), np.less(proposal, hi))
-            if np.count_nonzero(inside) < inside.size:
-                proposal = np.where(inside, proposal, np.multiply(_HALF, np.add(lo, hi)))
+    z = np.multiply(_HALF, np.add(lo, hi))
+    # the rows of the pair each iterate moves: below the root to lo, else to hi
+    side = np.empty(ends.shape, dtype=bool)
+    below, above = side
+    # True > settled is not settled: the first iteration's active rows
+    active = _TRUE
+    for _ in range(200):
+        f = residual(z, drift, ridx, delta, target)
+        # a settled row never reads its bracket again
+        np.less(f, _ZERO, out=below)
+        np.greater_equal(f, _ZERO, out=above)
+        np.copyto(ends, z, where=side)
+        # |z| is z itself where every iterate is +0 or more
+        near = np.add(_ONE, z if positive else np.abs(z))
+        settled = np.logical_or(
+            np.less_equal(np.abs(f), np.multiply(_F_TOL, np.add(near, abs_target))),
+            np.less_equal(np.subtract(hi, lo), np.multiply(_BRACKET_TOL, near)))
+        active = np.greater(active, settled)
+        moving = np.count_nonzero(active)
+        if not moving:
+            break
+        proposal = np.subtract(z, np.divide(f, slope_at(z, derivative, ridx, delta)))
+        # a proposal strictly inside the bracket is finite (NaN fails both);
+        # the rows outside it bisect, when there are any
+        inside = np.logical_and(np.greater(proposal, lo), np.less(proposal, hi))
+        if np.count_nonzero(inside) < inside.size:
+            proposal = np.where(inside, proposal, np.multiply(_HALF, np.add(lo, hi)))
+        # when every row moves, the proposal is the next iterate
+        if moving < active.size:
             np.copyto(z, proposal, where=active)
+        else:
+            z = proposal
     return z
+
+
+# The residual z - delta f(z) - target and its slope 1 - delta f'(z), given
+# the drift ``f`` and its derivative bound to the solve's tables. With the
+# inverse drift term, f is taken at z itself: every iterate is +0 or more,
+# since the lower bracket end starts positive and only shrinks, and each
+# iterate lies inside the bracket.
+def _residual(z, drift, ridx, delta, target):
+    return np.subtract(np.subtract(z, np.multiply(delta, drift(z, ridx))), target)
+
+
+def _slope(z, derivative, ridx, delta):
+    return np.subtract(_ONE, np.multiply(delta, derivative(z, ridx)))
+
+
+# Without it, the boundary-value extension: f frozen at its z = 0 value below zero.
+def _frozen_residual(z, drift, ridx, delta, target):
+    frozen = drift(np.maximum(z, _ZERO), ridx)
+    return np.subtract(np.subtract(z, np.multiply(delta, frozen)), target)
+
+
+def _frozen_slope(z, derivative, ridx, delta):
+    slope = derivative(np.maximum(z, _TINY), ridx)
+    return np.where(np.greater(z, _ZERO),
+                    np.subtract(_ONE, np.multiply(delta, slope)), _ONE)
+
+
+# How each bracket end widens on its failing rows: its growth, its tries and
+# its name. The positive lower end shrinks toward 0, where the residual
+# tends to -inf through the a_m1/z term.
+_EIGHTH, _TWO, _TRUE = np.asarray(0.125), np.asarray(2.0), np.ones((), dtype=bool)
+_POSITIVE_LOWER = (lambda end: np.multiply(end, _EIGHTH)), 400, "positive lower"
+_LINE_LOWER = (lambda end: np.subtract(np.multiply(_TWO, end), _ONE)), 200, "lower"
+_UPPER = (lambda end: np.add(np.multiply(_TWO, end), _ONE)), 200, "upper"
+
+
+def _widen(ends, at_ends, lower, residual, args, noise, step):
+    """Grow each end of the pair ``ends`` on its failing rows, in place, until
+    no row fails, given the residuals ``at_ends`` at the ends and the rule
+    ``lower`` of the lower end. The lower end fails where its residual is not
+    negative, the upper where it is not positive; NaN fails both, so a
+    non-finite target raises here, at its step."""
+    for end, res, holds, (grow, tries, kind) in zip(ends, at_ends, (np.less, np.greater),
+                                                   (lower, _UPPER)):
+        for _ in range(tries):
+            bad = np.logical_not(holds(res, _ZERO))
+            if not np.count_nonzero(bad):
+                break
+            np.copyto(end, grow(end), where=bad)
+            res = residual(end, *args)
+        else:
+            raise _path_error(f"implicit solve found no {kind} bracket end at step {step}",
+                              np.argmax(np.logical_not(holds(res, _ZERO))), step, noise)
 
 
 def _raise_non_finite(values, m, noise):

@@ -196,6 +196,8 @@ class CoefficientTables:
         # 0-d operands: the same arithmetic as the floats, cheaper ufunc calls
         self._rho, self._theta = np.asarray(spec.rho), np.asarray(spec.theta)
         self._rho_less_one = np.asarray(spec.rho - 1.0)
+        # the slope's alpha_2 rho, the same product taken once per regime
+        self.a2_rho = np.multiply(self.a2, self._rho)
 
     def drift(self, x: np.ndarray, ridx: np.ndarray) -> np.ndarray:
         """f at ``x >= +0`` (or NaN): the drift is defined on the half-line only."""
@@ -212,8 +214,7 @@ class CoefficientTables:
         takes it at."""
         # x ** (rho - 1) is x itself at rho = 2: numpy takes x ** 1.0 as a copy
         power = x if self.rho == 2.0 else np.power(x, self._rho_less_one)
-        out = np.subtract(self.a1[ridx],
-                          np.multiply(np.multiply(self.a2[ridx], self._rho), power))
+        out = np.subtract(self.a1[ridx], np.multiply(self.a2_rho[ridx], power))
         if self.include_inverse:
             out = np.subtract(out, np.divide(self.a_m1[ridx], np.multiply(x, x)))
         return out
@@ -255,7 +256,7 @@ class CoefficientTables:
 
         rows = copy.copy(self)
         rows.a_m1 = rows_of(self.a_m1) if self.include_inverse else None
-        for name in ("a0", "a1", "a2", "a3"):
+        for name in ("a0", "a1", "a2", "a2_rho", "a3"):
             setattr(rows, name, rows_of(getattr(self, name)))
         return rows
 

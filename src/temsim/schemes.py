@@ -45,12 +45,6 @@ class PathState:
     def num_steps(self) -> int:
         return self.values.size - self.tau_steps - 1
 
-    def value(self, k: int) -> float:
-        """Grid value at node k, for k in -M..K."""
-        if not -self.tau_steps <= k <= self.num_steps:
-            raise IndexError(f"node {k} outside -{self.tau_steps}..{self.num_steps}")
-        return float(self.values[k + self.tau_steps])
-
 
 def simulate_tem_path(
     spec: ModelSpec,

@@ -17,6 +17,7 @@ may depend on the memory layout of the arrays passed in.
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,10 +36,11 @@ from temsim.engine import (
     draw_batch_noise,
     implicit_drift_solve,
     initial_values,
+    resolve_grid,
     simulate_bem_batch,
     simulate_tem_batch,
 )
-from temsim.model import InitialSegment, RegimeParams, VolatilitySpec
+from temsim.model import InitialSegment, RegimeParams, VolatilitySpec, constant_segment
 from temsim.regime import (
     GeneratorMatrix,
     matrix_exponential,
@@ -409,6 +411,63 @@ def test_solve_non_finite_target_matches_reference(bad, positive_domain):
         # the original solve took a NaN residual as a bracket end and
         # returned a non-finite row without an error
         assert not np.isfinite(want[5])
+
+
+@pytest.mark.parametrize("gathered", [False, True])
+@pytest.mark.parametrize("positive_domain", [True, False])
+def test_solve_on_a_0d_target_is_the_width_1_solve(positive_domain, gathered):
+    # a 0-d target raised "return arrays must be of ArrayType" from the
+    # bracket ends' preallocated outputs
+    spec = replace(two_regime_demo(), include_inverse_drift=positive_domain)
+    tables = CoefficientTables(spec)
+    rows, ridx = (tables.gather(np.array([[1]])), 0) if gathered else (tables, np.asarray(1))
+    noise = NoiseBlocks((1, 0), ())
+    for value in (0.7, -0.3, 0.0, 1e6):
+        got = implicit_drift_solve(rows, ridx, np.asarray(value), 1e-3, noise, 0)
+        want = implicit_drift_solve(rows, ridx, np.array([value]), 1e-3, noise, 0)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.tobytes() == want.tobytes()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError, match="bracket end at step 0 of path 0$"):
+            implicit_drift_solve(rows, ridx, np.asarray(np.nan), 1e-3, noise, 0)
+
+
+def test_bem_evaluation_counts_are_pinned(monkeypatch):
+    # the traced benchmark's exact BEM counts, in tier 1: the solve's
+    # iterates set how many times it evaluates the drift and its slope
+    counts = {"drift": 0, "drift_derivative": 0}
+    for name in counts:
+        def counted(self, x, ridx, _method=getattr(CoefficientTables, name), _name=name):
+            counts[_name] += 1
+            return _method(self, x, ridx)
+        monkeypatch.setattr(CoefficientTables, name, counted)
+    spec = two_regime_demo()
+    grid = resolve_grid(spec.tau, 0.01, 2.0)
+    simulate_bem_batch(spec, grid, draw_batch_noise(spec, grid, 3, np.arange(32)))
+    assert counts == {"drift": 1092, "drift_derivative": 692}
+
+
+@pytest.mark.parametrize("state", [{}, {"divide": "raise", "invalid": "raise"}],
+                         ids=["default", "raise"])
+def test_bem_march_restores_the_error_state(state):
+    # the march ignores division by zero once for all its solves and gives
+    # the caller's error state back, on a return and on an error; a lower
+    # bracket end shrunk to +0 on the way to the error warns nothing
+    spec = two_regime_demo()
+    grid = resolve_grid(spec.tau, 0.01, 0.2)
+    huge = replace(spec, initial_segment=constant_segment(1.0e300))
+    with np.errstate(**state):
+        before = np.geterr()
+        simulate_bem_batch(spec, grid, draw_batch_noise(spec, grid, 3, np.arange(4)))
+        assert np.geterr() == before
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SimulationError,
+                               match="no positive lower bracket end at step 0 of path 0"):
+                simulate_bem_batch(huge, grid,
+                                   draw_batch_noise(huge, grid, 3, np.arange(4)))
+        assert np.geterr() == before
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def relayout(a, layout):

@@ -145,18 +145,20 @@ class TestPathState:
     def test_indexing(self):
         state = self.make_state()
         assert state.num_steps == 3
-        assert state.value(-2) == 0.02
-        assert state.value(0) == 0.02
-        assert state.value(3) == 0.04
+        m = state.tau_steps
+        assert state.values[-2 + m] == 0.02
+        assert state.values[0 + m] == 0.02
+        assert state.values[3 + m] == 0.04
         with pytest.raises(IndexError):
-            state.value(4)
+            state.values[4 + m]
 
     def test_delay_lookup_is_exact_index_shift(self):
-        # constant history must be reproduced bit-exactly at the delay offset
+        # constant history must be reproduced bit-exactly at the delay offset:
+        # column k holds node k - M
         state = simulate_tem_path(DEMO, POLICY, 1e-2, 1.0,
                                   seed=3, path_index=0)
         for k in range(0, 40):
-            assert state.value(k - state.tau_steps) == 0.02
+            assert state.values[k] == 0.02
 
 
 class TestTemStep:
@@ -194,7 +196,7 @@ class TestTemStep:
                                   seed=99, path_index=0)
         for k in range(state.num_steps):
             nxt = tem_from(state, k, state.brownian[k], state.poisson[k])
-            assert nxt == state.value(k + 1)
+            assert nxt == state.values[k + 1 + state.tau_steps]
 
 
 class TestSimulateTem:
